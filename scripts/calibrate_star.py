@@ -24,10 +24,10 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
+from ncqm.cli import random_poly
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
-    ThetaPoly,
     parse_polynomial,
 )
 from ncqm.operators import build_xhat, subalgebra_defect
@@ -38,18 +38,6 @@ from ncqm.poisson import (
     fuzzy_sphere_bivector,
 )
 from ncqm.star import StarProduct, assoc_defect, gauge_b, trace
-
-
-def rand_poly(rng, n, deg=3, terms=6, trunc=3):
-    p = ThetaPoly.zero(n, trunc)
-    for _ in range(terms):
-        ce = [0] * n
-        for _ in range(rng.randint(0, deg)):
-            ce[rng.randrange(n)] += 1
-        c = GaussianRational(Fraction(rng.randint(-3, 3)),
-                             Fraction(rng.randint(-3, 3)))
-        p = p + ThetaPoly(n, {(0, tuple(ce), (0,) * n): c}, trunc)
-    return p
 
 
 def bivector_family():
@@ -103,7 +91,7 @@ def solve_grade2():
     rows = []
     for name, w in bivector_family():
         for _ in range(3):
-            f, g, h = (rand_poly(rng, w.n) for _ in range(3))
+            f, g, h = (random_poly(rng, w.n, 3, terms=6) for _ in range(3))
             evals = {}
             for tag, (ca, cb) in {
                 "00": (0, 0), "10": (1, 0), "01": (0, 1),
@@ -135,7 +123,7 @@ def solve_grade3():
     rows = []
     for name, w in bivector_family():
         for _ in range(2):
-            f, g, h = (rand_poly(rng, w.n, terms=4) for _ in range(3))
+            f, g, h = (random_poly(rng, w.n, 3, terms=4) for _ in range(3))
             evals = {}
             for tag, (cc, cm) in {
                 "00": (0, 0), "10": (1, 0), "01": (0, 1),
@@ -193,8 +181,8 @@ def check_gauge():
             continue
         ok = True
         for _ in range(4):
-            f = GaussianFunction(rand_poly(rng, 3))
-            g = GaussianFunction(rand_poly(rng, 3))
+            f = GaussianFunction(random_poly(rng, 3, 3, terms=6))
+            g = GaussianFunction(random_poly(rng, 3, 3, terms=6))
             fg = sp.star_prime(f, g, gauge, 2)
             cond = trace(fg, mu) - trace(f * g, mu)
             ok = ok and all(cond.theta_slice(k).is_zero for k in range(3))

@@ -4,7 +4,8 @@ Input and output are JSON; exact scalars are always strings, never
 floats.  Identical (problem, seed) pairs produce byte-identical reports,
 so timing is written to stderr only.
 
-Exit codes: 0 all tasks pass, 1 any task fails, 2 usage or parse error.
+Exit codes: 0 all tasks pass, 1 any task fails or errors, 2 usage or
+parse error.
 """
 
 from __future__ import annotations
@@ -48,17 +49,6 @@ from .star import (
     measure_defect,
 )
 
-TASKS = (
-    "validate",
-    "gamma",
-    "darboux-check",
-    "star-assoc",
-    "trace-check",
-    "subalgebra",
-    "oscillator",
-    "free-particle",
-)
-
 RANDOM_DEGREE_MAX = 3
 RANDOM_COEFF_HEIGHT = 3
 RANDOM_TRIPLES = 20
@@ -66,6 +56,16 @@ RANDOM_TRIPLES = 20
 
 class ProblemError(ValueError):
     """Malformed problem file."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_poly(text, n: int, trunc: int) -> ThetaPoly:
+    if not isinstance(text, str):
+        raise ValueError("polynomial must be a string")
+    return parse_polynomial(text, n, trunc)
 
 
 @dataclass
@@ -89,19 +89,22 @@ class ProblemFile:
         if not isinstance(raw, dict):
             raise ProblemError("problem file must be a JSON object")
         dim = raw.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise ProblemError("'dim' must be a positive integer")
         order = raw.get("order", 3)
-        if not isinstance(order, int) or order < 0:
+        if not _is_int(order) or order < 0:
             raise ProblemError("'order' must be a nonnegative integer")
         trunc = max(order, 3)
+        rows = raw.get("bivector", [])
+        if not isinstance(rows, list):
+            raise ProblemError("'bivector' must be a list")
         entries = {}
-        for row in raw.get("bivector", []):
+        for row in rows:
             if not (isinstance(row, dict) and {"i", "j", "poly"} <= set(row)):
                 raise ProblemError(
                     "bivector entries must be objects with keys i, j, poly")
             i, j = row["i"], row["j"]
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (_is_int(i) and _is_int(j)):
                 raise ProblemError("bivector indices must be integers")
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ProblemError(
@@ -110,7 +113,7 @@ class ProblemFile:
                 raise ProblemError(
                     f"diagonal bivector entry ({i},{j}) violates antisymmetry")
             try:
-                poly = parse_polynomial(row["poly"], dim, trunc)
+                poly = _parse_poly(row["poly"], dim, trunc)
             except ValueError as err:
                 raise ProblemError(f"entry ({i},{j}): {err}")
             key = (i - 1, j - 1)
@@ -118,19 +121,22 @@ class ProblemFile:
                 raise ProblemError(f"duplicate bivector entry ({i},{j})")
             entries[key] = poly
         bivector = PoissonBivector(dim, entries)
-        mu_text = raw.get("measure", "1")
         try:
-            mu = parse_polynomial(mu_text, dim, trunc)
+            mu = _parse_poly(raw.get("measure", "1"), dim, trunc)
         except ValueError as err:
             raise ProblemError(f"measure: {err}")
-        tasks = tuple(raw.get("tasks", []))
+        if mu.is_zero:
+            raise ProblemError("measure: density must be nonzero")
+        tasks = raw.get("tasks", [])
+        if not isinstance(tasks, list):
+            raise ProblemError("'tasks' must be a list")
         for t in tasks:
             if t not in TASKS:
                 raise ProblemError(f"unknown task {t!r}; expected one of {TASKS}")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ProblemError("'seed' must be an integer")
-        return ProblemFile(dim, bivector, mu, order, tasks, seed)
+        return ProblemFile(dim, bivector, mu, order, tuple(tasks), seed)
 
     def to_json(self) -> dict:
         rows = []
@@ -146,8 +152,10 @@ class ProblemFile:
         }
 
 
-def _random_poly(rng: random.Random, n: int, trunc: int,
-                 degree: int = RANDOM_DEGREE_MAX, terms: int = 5) -> ThetaPoly:
+def random_poly(rng: random.Random, n: int, trunc: int,
+                degree: int = RANDOM_DEGREE_MAX, terms: int = 5) -> ThetaPoly:
+    """Seeded random coordinate polynomial; the sampled tasks draw their
+    inputs from this stream."""
     p = ThetaPoly.zero(n, trunc)
     h = RANDOM_COEFF_HEIGHT
     for _ in range(terms):
@@ -160,152 +168,156 @@ def _random_poly(rng: random.Random, n: int, trunc: int,
     return p
 
 
+RANDOM_BOUNDS = {"degree_max": RANDOM_DEGREE_MAX,
+                 "coeff_height": RANDOM_COEFF_HEIGHT,
+                 "samples": RANDOM_TRIPLES}
+
+
+def _validate(problem: ProblemFile, rng: random.Random) -> dict:
+    defect = jacobi_defect(problem.bivector)
+    mdef = measure_defect(problem.mu, problem.bivector)
+    ok = defect.is_zero and all(d.is_zero for d in mdef)
+    return {
+        "status": "pass" if ok else "fail",
+        "jacobi_defect": defect.to_json(),
+        "measure_defect": [d.text() for d in mdef],
+    }
+
+
+def _gamma(problem: ProblemFile, rng: random.Random) -> dict:
+    tower = build_gamma(problem.bivector, max(problem.order, 1))
+    return {"status": "pass", "tensors": tower.to_json()}
+
+
+def _darboux_check(problem: ProblemFile, rng: random.Random) -> dict:
+    order = max(problem.order, 1)
+    tower = build_gamma(problem.bivector, order)
+    report = verify_darboux(assemble_darboux(tower), problem.bivector, order)
+    ok = report.xx_zero and report.pp_zero and report.delta_matches_reference
+    out = report.to_json()
+    out["status"] = "pass" if ok else "fail"
+    return out
+
+
+def _star_assoc(problem: ProblemFile, rng: random.Random) -> dict:
+    order = problem.order
+    if order > 3:
+        return {"status": "error", "reason": "star tasks need order at most 3"}
+    product = StarProduct(problem.bivector, order)
+    failures = []
+    for k in range(RANDOM_TRIPLES):
+        f, g, h = (random_poly(rng, problem.dim, product.trunc) for _ in range(3))
+        defect = assoc_defect(f, g, h, product).truncated(order)
+        if not defect.is_zero:
+            failures.append({"triple": k, "defect": defect.text()})
+    return {"status": "pass" if not failures else "fail",
+            "bounds": RANDOM_BOUNDS, "failures": failures}
+
+
+def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
+    order = problem.order
+    if order > 3:
+        return {"status": "error", "reason": "star tasks need order at most 3"}
+    w = problem.bivector
+    product = StarProduct(w, min(order, 2) if order >= 2 else order,
+                          trunc=max(order, 2))
+    mdef = measure_defect(problem.mu, w)
+    if any(not d.is_zero for d in mdef):
+        return {"status": "fail",
+                "reason": "density fails the divergence condition",
+                "measure_defect": [d.text() for d in mdef]}
+    gauge = gauge_b(problem.mu, w)
+    failures = []
+    uncorrected = []
+    check_order = min(order, 2)
+    for k in range(RANDOM_TRIPLES):
+        f = GaussianFunction(random_poly(rng, problem.dim, product.trunc))
+        g = GaussianFunction(random_poly(rng, problem.dim, product.trunc))
+        rep = cyclicity_defect(f, g, product, problem.mu, True,
+                               gauge, check_order)
+        if not rep.zero_through(check_order):
+            failures.append({
+                "pair": k,
+                "antisymmetric": rep.antisymmetric.text(),
+                "trace_condition": rep.trace_condition.text(),
+            })
+        raw = cyclicity_defect(f, g, product, problem.mu, False,
+                               gauge, check_order)
+        uncorrected.append(raw.trace_condition.theta_slice(2).text())
+    return {"status": "pass" if not failures else "fail",
+            "bounds": RANDOM_BOUNDS,
+            "gauge": gauge.to_json(),
+            "corrected_failures": failures,
+            "uncorrected_grade2_defects": uncorrected}
+
+
+def _subalgebra(problem: ProblemFile, rng: random.Random) -> dict:
+    w = problem.bivector
+    tower = build_gamma(w, 3)
+    product = StarProduct(w, 2, trunc=3)
+    defects = subalgebra_defect(build_xhat(w, tower), w, product)
+    ok = all(op.is_zero for op in defects.values())
+    bare = build_xhat(w, tower, Gamma1Tensor.zero(problem.dim))
+    residuals = subalgebra_defect(bare, w, product)
+    return {
+        "status": "pass" if ok else "fail",
+        "defects": {f"({i+1},{j+1})": op.text()
+                    for (i, j), op in sorted(defects.items())},
+        "residual_without_correction": {
+            f"({i+1},{j+1})": op.text()
+            for (i, j), op in sorted(residuals.items())},
+    }
+
+
+def _oscillator(problem: ProblemFile, rng: random.Random) -> dict:
+    if problem.dim != 3 or problem.bivector != fuzzy_sphere_bivector():
+        return {"status": "error",
+                "reason": "oscillator task needs the fuzzy-sphere bivector"}
+    if problem.mu != ThetaPoly.one(problem.dim, problem.mu.trunc):
+        return {"status": "error",
+                "reason": "oscillator task needs unit density"}
+    report = build_fuzzy_oscillator()
+    ok = report.identity_holds and report.first_grade_vanishes
+    out = report.to_json()
+    out["status"] = "pass" if ok else "fail"
+    out["correction_coefficient"] = "1/24"
+    return out
+
+
+def _free_particle(problem: ProblemFile, rng: random.Random) -> dict:
+    report = free_particle_check(problem.mu)
+    ok = (report.momentum_identity and report.hamiltonian_identity
+          and report.momenta_commute)
+    out = report.to_json()
+    out["status"] = "pass" if ok else "fail"
+    return out
+
+
+TASK_FUNCTIONS = {
+    "validate": _validate,
+    "gamma": _gamma,
+    "darboux-check": _darboux_check,
+    "star-assoc": _star_assoc,
+    "trace-check": _trace_check,
+    "subalgebra": _subalgebra,
+    "oscillator": _oscillator,
+    "free-particle": _free_particle,
+}
+TASKS = tuple(TASK_FUNCTIONS)
+
+
 def run_task(problem: ProblemFile, task: str) -> dict:
     """Execute one task; returns a JSON-ready record with a status."""
-    w = problem.bivector
-    n = problem.dim
-    order = problem.order
-    rng = random.Random(problem.seed)
-    bounds = {"degree_max": RANDOM_DEGREE_MAX,
-              "coeff_height": RANDOM_COEFF_HEIGHT,
-              "samples": RANDOM_TRIPLES}
-
-    if task == "validate":
-        defect = jacobi_defect(w)
-        mdef = measure_defect(problem.mu, w)
-        ok = defect.is_zero and all(d.is_zero for d in mdef)
-        return {
-            "status": "pass" if ok else "fail",
-            "jacobi_defect": defect.to_json(),
-            "measure_defect": [d.text() for d in mdef],
-        }
-
-    if task == "gamma":
-        try:
-            tower = build_gamma(w, max(order, 1))
-        except NotPoissonError as err:
-            return {"status": "error", "reason": "not a Poisson bivector",
-                    "jacobi_defect": err.defect.to_json()}
-        return {"status": "pass", "tensors": tower.to_json()}
-
-    if task == "darboux-check":
-        try:
-            tower = build_gamma(w, max(order, 1))
-        except NotPoissonError as err:
-            return {"status": "error", "reason": "not a Poisson bivector",
-                    "jacobi_defect": err.defect.to_json()}
-        report = verify_darboux(assemble_darboux(tower), w, max(order, 1))
-        ok = report.xx_zero and report.pp_zero and report.delta_matches_reference
-        out = report.to_json()
-        out["status"] = "pass" if ok else "fail"
-        return out
-
-    if task == "star-assoc":
-        if order > 3:
-            return {"status": "error",
-                    "reason": "star tasks need order at most 3"}
-        try:
-            product = StarProduct(w, order)
-        except NotPoissonError as err:
-            return {"status": "error", "reason": "not a Poisson bivector",
-                    "jacobi_defect": err.defect.to_json()}
-        failures = []
-        for k in range(RANDOM_TRIPLES):
-            f = _random_poly(rng, n, product.trunc)
-            g = _random_poly(rng, n, product.trunc)
-            h = _random_poly(rng, n, product.trunc)
-            defect = assoc_defect(f, g, h, product).truncated(order)
-            if not defect.is_zero:
-                failures.append({"triple": k, "defect": defect.text()})
-        return {"status": "pass" if not failures else "fail",
-                "bounds": bounds, "failures": failures}
-
-    if task == "trace-check":
-        if order > 3:
-            return {"status": "error",
-                    "reason": "star tasks need order at most 3"}
-        try:
-            product = StarProduct(w, min(order, 2) if order >= 2 else order,
-                                  trunc=max(order, 2))
-        except NotPoissonError as err:
-            return {"status": "error", "reason": "not a Poisson bivector",
-                    "jacobi_defect": err.defect.to_json()}
-        mdef = measure_defect(problem.mu, w)
-        if any(not d.is_zero for d in mdef):
-            return {"status": "fail",
-                    "reason": "density fails the divergence condition",
-                    "measure_defect": [d.text() for d in mdef]}
-        try:
-            gauge = gauge_b(problem.mu, w)
-        except GaugeError as err:
-            return {"status": "error", "reason": str(err)}
-        failures = []
-        uncorrected = []
-        check_order = min(order, 2)
-        for k in range(RANDOM_TRIPLES):
-            f = GaussianFunction(_random_poly(rng, n, product.trunc))
-            g = GaussianFunction(_random_poly(rng, n, product.trunc))
-            rep = cyclicity_defect(f, g, product, problem.mu, True,
-                                   gauge, check_order)
-            if not rep.zero_through(check_order):
-                failures.append({
-                    "pair": k,
-                    "antisymmetric": rep.antisymmetric.text(),
-                    "trace_condition": rep.trace_condition.text(),
-                })
-            raw = cyclicity_defect(f, g, product, problem.mu, False,
-                                   gauge, check_order)
-            uncorrected.append(raw.trace_condition.theta_slice(2).text())
-        return {"status": "pass" if not failures else "fail",
-                "bounds": bounds,
-                "gauge": gauge.to_json(),
-                "corrected_failures": failures,
-                "uncorrected_grade2_defects": uncorrected}
-
-    if task == "subalgebra":
-        try:
-            tower = build_gamma(w, 3)
-        except NotPoissonError as err:
-            return {"status": "error", "reason": "not a Poisson bivector",
-                    "jacobi_defect": err.defect.to_json()}
-        product = StarProduct(w, 2, trunc=3)
-        xhat = build_xhat(w, tower)
-        defects = subalgebra_defect(xhat, w, product)
-        ok = all(op.is_zero for op in defects.values())
-        bare = build_xhat(w, tower, Gamma1Tensor.zero(n))
-        residuals = subalgebra_defect(bare, w, product)
-        return {
-            "status": "pass" if ok else "fail",
-            "defects": {f"({i+1},{j+1})": op.text()
-                        for (i, j), op in sorted(defects.items())},
-            "residual_without_correction": {
-                f"({i+1},{j+1})": op.text()
-                for (i, j), op in sorted(residuals.items())},
-        }
-
-    if task == "oscillator":
-        if n != 3 or w != fuzzy_sphere_bivector():
-            return {"status": "error",
-                    "reason": "oscillator task needs the fuzzy-sphere bivector"}
-        if problem.mu != ThetaPoly.one(n, problem.mu.trunc):
-            return {"status": "error",
-                    "reason": "oscillator task needs unit density"}
-        report = build_fuzzy_oscillator()
-        ok = report.identity_holds and report.first_grade_vanishes
-        out = report.to_json()
-        out["status"] = "pass" if ok else "fail"
-        out["correction_coefficient"] = "1/24"
-        return out
-
-    if task == "free-particle":
-        report = free_particle_check(problem.mu)
-        ok = (report.momentum_identity and report.hamiltonian_identity
-              and report.momenta_commute)
-        out = report.to_json()
-        out["status"] = "pass" if ok else "fail"
-        return out
-
-    return {"status": "error", "reason": f"unsupported task {task!r}"}
+    fn = TASK_FUNCTIONS.get(task)
+    if fn is None:
+        return {"status": "error", "reason": f"unsupported task {task!r}"}
+    try:
+        return fn(problem, random.Random(problem.seed))
+    except NotPoissonError as err:
+        return {"status": "error", "reason": "not a Poisson bivector",
+                "jacobi_defect": err.defect.to_json()}
+    except (GaugeError, MeasureError) as err:
+        return {"status": "error", "reason": str(err)}
 
 
 def run(problem: ProblemFile, tasks: Optional[Sequence[str]] = None) -> dict:
@@ -314,10 +326,7 @@ def run(problem: ProblemFile, tasks: Optional[Sequence[str]] = None) -> dict:
     records = {}
     for task in sorted(set(tasks)):
         started = time.monotonic()
-        try:
-            records[task] = run_task(problem, task)
-        except (MeasureError, GaugeError, NotPoissonError) as err:
-            records[task] = {"status": "error", "reason": str(err)}
+        records[task] = run_task(problem, task)
         print(f"[{task}] {time.monotonic() - started:.3f}s", file=sys.stderr)
     status = "pass"
     if any(r.get("status") == "error" for r in records.values()):
@@ -356,10 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             problem = ProblemFile.parse(fh.read())
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ProblemError as err:
+    except (OSError, ProblemError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.order is not None:
@@ -374,11 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    if report["status"] == "pass":
-        return 0
-    if report["status"] == "fail":
-        return 1
-    return 1
+    return 0 if report["status"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -503,30 +503,6 @@ class ThetaPoly:
         return f"ThetaPoly({self.text()!r})"
 
 
-def poly_arith(a: ThetaPoly, b: ThetaPoly, op: str) -> ThetaPoly:
-    """Dispatch form of the ring operations, per the module contract."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise UsageError(f"unknown operation {op!r}")
-
-
-def partial_derivative(f, var: int):
-    """Coordinate derivative for polynomials and Gaussian-class functions."""
-    return f.diff_x(var)
-
-
-def substitute(f: ThetaPoly, images: Mapping[tuple[str, int], ThetaPoly]) -> ThetaPoly:
-    return f.substitute(images)
-
-
-def conjugate(f):
-    return f.conjugate()
-
-
 # ---------------------------------------------------------------------------
 # exact division and rational functions
 # ---------------------------------------------------------------------------
@@ -937,6 +913,8 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
 
     def take() -> str:
         nonlocal idx
+        if idx >= len(tokens):
+            raise ValueError("unexpected end of polynomial")
         tok = tokens[idx]
         idx += 1
         return tok

@@ -353,6 +353,31 @@ def build_gamma1(w: PoissonBivector, trunc: int = 3) -> Gamma1Tensor:
     return Gamma1Tensor(n, comps)
 
 
+def quantized_terms(gamma: GammaTower, gamma1: Gamma1Tensor, lead: int, k: int):
+    """(multi-index, coefficient) terms of the quantized expansion of
+    coordinate ``lead`` at grade ``k``: each canonical momentum becomes
+    -i d, so a tower tensor contributes (-i)^k times its multinomial
+    weight; at grade 3 the correction tensor adds -i G1^{lead jk} d_j d_k."""
+    n = gamma.n
+    factor = GaussianRational(0, -1) ** k
+    for (l, trailing), coeff in gamma.tensors[k].items():
+        if l != lead:
+            continue
+        midx = [0] * n
+        for t in trailing:
+            midx[t] += 1
+        yield tuple(midx), coeff.scale(factor * _multinomial(k, midx))
+    if k != 3:
+        return
+    for (l, (j, kk)), g1 in gamma1.components.items():
+        if l != lead:
+            continue
+        midx = [0] * n
+        midx[j] += 1
+        midx[kk] += 1
+        yield tuple(midx), g1.scale(GaussianRational(0, -2 if j != kk else -1))
+
+
 def build_xhat(w: PoissonBivector, gamma: GammaTower,
                gamma1: Optional[Gamma1Tensor] = None,
                trunc: int = 3) -> list[DiffOperator]:
@@ -369,36 +394,14 @@ def build_xhat(w: PoissonBivector, gamma: GammaTower,
         raise UsageError("tower must be built through the requested order")
     if gamma1 is None:
         gamma1 = build_gamma1(w, trunc)
-    minus_i = GaussianRational(0, -1)
     ops = []
     for i in range(n):
         op = DiffOperator.multiplication(
             RationalFunction(ThetaPoly.coordinate(n, i, trunc)), trunc)
         for order in range(1, min(trunc, gamma.max_order) + 1):
-            factor = minus_i ** order
-            for (lead, trailing), coeff in gamma.tensors[order].items():
-                if lead != i:
-                    continue
-                midx = [0] * n
-                for t in trailing:
-                    midx[t] += 1
-                mult = _multinomial(order, tuple(midx))
-                val = coeff.with_trunc(trunc).scale(factor * mult)
-                op = op + DiffOperator.term(RationalFunction(val), tuple(midx),
-                                            theta_power=order, trunc=trunc)
-        if trunc >= 3 and not gamma1.is_zero:
-            for j in range(n):
-                for k in range(j, n):
-                    g1 = gamma1.component(i, j, k)
-                    if g1.is_zero:
-                        continue
-                    midx = [0] * n
-                    midx[j] += 1
-                    midx[k] += 1
-                    mult = 2 if j != k else 1
-                    val = g1.with_trunc(trunc).scale(minus_i * mult)
-                    op = op + DiffOperator.term(RationalFunction(val), tuple(midx),
-                                                theta_power=3, trunc=trunc)
+            for midx, val in quantized_terms(gamma, gamma1, i, order):
+                op = op + DiffOperator.term(RationalFunction(val.with_trunc(trunc)),
+                                            midx, theta_power=order, trunc=trunc)
         ops.append(op)
     return ops
 

@@ -178,7 +178,7 @@ def build_fuzzy_oscillator(max_l: int = 2, trunc: int = 3) -> OscillatorReport:
     r2 = ThetaPoly.zero(3, trunc)
     for i in range(3):
         r2 = r2 + ThetaPoly.coordinate(3, i, trunc) ** 2
-    potential = product.left_multiplication_operator(r2, gauge=gauge)
+    potential = product.with_gauge(gauge).left_multiplication_operator(r2)
     slices = tuple(potential.theta_slice(k) for k in range(trunc + 1))
     first_ok = slices[1].is_zero
     target = l_squared(trunc).scale(Fraction(1, 12))

@@ -8,10 +8,15 @@ that see only one derivative of a factor are generated from the Darboux
 expansion tensors (the coordinate operators act by left multiplication,
 which pins those sectors completely); the remaining sector coefficients
 are exact rationals fixed by associativity.
+
+The gauge-corrected product is the same rule table with one grade-2 rule
+delta, (e_i, e_k) -> -2 b_ik, added by ``StarProduct.with_gauge``; its
+grade-3 slice is the uncorrected one.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,13 +32,12 @@ from .exact_algebra import (
     divide_exact,
     gaussian_integrate,
 )
-from .operators import DiffOperator, build_gamma1
+from .operators import DiffOperator, build_gamma1, quantized_terms
 from .poisson import (
     NotPoissonError,
     PoissonBivector,
     build_gamma,
     jacobi_defect,
-    _multinomial,
 )
 
 MultiIndex = tuple[int, ...]
@@ -189,29 +193,24 @@ class StarProduct:
         # x^a * g must reproduce the quantized expansion at this grade.
         for lead in range(n):
             a_idx = _unit(n, lead)
-            for (l, trailing), coeff in gamma.tensors[3].items():
-                if l != lead:
-                    continue
-                midx = [0] * n
-                for t in trailing:
-                    midx[t] += 1
-                mult = _multinomial(3, tuple(midx))
-                val = coeff.scale(I * mult)
-                self._add(rule, a_idx, tuple(midx), val)
-                self._add(rule, tuple(midx), a_idx, -val)
-            for j in range(n):
-                for kk in range(j, n):
-                    g1 = gamma1.component(lead, j, kk)
-                    if g1.is_zero:
-                        continue
-                    midx = [0] * n
-                    midx[j] += 1
-                    midx[kk] += 1
-                    mult = 2 if j != kk else 1
-                    val = g1.scale(GaussianRational(0, -1) * mult)
-                    self._add(rule, a_idx, tuple(midx), val)
-                    self._add(rule, tuple(midx), a_idx, -val)
+            for midx, val in quantized_terms(gamma, gamma1, lead, 3):
+                self._add(rule, a_idx, midx, val)
+                self._add(rule, midx, a_idx, -val)
         return rule
+
+    def with_gauge(self, gauge: "GaugeCorrection") -> "StarProduct":
+        """The gauge-corrected product: a shallow copy whose grade-2 slice
+        also holds the rules (e_i, e_k) -> -2 b_ik.  The grade-3 slice is
+        shared with the uncorrected product."""
+        out = copy.copy(self)
+        if self.order < 2:
+            return out
+        out.slices = list(self.slices)
+        out.slices[2] = rule = dict(self.slices[2])
+        n = self.n
+        for (i, k), b_ik in gauge.entries.items():
+            self._add(rule, _unit(n, i), _unit(n, k), b_ik.scale(-2))
+        return out
 
     # -- evaluation -------------------------------------------------------------
 
@@ -250,14 +249,11 @@ class StarProduct:
         return self.star(f, g, order) - self.star(g, f, order)
 
     def left_multiplication_operator(self, f: ThetaPoly,
-                                     order: Optional[int] = None,
-                                     gauge: Optional["GaugeCorrection"] = None
-                                     ) -> DiffOperator:
-        """The operator g -> f * g (optionally with the gauge correction)."""
+                                     order: Optional[int] = None) -> DiffOperator:
+        """The operator g -> f * g."""
         if order is None:
             order = self.order
-        n = self.n
-        op = DiffOperator.zero(n, self.trunc)
+        op = DiffOperator.zero(self.n, self.trunc)
         for k in range(order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = f.diff_multi(a)
@@ -270,45 +266,12 @@ class StarProduct:
                         continue
                     op = op + DiffOperator.term(RationalFunction(comp.with_trunc(self.trunc)),
                                                 b, theta_power=t + k, trunc=self.trunc)
-        if gauge is not None and order >= 2:
-            for (i, k), b_ik in gauge.entries.items():
-                df = f.diff_x(i)
-                if df.is_zero:
-                    continue
-                val = (b_ik * df).scale(-2)
-                for t in range(val.max_theta_power() + 1):
-                    comp = val.theta_coefficient(t)
-                    if comp.is_zero or t + 2 > self.trunc:
-                        continue
-                    op = op + DiffOperator.term(
-                        RationalFunction(comp.with_trunc(self.trunc)),
-                        _unit(n, k), theta_power=t + 2, trunc=self.trunc)
         return op
-
-    # -- gauge-corrected product --------------------------------------------------
 
     def star_prime(self, f, g, gauge: "GaugeCorrection",
                    order: Optional[int] = None):
-        """Product conjugated by the grade-2 gauge operator.
-
-        The gauge operator is fixed only through grade 2; the grade-3
-        slice is taken identical to the uncorrected product.
-        """
-        out = self.star(f, g, order)
-        if order is None:
-            order = self.order
-        if order < 2:
-            return out
-        n = self.n
-        for (i, k), b_ik in gauge.entries.items():
-            df = f.diff_x(i)
-            if _is_zero(df):
-                continue
-            dg = g.diff_x(k)
-            if _is_zero(dg):
-                continue
-            out = out + _shift_grade(b_ik * df * dg, 2).scale(-2)
-        return out
+        """Product conjugated by the grade-2 gauge operator."""
+        return self.with_gauge(gauge).star(f, g, order)
 
 
 def _is_zero(v) -> bool:
@@ -390,7 +353,7 @@ def measure_defect(mu: ThetaPoly, w: PoissonBivector) -> list[ThetaPoly]:
 @dataclass(frozen=True)
 class Measure:
     """Validated trace density; the divergence defect is recorded at
-    construction and the log-gradient backs the momentum operators."""
+    construction."""
 
     mu: ThetaPoly
     defect: tuple[ThetaPoly, ...]
@@ -406,11 +369,6 @@ class Measure:
     @property
     def is_valid(self) -> bool:
         return all(d.is_zero for d in self.defect)
-
-    @property
-    def log_grad(self) -> tuple[RationalFunction, ...]:
-        return tuple(RationalFunction(self.mu.diff_x(i), self.mu)
-                     for i in range(self.mu.n))
 
 
 class GaugeCorrection:
@@ -515,8 +473,9 @@ def cyclicity_defect(f: GaussianFunction, g: GaussianFunction,
     else:
         fg = product.star(f, g, order)
         gf = product.star(g, f, order)
-    anti = trace(fg, mu) - trace(gf, mu)
-    cond = trace(fg, mu) - trace(f * g, mu)
+    tr_fg = trace(fg, mu)
+    anti = tr_fg - trace(gf, mu)
+    cond = tr_fg - trace(f * g, mu)
     return CyclicityReport(anti, cond, corrected)
 
 

@@ -8,6 +8,7 @@ import pytest
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
+    RationalFunction,
     ThetaPoly,
     UsageError,
     gaussian_integrate,
@@ -21,7 +22,7 @@ from ncqm.poisson import (
     constant_bivector,
     fuzzy_sphere_bivector,
 )
-from ncqm.operators import build_xhat
+from ncqm.operators import build_phat, build_xhat
 from ncqm.star import (
     GaugeError,
     Measure,
@@ -149,16 +150,18 @@ class TestMeasure:
     def test_measure_type(self, fuzzy):
         m = Measure.build(ThetaPoly.one(3), fuzzy)
         assert m.is_valid
-        assert all(g.is_zero for g in m.log_grad)
+        # unit density: the momentum operators carry no multiplication term
+        assert all((0, (0, 0, 0)) not in op.terms for op in build_phat(m.mu))
         w = PoissonBivector(2, {(0, 1): parse_polynomial("x1", 2)})
         assert not Measure.build(ThetaPoly.one(2), w).is_valid
 
     def test_log_gradient(self, fuzzy):
-        from ncqm.exact_algebra import RationalFunction
+        # the multiplication term of build_phat is -(i/2) d_i(log mu)
         mu = parse_polynomial("x1^2+x2^2+x3^2", 3)
         m = Measure.build(mu, fuzzy)
-        assert m.log_grad[0] == RationalFunction(
-            parse_polynomial("2*x1", 3), mu)
+        term = build_phat(m.mu)[0].terms[(0, (0, 0, 0))]
+        assert term == RationalFunction(parse_polynomial("2*x1", 3), mu) \
+            * GaussianRational(0, Fraction(-1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +228,18 @@ class TestPrimedProduct:
         c = ThetaPoly.constant(3, 5)
         g = seeded_poly(rng, 3)
         assert sp.star_prime(c, g, gauge) == sp.star(c, g)
+
+    def test_with_gauge_is_a_grade2_rule_delta(self, fuzzy):
+        sp = StarProduct(fuzzy, 3)
+        before = [dict(rule) for rule in sp.slices]
+        corrected = sp.with_gauge(gauge_b(ThetaPoly.one(3), fuzzy))
+        assert sp.slices == before  # the uncorrected product is untouched
+        assert corrected.slices[3] is sp.slices[3]
+        delta = {key: rule for key, rule in corrected.slices[2].items()
+                 if key not in sp.slices[2]}
+        units = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+        assert delta == {(u, u): ThetaPoly.constant(3, Fraction(-1, 12))
+                         for u in units}
 
     def test_grade3_slice_copies_uncorrected(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 3)
