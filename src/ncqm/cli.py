@@ -5,7 +5,9 @@ floats.  Identical (problem, seed) pairs produce byte-identical reports,
 so timing is written to stderr only.
 
 Exit codes: 0 all tasks pass, 1 any task fails or errors, 2 usage or
-parse error.
+parse error.  A ``dim`` above ``MAX_DIM`` and a polynomial over the
+parser caps (``exact_algebra.MAX_DEGREE``, ``MAX_COEFF_BITS``) are parse
+errors.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .exact_algebra import (
     GaussianFunction,
     GaussianRational,
     ThetaPoly,
+    multi_index,
     parse_polynomial,
 )
 from .operators import Gamma1Tensor, build_xhat, subalgebra_defect
@@ -52,6 +55,8 @@ from .star import (
 RANDOM_DEGREE_MAX = 3
 RANDOM_COEFF_HEIGHT = 3
 RANDOM_TRIPLES = 20
+# the grade-3 slice build loops over n^6 index tuples
+MAX_DIM = 6
 
 
 class ProblemError(ValueError):
@@ -91,6 +96,8 @@ class ProblemFile:
         dim = raw.get("dim")
         if not _is_int(dim) or dim < 1:
             raise ProblemError("'dim' must be a positive integer")
+        if dim > MAX_DIM:
+            raise ProblemError(f"'dim' {dim} exceeds the cap of {MAX_DIM}")
         order = raw.get("order", 3)
         if not _is_int(order) or order < 0:
             raise ProblemError("'order' must be a nonnegative integer")
@@ -159,12 +166,10 @@ def random_poly(rng: random.Random, n: int, trunc: int,
     p = ThetaPoly.zero(n, trunc)
     h = RANDOM_COEFF_HEIGHT
     for _ in range(terms):
-        ce = [0] * n
-        for _ in range(rng.randint(0, degree)):
-            ce[rng.randrange(n)] += 1
+        x = multi_index(n, *(rng.randrange(n) for _ in range(rng.randint(0, degree))))
         c = GaussianRational(Fraction(rng.randint(-h, h)),
                              Fraction(rng.randint(-h, h)))
-        p = p + ThetaPoly(n, {(0, tuple(ce), (0,) * n): c}, trunc)
+        p = p + ThetaPoly.monomial(n, c, x=x, trunc=trunc)
     return p
 
 

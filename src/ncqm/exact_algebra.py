@@ -5,6 +5,14 @@ rational functions, and Gaussian-weighted integrands with closed-form
 moments.  Everything here is immutable after construction and all
 operations are pure, so values can be shared freely.
 
+Term layout: a polynomial term is keyed by ``(grade, exponents)``, where
+``exponents`` holds the n coordinate exponents followed by the n momentum
+exponents.  Only this module reads or builds those keys; other modules go
+through ``ThetaPoly.monomial``, ``momentum_blocks`` and the arithmetic.
+The ``ThetaPoly`` and ``GaussianIntegral`` constructors are the only
+places that drop zero terms (and grades above the truncation); the
+arithmetic only accumulates.
+
 The deformation parameter is a formal grading variable (written ``th`` in
 the text form); it is never assigned a numeric value.  Series are kept
 truncated at a fixed order and products silently drop terms above it.
@@ -155,25 +163,31 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def half(value: Scalarish = 1) -> GaussianRational:
-    return GaussianRational.of(value) * GaussianRational(Fraction(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-TermKey = tuple[int, tuple[int, ...], tuple[int, ...]]
+TermKey = tuple[int, tuple[int, ...]]
+
+
+def multi_index(n: int, *axes: int) -> tuple[int, ...]:
+    """Exponent vector of length n with one unit per listed axis; repeated
+    axes add up."""
+    out = [0] * n
+    for a in axes:
+        out[a] += 1
+    return tuple(out)
 
 
 class ThetaPoly:
     """Multivariate polynomial over GaussianRational, graded by powers of
     the deformation parameter.
 
-    Keys are ``(grade, coord_exponents, momentum_exponents)``.  Momentum
-    exponents are kept as an all-zero tuple for coordinate-only values;
-    ``has_momenta`` records whether the value conceptually lives on phase
-    space (used to validate bracket arguments).
+    Keys are ``(grade, exponents)``; ``exponents`` holds the n coordinate
+    exponents followed by the n momentum exponents.  Momentum exponents
+    stay zero for coordinate-only values; ``has_momenta`` records whether
+    the value conceptually lives on phase space (used to validate bracket
+    arguments).
     """
 
     __slots__ = ("n", "has_momenta", "trunc", "terms")
@@ -188,14 +202,14 @@ class ThetaPoly:
         if n <= 0:
             raise DimensionError("need at least one coordinate")
         clean: dict[TermKey, GaussianRational] = {}
-        for (t, ce, me), c in terms.items():
+        for (t, e), c in terms.items():
             if t > trunc or c.is_zero:
                 continue
-            if len(ce) != n or len(me) != n:
+            if len(e) != 2 * n:
                 raise DimensionError("exponent vector length mismatch")
-            if any(e > 0 for e in me) and not has_momenta:
+            if not has_momenta and any(e[n:]):
                 raise UsageError("momentum exponent in a coordinate-only polynomial")
-            clean[(t, tuple(ce), tuple(me))] = c
+            clean[(t, tuple(e))] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "has_momenta", has_momenta)
         object.__setattr__(self, "trunc", trunc)
@@ -207,38 +221,45 @@ class ThetaPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def monomial(n: int, c: Scalarish = 1, x: tuple[int, ...] = (),
+                 p: tuple[int, ...] = (), grade: int = 0,
+                 trunc: int = DEFAULT_TRUNC,
+                 has_momenta: bool = False) -> "ThetaPoly":
+        """c * th^grade * x^x * p^p; an empty exponent vector is all zeros."""
+        exps = (tuple(x) or (0,) * n) + (tuple(p) or (0,) * n)
+        return ThetaPoly(n, {(grade, exps): GaussianRational.of(c)}, trunc, has_momenta)
+
+    @staticmethod
     def zero(n: int, trunc: int = DEFAULT_TRUNC, has_momenta: bool = False) -> "ThetaPoly":
         return ThetaPoly(n, {}, trunc, has_momenta)
 
     @staticmethod
     def constant(n: int, c: Scalarish, trunc: int = DEFAULT_TRUNC,
                  has_momenta: bool = False) -> "ThetaPoly":
-        key = (0, (0,) * n, (0,) * n)
-        return ThetaPoly(n, {key: GaussianRational.of(c)}, trunc, has_momenta)
+        return ThetaPoly.monomial(n, c, trunc=trunc, has_momenta=has_momenta)
 
     @staticmethod
     def one(n: int, trunc: int = DEFAULT_TRUNC, has_momenta: bool = False) -> "ThetaPoly":
-        return ThetaPoly.constant(n, 1, trunc, has_momenta)
+        return ThetaPoly.monomial(n, trunc=trunc, has_momenta=has_momenta)
 
     @staticmethod
     def coordinate(n: int, i: int, trunc: int = DEFAULT_TRUNC,
                    has_momenta: bool = False) -> "ThetaPoly":
         if not 0 <= i < n:
             raise IndexError(f"coordinate index {i} out of range for n={n}")
-        ce = tuple(1 if k == i else 0 for k in range(n))
-        return ThetaPoly(n, {(0, ce, (0,) * n): ONE}, trunc, has_momenta)
+        return ThetaPoly.monomial(n, x=multi_index(n, i), trunc=trunc,
+                                  has_momenta=has_momenta)
 
     @staticmethod
     def momentum(n: int, i: int, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
         if not 0 <= i < n:
             raise IndexError(f"momentum index {i} out of range for n={n}")
-        me = tuple(1 if k == i else 0 for k in range(n))
-        return ThetaPoly(n, {(0, (0,) * n, me): ONE}, trunc, True)
+        return ThetaPoly.monomial(n, p=multi_index(n, i), trunc=trunc, has_momenta=True)
 
     @staticmethod
     def theta(n: int, power: int = 1, trunc: int = DEFAULT_TRUNC,
               has_momenta: bool = False) -> "ThetaPoly":
-        return ThetaPoly(n, {(power, (0,) * n, (0,) * n): ONE}, trunc, has_momenta)
+        return ThetaPoly.monomial(n, grade=power, trunc=trunc, has_momenta=has_momenta)
 
     # -- structure ----------------------------------------------------------
 
@@ -248,14 +269,24 @@ class ThetaPoly:
 
     @property
     def is_theta_free(self) -> bool:
-        return all(t == 0 for (t, _, _) in self.terms)
+        return all(t == 0 for (t, _) in self.terms)
 
     @property
     def is_coordinate_only(self) -> bool:
-        return all(all(e == 0 for e in me) for (_, _, me) in self.terms)
+        n = self.n
+        return not any(any(e[n:]) for (_, e) in self.terms)
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0, (0,) * self.n, (0,) * self.n), ZERO)
+        return self.terms.get((0, (0,) * (2 * self.n)), ZERO)
+
+    def momentum_blocks(self) -> dict[tuple[int, ...], "ThetaPoly"]:
+        """Map each momentum exponent vector to the coordinate polynomial
+        (grades kept) that multiplies it."""
+        n = self.n
+        blocks: dict[tuple[int, ...], dict[TermKey, GaussianRational]] = {}
+        for (t, e), c in self.terms.items():
+            blocks.setdefault(e[n:], {})[(t, e[:n] + (0,) * n)] = c
+        return {me: ThetaPoly(n, terms, self.trunc) for me, terms in blocks.items()}
 
     def with_momenta(self) -> "ThetaPoly":
         if self.has_momenta:
@@ -278,11 +309,7 @@ class ThetaPoly:
         trunc, hm = self._merge_ctx(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out[k] + c if k in out else c
         return ThetaPoly(self.n, out, trunc, hm)
 
     __radd__ = __add__
@@ -313,23 +340,14 @@ class ThetaPoly:
             return NotImplemented
         trunc, hm = self._merge_ctx(other)
         out: dict[TermKey, GaussianRational] = {}
-        for (t1, ce1, me1), c1 in self.terms.items():
-            if t1 > trunc:
-                continue
-            for (t2, ce2, me2), c2 in other.terms.items():
+        for (t1, e1), c1 in self.terms.items():
+            for (t2, e2), c2 in other.terms.items():
                 t = t1 + t2
                 if t > trunc:
                     continue
-                key = (
-                    t,
-                    tuple(a + b for a, b in zip(ce1, ce2)),
-                    tuple(a + b for a, b in zip(me1, me2)),
-                )
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                k = (t, tuple(a + b for a, b in zip(e1, e2)))
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
         return ThetaPoly(self.n, out, trunc, hm)
 
     __rmul__ = __mul__
@@ -358,41 +376,25 @@ class ThetaPoly:
 
     # -- calculus ------------------------------------------------------------
 
+    def _diff(self, slot: int) -> "ThetaPoly":
+        # lowering one exponent never merges two monomials
+        return ThetaPoly(
+            self.n,
+            {(t, e[:slot] + (e[slot] - 1,) + e[slot + 1:]): c * e[slot]
+             for (t, e), c in self.terms.items() if e[slot]},
+            self.trunc, self.has_momenta)
+
     def diff_x(self, i: int) -> "ThetaPoly":
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate index {i} out of range for n={self.n}")
-        out: dict[TermKey, GaussianRational] = {}
-        for (t, ce, me), c in self.terms.items():
-            e = ce[i]
-            if e == 0:
-                continue
-            nce = ce[:i] + (e - 1,) + ce[i + 1:]
-            key = (t, nce, me)
-            s = out.get(key, ZERO) + c * e
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
+        return self._diff(i)
 
     def diff_p(self, i: int) -> "ThetaPoly":
         if not self.has_momenta:
             raise UsageError("momentum derivative of a coordinate-only polynomial")
         if not 0 <= i < self.n:
             raise IndexError(f"momentum index {i} out of range for n={self.n}")
-        out: dict[TermKey, GaussianRational] = {}
-        for (t, ce, me), c in self.terms.items():
-            e = me[i]
-            if e == 0:
-                continue
-            nme = me[:i] + (e - 1,) + me[i + 1:]
-            key = (t, ce, nme)
-            s = out.get(key, ZERO) + c * e
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
+        return self._diff(self.n + i)
 
     def diff_multi(self, midx: tuple[int, ...]) -> "ThetaPoly":
         """Apply the coordinate derivative with multiplicities ``midx``."""
@@ -411,12 +413,11 @@ class ThetaPoly:
 
     def theta_coefficient(self, k: int) -> "ThetaPoly":
         """Coordinate/momentum polynomial multiplying the k-th grade."""
-        out = {(0, ce, me): c for (t, ce, me), c in self.terms.items() if t == k}
+        out = {(0, e): c for (t, e), c in self.terms.items() if t == k}
         return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
 
     def theta_shift(self, k: int) -> "ThetaPoly":
-        out = {(t + k, ce, me): c for (t, ce, me), c in self.terms.items()
-               if t + k <= self.trunc}
+        out = {(t + k, e): c for (t, e), c in self.terms.items()}
         return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
 
     def truncated(self, order: int) -> "ThetaPoly":
@@ -424,7 +425,7 @@ class ThetaPoly:
         return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
 
     def max_theta_power(self) -> int:
-        return max((t for (t, _, _) in self.terms), default=0)
+        return max((t for (t, _) in self.terms), default=0)
 
     def substitute(self, images: Mapping[tuple[str, int], "ThetaPoly"]) -> "ThetaPoly":
         """Exact composition; keys are ('x', i) or ('p', i).
@@ -439,62 +440,56 @@ class ThetaPoly:
             if img.n != n:
                 raise DimensionError("substitution image dimension mismatch")
             trunc = min(trunc, img.trunc)
-        cache: dict[tuple[str, int, int], ThetaPoly] = {}
+        cache: dict[tuple[int, int], ThetaPoly] = {}
 
-        def image_power(kind: str, i: int, e: int) -> ThetaPoly:
-            key = (kind, i, e)
-            got = cache.get(key)
+        def image_power(slot: int, e: int) -> ThetaPoly:
+            got = cache.get((slot, e))
             if got is not None:
                 return got
-            base = images.get((kind, i))
+            base = images.get(("x", slot) if slot < n else ("p", slot - n))
             if base is None:
-                base = (ThetaPoly.coordinate(n, i, trunc, hm) if kind == "x"
-                        else ThetaPoly.momentum(n, i, trunc))
+                base = ThetaPoly(n, {(0, multi_index(2 * n, slot)): ONE}, trunc, hm)
             val = base.with_trunc(trunc) ** e
-            cache[key] = val
+            cache[(slot, e)] = val
             return val
 
         out = ThetaPoly.zero(n, trunc, hm)
-        for (t, ce, me), c in self.terms.items():
-            term = ThetaPoly(n, {(t, (0,) * n, (0,) * n): c}, trunc, hm)
-            for i, e in enumerate(ce):
+        for (t, exps), c in self.terms.items():
+            term = ThetaPoly(n, {(t, (0,) * (2 * n)): c}, trunc, hm)
+            for slot, e in enumerate(exps):
                 if e:
-                    term = term * image_power("x", i, e)
-            for i, e in enumerate(me):
-                if e:
-                    term = term * image_power("p", i, e)
+                    term = term * image_power(slot, e)
             out = out + term
         return out
 
     # -- serialization -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[TermKey, GaussianRational]]:
-        def key(item):
-            (t, ce, me), _ = item
-            return (t, sum(ce) + sum(me), ce, me)
-        return sorted(self.terms.items(), key=key)
+        # (grade, total degree, coordinate exponents, momentum exponents)
+        return sorted(self.terms.items(),
+                      key=lambda item: (item[0][0], sum(item[0][1]), item[0][1]))
 
     def text(self) -> str:
         if self.is_zero:
             return "0/1"
+        n = self.n
         parts = []
-        for (t, ce, me), c in self.sorted_terms():
+        for (t, exps), c in self.sorted_terms():
             factors = []
             if t:
                 factors.append("th" if t == 1 else f"th^{t}")
-            for i, e in enumerate(ce):
+            for slot, e in enumerate(exps):
                 if e:
-                    factors.append(f"x{i+1}" if e == 1 else f"x{i+1}^{e}")
-            for i, e in enumerate(me):
-                if e:
-                    factors.append(f"p{i+1}" if e == 1 else f"p{i+1}^{e}")
+                    name = f"x{slot + 1}" if slot < n else f"p{slot - n + 1}"
+                    factors.append(name if e == 1 else f"{name}^{e}")
             coeff = str(c) if c.is_real else f"({c})"
             parts.append(coeff if not factors else coeff + "*" + "*".join(factors))
         return " + ".join(parts)
 
     def to_json(self) -> list:
-        return [[t, list(ce), list(me), str(c)]
-                for (t, ce, me), c in self.sorted_terms()]
+        n = self.n
+        return [[t, list(e[:n]), list(e[n:]), str(c)]
+                for (t, e), c in self.sorted_terms()]
 
     def __str__(self) -> str:
         return self.text()
@@ -508,50 +503,49 @@ class ThetaPoly:
 # ---------------------------------------------------------------------------
 
 
-def _grlex_key(ce: tuple[int, ...]) -> tuple:
-    return (sum(ce), ce)
+def _grlex_key(e: tuple[int, ...]) -> tuple:
+    return (sum(e), e)
 
 
 def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
     """Return num/den when den divides num exactly, else None.
 
     The divisor must be a nonzero, grade-free, coordinate-only polynomial.
-    Division runs independently on every (grade, momentum) block of the
-    numerator; a single divisor always yields a unique remainder, and
-    exact divisibility is equivalent to that remainder being zero.
+    Division runs independently on every grade of the numerator; the
+    momentum exponents are just more variables under grlex.  A single
+    divisor always yields a unique remainder, and exact divisibility is
+    equivalent to that remainder being zero.
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if not (den.is_theta_free and den.is_coordinate_only):
         raise UsageError("divisor must be grade-free and coordinate-only")
-    n = num.n
-    den_terms = sorted(((ce, c) for (_, ce, _), c in den.terms.items()),
+    den_terms = sorted(((e, c) for (_, e), c in den.terms.items()),
                        key=lambda item: _grlex_key(item[0]), reverse=True)
-    lead_ce, lead_c = den_terms[0]
+    lead_e, lead_c = den_terms[0]
 
-    blocks: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], GaussianRational]] = {}
-    for (t, ce, me), c in num.terms.items():
-        blocks.setdefault((t, me), {})[ce] = c
+    blocks: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
+    for (t, e), c in num.terms.items():
+        blocks.setdefault(t, {})[e] = c
 
     out: dict[TermKey, GaussianRational] = {}
-    for (t, me), rem in blocks.items():
-        rem = dict(rem)
+    for t, rem in blocks.items():
         while rem:
-            ce = max(rem, key=_grlex_key)
-            c = rem[ce]
-            if any(a < b for a, b in zip(ce, lead_ce)):
+            e = max(rem, key=_grlex_key)
+            c = rem[e]
+            if any(a < b for a, b in zip(e, lead_e)):
                 return None
-            q_ce = tuple(a - b for a, b in zip(ce, lead_ce))
+            q_e = tuple(a - b for a, b in zip(e, lead_e))
             q_c = c / lead_c
-            out[(t, q_ce, me)] = q_c
-            for d_ce, d_c in den_terms:
-                k = tuple(a + b for a, b in zip(q_ce, d_ce))
+            out[(t, q_e)] = q_c
+            for d_e, d_c in den_terms:
+                k = tuple(a + b for a, b in zip(q_e, d_e))
                 s = rem.get(k, ZERO) - q_c * d_c
                 if s.is_zero:
                     rem.pop(k, None)
                 else:
                     rem[k] = s
-    return ThetaPoly(n, out, num.trunc, num.has_momenta)
+    return ThetaPoly(num.n, out, num.trunc, num.has_momenta)
 
 
 class RationalFunction:
@@ -816,11 +810,7 @@ class GaussianIntegral:
             raise DimensionError("integral dimension mismatch")
         out = dict(self.parts)
         for k, c in other.parts.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out[k] + c if k in out else c
         return GaussianIntegral(self.n, out)
 
     def __neg__(self) -> "GaussianIntegral":
@@ -863,22 +853,20 @@ class GaussianIntegral:
 
 def gaussian_integrate(f: GaussianFunction) -> GaussianIntegral:
     """Closed-form integral over all space, via one-dimensional moments."""
+    n = f.n
     parts: dict[tuple[int, int], GaussianRational] = {}
-    for (t, ce, _), c in f.prefactor.terms.items():
+    for (t, e), c in f.prefactor.terms.items():
         m = Fraction(1)
-        for e in ce:
-            m *= _moment(e, f.weight)
+        for k in e[:n]:
+            m *= _moment(k, f.weight)
             if m == 0:
                 break
         if m == 0:
             continue
         key = (t, f.weight)
-        s = parts.get(key, ZERO) + c * m
-        if s.is_zero:
-            parts.pop(key, None)
-        else:
-            parts[key] = s
-    return GaussianIntegral(f.n, parts)
+        c = c * m
+        parts[key] = parts[key] + c if key in parts else c
+    return GaussianIntegral(n, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +875,28 @@ def gaussian_integrate(f: GaussianFunction) -> GaussianIntegral:
 
 _TOKEN = _re.compile(r"\s*(\d+|[ip]\d*|x\d+|th|[()+\-*/^])")
 
+# Caps on parsed polynomials, checked before each literal, product,
+# quotient and power is built.  Degrees and bit lengths are estimated as
+# they add for monomials, so a power p^e counts e*deg(p) and e*bits(p).
+MAX_DEGREE = 8
+MAX_COEFF_BITS = 256
+
+
+def _size(p: ThetaPoly) -> tuple[int, int]:
+    """Total degree and largest numerator or denominator bit length."""
+    degree = max((sum(e) for _, e in p.terms), default=0)
+    bits = max((max(q.numerator.bit_length(), q.denominator.bit_length())
+                for c in p.terms.values() for q in (c.re, c.im)), default=0)
+    return degree, bits
+
+
+def _check_caps(what: str, degree: int, bits: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"{what} of degree {degree} exceeds the cap of {MAX_DEGREE}")
+    if bits > MAX_COEFF_BITS:
+        raise ValueError(f"{what} with {bits}-bit coefficients exceeds "
+                         f"the cap of {MAX_COEFF_BITS} bits")
+
 
 def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
                      allow_momenta: bool = False,
@@ -894,7 +904,10 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
     """Parse the canonical polynomial grammar into an exact polynomial.
 
     Grammar: integers and rationals, variables x1..xN (and p1..pN when
-    allowed), the imaginary literal i, +, -, *, ^, parentheses.
+    allowed), the imaginary literal i, +, -, *, ^, parentheses.  A literal,
+    product, quotient or power whose degree would exceed ``MAX_DEGREE`` or
+    whose coefficients would exceed ``MAX_COEFF_BITS`` bits raises
+    ``ValueError`` before it is computed.
     """
     tokens: list[str] = []
     pos = 0
@@ -933,12 +946,17 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
             tok = peek()
             if tok == "*":
                 take()
-                node = node * parse_factor()
+                rhs = parse_factor()
+                (da, ba), (db, bb) = _size(node), _size(rhs)
+                _check_caps("product", da + db, ba + bb)
+                node = node * rhs
             elif tok == "/":
                 take()
                 d = take()
                 if not d.isdigit() or int(d) == 0:
                     raise ValueError("denominator must be a positive integer")
+                da, ba = _size(node)
+                _check_caps("quotient", da, ba + int(d).bit_length())
                 node = node.scale(Fraction(1, int(d)))
             else:
                 return node
@@ -957,7 +975,10 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
             e = take()
             if not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            node = node ** int(e)
+            k = int(e)
+            degree, bits = _size(node)
+            _check_caps("power", k * degree, k * bits)
+            node = node ** k
         return node
 
     def parse_base() -> ThetaPoly:
@@ -973,6 +994,7 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
             return node
         take()
         if tok.isdigit():
+            _check_caps("literal", 0, int(tok).bit_length())
             return ThetaPoly.constant(n, int(tok), trunc, allow_momenta)
         if tok == "i":
             return ThetaPoly.constant(n, I, trunc, allow_momenta)

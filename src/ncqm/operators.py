@@ -9,6 +9,7 @@ parameter and truncated at a fixed order.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Mapping, Optional, Sequence, Union
 
 from .exact_algebra import (
@@ -20,6 +21,7 @@ from .exact_algebra import (
     RationalFunction,
     ThetaPoly,
     UsageError,
+    multi_index,
 )
 from .poisson import GammaTower, PoissonBivector, _multinomial, levi_civita
 
@@ -29,19 +31,8 @@ Coefficient = Union[RationalFunction, ThetaPoly, GaussianRational, int, Fraction
 
 def _binomial_tuples(alpha: MultiIndex):
     """All gamma <= alpha with the product of per-axis binomials."""
-    ranges = [range(a + 1) for a in alpha]
-    for gamma in itertools.product(*ranges):
-        coeff = 1
-        for a, g in zip(alpha, gamma):
-            coeff *= _choose(a, g)
-        yield gamma, coeff
-
-
-def _choose(a: int, g: int) -> int:
-    out = 1
-    for k in range(g):
-        out = out * (a - k) // (k + 1)
-    return out
+    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+        yield gamma, math.prod(map(math.comb, alpha, gamma))
 
 
 class DiffOperator:
@@ -66,15 +57,11 @@ class DiffOperator:
                     continue
                 part = RationalFunction(num_s, coeff.den)
                 key = (t + s, midx)
-                prev = clean.get(key)
-                part = part if prev is None else prev + part
-                if part.is_zero:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = part
+                clean[key] = clean[key] + part if key in clean else part
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms",
+                           {k: c for k, c in clean.items() if not c.is_zero})
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("DiffOperator is immutable")
@@ -100,9 +87,8 @@ class DiffOperator:
 
     @staticmethod
     def derivative(n: int, i: int, trunc: int = 3) -> "DiffOperator":
-        midx = tuple(1 if k == i else 0 for k in range(n))
         one = RationalFunction(ThetaPoly.one(n, trunc))
-        return DiffOperator(n, {(0, midx): one}, trunc)
+        return DiffOperator(n, {(0, multi_index(n, i)): one}, trunc)
 
     @staticmethod
     def term(coeff: Coefficient, midx: MultiIndex, theta_power: int = 0,
@@ -128,12 +114,7 @@ class DiffOperator:
         trunc = min(self.trunc, other.trunc)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out[k] + c if k in out else c
         return DiffOperator(self.n, out, trunc)
 
     def __neg__(self) -> "DiffOperator":
@@ -222,20 +203,11 @@ class DiffOperator:
                     midx = tuple(g + b for g, b in zip(gamma, beta))
                     val = c1 * dcoeff * binom
                     key = (t, midx)
-                    s = out.get(key)
-                    s = val if s is None else s + val
-                    if s.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    out[key] = out[key] + val if key in out else val
         return DiffOperator(self.n, out, trunc)
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
         return self.compose(other) - other.compose(self)
-
-    def conjugate_coefficients(self) -> "DiffOperator":
-        return DiffOperator(self.n, {k: c.conjugate() for k, c in self.terms.items()},
-                            self.trunc)
 
     # -- comparisons and serialization ----------------------------------------
 
@@ -278,14 +250,6 @@ class DiffOperator:
 
     def __repr__(self) -> str:
         return f"DiffOperator({self.text()!r})"
-
-
-def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    return a.commutator(b)
-
-
-def compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    return a.compose(b)
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +327,14 @@ def quantized_terms(gamma: GammaTower, gamma1: Gamma1Tensor, lead: int, k: int):
     for (l, trailing), coeff in gamma.tensors[k].items():
         if l != lead:
             continue
-        midx = [0] * n
-        for t in trailing:
-            midx[t] += 1
-        yield tuple(midx), coeff.scale(factor * _multinomial(k, midx))
+        midx = multi_index(n, *trailing)
+        yield midx, coeff.scale(factor * _multinomial(k, midx))
     if k != 3:
         return
     for (l, (j, kk)), g1 in gamma1.components.items():
         if l != lead:
             continue
-        midx = [0] * n
-        midx[j] += 1
-        midx[kk] += 1
-        yield tuple(midx), g1.scale(GaussianRational(0, -2 if j != kk else -1))
+        yield multi_index(n, j, kk), g1.scale(GaussianRational(0, -2 if j != kk else -1))
 
 
 def build_xhat(w: PoissonBivector, gamma: GammaTower,
@@ -479,7 +438,7 @@ def plane_wave_symbol(op: DiffOperator) -> ThetaPoly:
         if not coeff.is_polynomial:
             raise UsageError("plane-wave symbol needs polynomial coefficients")
         poly = coeff.num
-        if not all(sum(ce) == 0 for (_, ce, _) in poly.terms):
+        if poly != poly.constant_term():
             raise UsageError("plane-wave symbol needs constant coefficients")
         factor = ThetaPoly.constant(n, minus_i ** sum(midx), op.trunc, True)
         for i, e in enumerate(midx):
@@ -501,8 +460,7 @@ def angular_momentum(n: int, i: int, trunc: int = 3) -> DiffOperator:
                 continue
             coeff = RationalFunction(
                 ThetaPoly.coordinate(n, a, trunc).scale(minus_i * e))
-            midx = tuple(1 if k == b else 0 for k in range(3))
-            op = op + DiffOperator.term(coeff, midx, trunc=trunc)
+            op = op + DiffOperator.term(coeff, multi_index(3, b), trunc=trunc)
     return op
 
 

@@ -9,6 +9,7 @@ canonical bracket of the expansion to reproduce the bivector exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -16,9 +17,9 @@ from typing import Callable, Mapping, Optional, Sequence
 from .exact_algebra import (
     DimensionError,
     Fraction,
-    GaussianRational,
     ThetaPoly,
     UsageError,
+    multi_index,
 )
 
 
@@ -78,11 +79,6 @@ class PoissonBivector:
             return NotImplemented
         return self.n == other.n and self.upper == other.upper
 
-    def is_constant(self) -> bool:
-        return all(
-            all(sum(ce) == 0 for (_, ce, _) in p.terms)
-            for p in self.upper.values())
-
 
 class JacobiDefect:
     """Totally antisymmetric rank-3 defect of the Jacobi identity."""
@@ -104,7 +100,6 @@ class JacobiDefect:
 
     def component(self, i: int, j: int, k: int) -> ThetaPoly:
         # resolve through total antisymmetry
-        perm = [(i, j, k)]
         idx = tuple(sorted((i, j, k)))
         if len(set(idx)) < 3:
             return ThetaPoly.zero(self.n)
@@ -205,12 +200,9 @@ class GammaTower:
         for (l, trailing), coeff in self.tensors[order].items():
             if l != lead:
                 continue
-            exps = [0] * n
-            for idx in trailing:
-                exps[idx] += 1
-            mult = _multinomial(order, exps)
-            mono = ThetaPoly(n, {(0, (0,) * n, tuple(exps)): GaussianRational(mult)},
-                             self.trunc, True)
+            exps = multi_index(n, *trailing)
+            mono = ThetaPoly.monomial(n, _multinomial(order, exps), p=exps,
+                                      trunc=self.trunc, has_momenta=True)
             out = out + coeff.with_momenta() * mono
         return out
 
@@ -237,27 +229,19 @@ class DarbouxMap:
         return len(self.x_of)
 
 
-def _tensor_from_momentum_poly(
-        r: ThetaPoly, degree: int, n: int, trunc: int
-) -> dict[tuple[int, ...], ThetaPoly]:
+def _tensor_from_momentum_poly(r: ThetaPoly,
+                               degree: int) -> dict[tuple[int, ...], ThetaPoly]:
     """Read the symmetric tensor representative off a momentum polynomial.
 
     Contraction with symmetric momentum powers determines only the
     symmetric part; dividing each monomial coefficient by its multinomial
     weight recovers the unique symmetric representative.
     """
-    out: dict[tuple[int, ...], dict] = {}
     comps: dict[tuple[int, ...], ThetaPoly] = {}
-    for (t, ce, me), c in r.terms.items():
+    for me, coeff in r.momentum_blocks().items():
         if sum(me) != degree:
             raise UsageError("momentum degree mismatch in tensor extraction")
-        idx = _exps_to_tuple(me)
-        mult = _multinomial(degree, me)
-        mono = ThetaPoly(n, {(t, ce, (0,) * n): c * Fraction(1, mult)}, trunc)
-        if idx in comps:
-            comps[idx] = comps[idx] + mono
-        else:
-            comps[idx] = mono
+        comps[_exps_to_tuple(me)] = coeff.scale(Fraction(1, _multinomial(degree, me)))
     return comps
 
 
@@ -292,23 +276,13 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
                 first[(i, (j,))] = val
     tensors[1] = first
 
-    def partial_map(upto: int) -> list[ThetaPoly]:
-        xs = []
-        for i in range(n):
-            x = ThetaPoly.coordinate(n, i, trunc, True)
-            for m in range(1, upto + 1):
-                tower = GammaTower(n, m, tensors, trunc)
-                x = x + tower.contracted(m, i).theta_shift(m)
-            xs.append(x)
-        return xs
-
     for m in range(2, order + 1):
-        xs = partial_map(m - 1)
+        tower = GammaTower(n, m - 1, tensors, trunc)
+        xs = assemble_darboux(tower).x_of
         images = {("x", i): xs[i] for i in range(n)}
         block: dict[tuple[int, tuple[int, ...]], ThetaPoly] = {}
         # inhomogeneity, antisymmetric in the leading pair
         g_hat: dict[tuple[int, int], dict[tuple[int, ...], ThetaPoly]] = {}
-        tower = GammaTower(n, m - 1, tensors, trunc)
         for i in range(n):
             for j in range(i + 1, n):
                 taylor = w.entry(i, j).substitute(images).theta_coefficient(m - 1)
@@ -318,7 +292,7 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
                     b = tower.contracted(m - k, j)
                     bracket_sum = bracket_sum + canonical_bracket(a, b)
                 r = taylor.with_momenta() - bracket_sum
-                g_hat[(i, j)] = _tensor_from_momentum_poly(-r, m - 1, n, trunc)
+                g_hat[(i, j)] = _tensor_from_momentum_poly(-r, m - 1)
 
         def g_component(i: int, j: int, trailing: tuple[int, ...]) -> ThetaPoly:
             if i == j:
@@ -333,7 +307,7 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
         # closed-form inverse: promote each trailing index to the pair slot
         scale = Fraction(1, m * (m + 1))
         for lead in range(n):
-            for trailing in _sorted_tuples(n, m):
+            for trailing in itertools.combinations_with_replacement(range(n), m):
                 total = ThetaPoly.zero(n, trunc)
                 for t_pos in range(len(trailing)):
                     second = trailing[t_pos]
@@ -344,20 +318,6 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
                     block[(lead, trailing)] = val
         tensors[m] = block
     return GammaTower(n, order, tensors, trunc)
-
-
-def _sorted_tuples(n: int, length: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], start: int):
-        if len(prefix) == length:
-            out.append(prefix)
-            return
-        for i in range(start, n):
-            rec(prefix + (i,), i)
-
-    rec((), 0)
-    return out
 
 
 def assemble_darboux(gamma: GammaTower) -> DarbouxMap:

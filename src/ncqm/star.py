@@ -31,6 +31,7 @@ from .exact_algebra import (
     UsageError,
     divide_exact,
     gaussian_integrate,
+    multi_index,
 )
 from .operators import DiffOperator, build_gamma1, quantized_terms
 from .poisson import (
@@ -52,18 +53,6 @@ COEFF_G2_GRAD = GaussianRational(Fraction(-1, 12))      # w dw (ddf dg - df ddg)
 COEFF_G3_CHAIN = GaussianRational(0, Fraction(-1, 48))  # w dw dw (ddf ddg - ddg ddf)
 COEFF_G3_MIXED = GaussianRational(0, Fraction(-1, 24))  # w dw w (ddf dddg - ddg dddf)
 COEFF_G3_TRIPLE = GaussianRational(0, Fraction(-1, 48))  # w w w dddf dddg
-
-
-def _unit(n: int, i: int) -> MultiIndex:
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _merge(*idx: MultiIndex) -> MultiIndex:
-    out = [0] * len(idx[0])
-    for m in idx:
-        for k, e in enumerate(m):
-            out[k] += e
-    return tuple(out)
 
 
 class StarProduct:
@@ -101,17 +90,12 @@ class StarProduct:
     # -- slice construction ---------------------------------------------------
 
     def _add(self, rule: Rule, a: MultiIndex, b: MultiIndex, coeff: ThetaPoly):
-        if coeff.is_zero:
-            return
         key = (a, b)
-        if key in rule:
-            s = rule[key] + coeff
-            if s.is_zero:
-                del rule[key]
-            else:
-                rule[key] = s
+        s = rule[key] + coeff if key in rule else coeff
+        if s.is_zero:
+            rule.pop(key, None)
         else:
-            rule[key] = coeff
+            rule[key] = s
 
     def _build_slice(self, k: int) -> Rule:
         n = self.n
@@ -124,7 +108,7 @@ class StarProduct:
         if k == 1:
             for i in range(n):
                 for j in range(n):
-                    self._add(rule, _unit(n, i), _unit(n, j),
+                    self._add(rule, multi_index(n, i), multi_index(n, j),
                               w.entry(i, j).scale(I * Fraction(1, 2)))
             return rule
         if k == 2:
@@ -138,17 +122,15 @@ class StarProduct:
                             if wij.is_zero:
                                 continue
                             prod = wij * w.entry(kk, l)
-                            self._add(rule, _merge(_unit(n, i), _unit(n, kk)),
-                                      _merge(_unit(n, j), _unit(n, l)),
-                                      prod.scale(ca))
+                            self._add(rule, multi_index(n, i, kk),
+                                      multi_index(n, j, l), prod.scale(ca))
                             grad = wij * w.entry(kk, l).diff_x(j)
                             if grad.is_zero:
                                 continue
-                            self._add(rule, _merge(_unit(n, i), _unit(n, kk)),
-                                      _unit(n, l), grad.scale(cb))
-                            self._add(rule, _unit(n, kk),
-                                      _merge(_unit(n, i), _unit(n, l)),
-                                      grad.scale(-cb))
+                            self._add(rule, multi_index(n, i, kk),
+                                      multi_index(n, l), grad.scale(cb))
+                            self._add(rule, multi_index(n, kk),
+                                      multi_index(n, i, l), grad.scale(-cb))
             return rule
         # grade 3
         gamma = build_gamma(w, 3, self.trunc)
@@ -166,18 +148,16 @@ class StarProduct:
                                 prod = (w.entry(j, l) * w.entry(i, m)
                                         * w.entry(kk, nn))
                                 if not prod.is_zero:
-                                    self._add(
-                                        rule,
-                                        _merge(_unit(n, i), _unit(n, j), _unit(n, kk)),
-                                        _merge(_unit(n, l), _unit(n, nn), _unit(n, m)),
-                                        prod.scale(c_triple))
+                                    self._add(rule, multi_index(n, i, j, kk),
+                                              multi_index(n, l, nn, m),
+                                              prod.scale(c_triple))
                                 # w^{nk} d_n w^{jm} d_m w^{il} (ddf ddg - swap)
                                 chain = (w.entry(nn, kk)
                                          * w.entry(j, m).diff_x(nn)
                                          * w.entry(i, l).diff_x(m))
                                 if not chain.is_zero:
-                                    fa = _merge(_unit(n, i), _unit(n, j))
-                                    gb = _merge(_unit(n, kk), _unit(n, l))
+                                    fa = multi_index(n, i, j)
+                                    gb = multi_index(n, kk, l)
                                     self._add(rule, fa, gb, chain.scale(c_chain))
                                     self._add(rule, gb, fa, chain.scale(-c_chain))
                                 # w^{ln} d_l w^{jm} w^{ik} (ddf dddg - swap)
@@ -185,14 +165,14 @@ class StarProduct:
                                          * w.entry(j, m).diff_x(l)
                                          * w.entry(i, kk))
                                 if not mixed.is_zero:
-                                    fa = _merge(_unit(n, i), _unit(n, j))
-                                    gb = _merge(_unit(n, kk), _unit(n, nn), _unit(n, m))
+                                    fa = multi_index(n, i, j)
+                                    gb = multi_index(n, kk, nn, m)
                                     self._add(rule, fa, gb, mixed.scale(c_mixed))
                                     self._add(rule, gb, fa, mixed.scale(-c_mixed))
         # single-derivative sectors, pinned by the coordinate operators:
         # x^a * g must reproduce the quantized expansion at this grade.
         for lead in range(n):
-            a_idx = _unit(n, lead)
+            a_idx = multi_index(n, lead)
             for midx, val in quantized_terms(gamma, gamma1, lead, 3):
                 self._add(rule, a_idx, midx, val)
                 self._add(rule, midx, a_idx, -val)
@@ -209,7 +189,7 @@ class StarProduct:
         out.slices[2] = rule = dict(self.slices[2])
         n = self.n
         for (i, k), b_ik in gauge.entries.items():
-            self._add(rule, _unit(n, i), _unit(n, k), b_ik.scale(-2))
+            self._add(rule, multi_index(n, i), multi_index(n, k), b_ik.scale(-2))
         return out
 
     # -- evaluation -------------------------------------------------------------
@@ -226,12 +206,12 @@ class StarProduct:
         for k in range(order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = self._diff_cached(f, a, d_cache_f)
-                if _is_zero(df):
+                if df.is_zero:
                     continue
                 dg = self._diff_cached(g, b, d_cache_g)
-                if _is_zero(dg):
+                if dg.is_zero:
                     continue
-                piece = _shift_grade(coeff * df * dg, k)
+                piece = (coeff * df * dg).theta_shift(k)
                 out = piece if out is None else out + piece
         if out is None:
             out = _zero_like(f, g, self.n, self.trunc)
@@ -259,31 +239,14 @@ class StarProduct:
                 df = f.diff_multi(a)
                 if df.is_zero:
                     continue
-                val = coeff * df
-                for t in range(val.max_theta_power() + 1):
-                    comp = val.theta_coefficient(t)
-                    if comp.is_zero or t + k > self.trunc:
-                        continue
-                    op = op + DiffOperator.term(RationalFunction(comp.with_trunc(self.trunc)),
-                                                b, theta_power=t + k, trunc=self.trunc)
+                coeff_f = RationalFunction((coeff * df).with_trunc(self.trunc))
+                op = op + DiffOperator.term(coeff_f, b, theta_power=k, trunc=self.trunc)
         return op
 
     def star_prime(self, f, g, gauge: "GaugeCorrection",
                    order: Optional[int] = None):
         """Product conjugated by the grade-2 gauge operator."""
         return self.with_gauge(gauge).star(f, g, order)
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero
-
-
-def _shift_grade(v, k: int):
-    if k == 0:
-        return v
-    if isinstance(v, ThetaPoly):
-        return v.theta_shift(k)
-    return GaussianFunction(v.prefactor.theta_shift(k), v.weight)
 
 
 def _zero_like(f, g, n: int, trunc: int):

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from ncqm.exact_algebra import GaussianRational, ThetaPoly
+from ncqm.exact_algebra import GaussianRational, ThetaPoly, multi_index, parse_polynomial
 from ncqm.poisson import PoissonBivector, constant_bivector, fuzzy_sphere_bivector
-from ncqm.exact_algebra import parse_polynomial
 
 
 def seeded_poly(rng: random.Random, n: int, degree: int = 3, terms: int = 5,
@@ -14,18 +13,19 @@ def seeded_poly(rng: random.Random, n: int, degree: int = 3, terms: int = 5,
     """Deterministic random polynomial of bounded degree and coefficient height."""
     p = ThetaPoly.zero(n, trunc, momenta)
     for _ in range(terms):
-        ce = [0] * n
-        me = [0] * n
-        for _ in range(rng.randint(0, degree)):
-            slot = rng.randrange(2 * n if momenta else n)
-            if slot < n:
-                ce[slot] += 1
-            else:
-                me[slot - n] += 1
+        # slots 0..n-1 are coordinates, n..2n-1 momenta
+        slots = [rng.randrange(2 * n if momenta else n)
+                 for _ in range(rng.randint(0, degree))]
         c = GaussianRational(Fraction(rng.randint(-height, height)),
                              Fraction(rng.randint(-height, height)))
-        p = p + ThetaPoly(n, {(0, tuple(ce), tuple(me)): c}, trunc, momenta)
+        p = p + _slot_monomial(n, c, slots, 0, trunc, momenta)
     return p
+
+
+def _slot_monomial(n: int, c, slots, grade: int, trunc: int, momenta: bool) -> ThetaPoly:
+    e = multi_index(2 * n, *slots)
+    return ThetaPoly.monomial(n, c, x=e[:n], p=e[n:], grade=grade, trunc=trunc,
+                              has_momenta=momenta)
 
 
 @pytest.fixture
@@ -60,15 +60,8 @@ def poly_strategy(n: int, momenta: bool = False, max_terms: int = 4,
                   max_degree: int = 2, trunc: int = 3):
     def build(term_list):
         p = ThetaPoly.zero(n, trunc, momenta)
-        for t, exps, c in term_list:
-            ce = [0] * n
-            me = [0] * n
-            for slot in exps:
-                if slot < n:
-                    ce[slot] += 1
-                else:
-                    me[slot - n] += 1
-            p = p + ThetaPoly(n, {(t, tuple(ce), tuple(me)): c}, trunc, momenta)
+        for t, slots, c in term_list:
+            p = p + _slot_monomial(n, c, slots, t, trunc, momenta)
         return p
 
     slot_range = 2 * n if momenta else n

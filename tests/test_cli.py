@@ -174,8 +174,15 @@ class TestExitCodes:
          "'dim' must be a positive integer"),
         ({"dim": 2, "bivector": 5},
          "'bivector' must be a list"),
+        ({"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "7^2000000"}]},
+         "entry (1,2): power with 6000000-bit coefficients exceeds the cap of 256 bits"),
+        ({"dim": 3, "bivector": [{"i": 1, "j": 2, "poly": "(1+x1+x2+x3)^40"}]},
+         "entry (1,2): power of degree 40 exceeds the cap of 8"),
+        ({"dim": 9, "bivector": [{"i": 1, "j": 2, "poly": "x3"}]},
+         "'dim' 9 exceeds the cap of 6"),
     ], ids=["poly-int", "measure-int", "dangling-caret", "tasks-string",
-            "dim-bool", "bivector-int"])
+            "dim-bool", "bivector-int", "power-coefficient-cap",
+            "power-degree-cap", "dim-cap"])
     def test_malformed_document_is_two(self, doc, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -76,18 +76,20 @@ class TestThetaPoly:
         with pytest.raises(IndexError):
             f.diff_x(5)
 
-    @given(poly_strategy(2), poly_strategy(2))
+    @given(poly_strategy(2, momenta=True), poly_strategy(2, momenta=True))
     @settings(max_examples=30)
     def test_leibniz(self, f, g):
-        lhs = (f * g).diff_x(0)
-        rhs = f.diff_x(0) * g + f * g.diff_x(0)
         # truncation commutes with the derivative, so these agree exactly
-        assert lhs == rhs
+        for d in (lambda h: h.diff_x(0), lambda h: h.diff_p(1)):
+            assert d(f * g) == d(f) * g + f * d(g)
 
-    @given(poly_strategy(2))
+    @given(poly_strategy(2, momenta=True))
     @settings(max_examples=30)
     def test_derivatives_commute(self, f):
         assert f.diff_x(0).diff_x(1) == f.diff_x(1).diff_x(0)
+        assert f.diff_p(0).diff_p(1) == f.diff_p(1).diff_p(0)
+        assert f.diff_x(0).diff_p(1) == f.diff_p(1).diff_x(0)
+        assert f.diff_x(1).diff_p(1) == f.diff_p(1).diff_x(1)
 
     @given(poly_strategy(2), poly_strategy(2), poly_strategy(2))
     @settings(max_examples=25)
@@ -135,14 +137,39 @@ class TestThetaPoly:
             f.diff_p(0)
 
     def test_text_and_json_deterministic(self):
-        f = parse_polynomial("x2 + x1 + x1*x2 + 3/2", 2)
-        assert f.text() == "3/2 + 1/1*x2 + 1/1*x1 + 1/1*x1*x2"
+        f = parse_polynomial("x2 + x1 + x1*x2 + 3/2 + 2*p1*x2", 2, allow_momenta=True)
+        assert f.text() == "3/2 + 1/1*x2 + 1/1*x1 + 2/1*x2*p1 + 1/1*x1*x2"
         assert f.to_json() == [
             [0, [0, 0], [0, 0], "3/2"],
             [0, [0, 1], [0, 0], "1/1"],
             [0, [1, 0], [0, 0], "1/1"],
+            [0, [0, 1], [1, 0], "2/1"],
             [0, [1, 1], [0, 0], "1/1"],
         ]
+
+    def test_monomial_and_momentum_blocks(self):
+        n = 2
+        th = ThetaPoly.theta(n)
+        f = parse_polynomial("3*x1^2*p2 - x2*p2 + th*x1*p1^2 + 5", n,
+                             allow_momenta=True, allow_theta=True)
+        assert ThetaPoly.monomial(n, 3, x=(2, 0), p=(0, 1), has_momenta=True) == \
+            parse_polynomial("3*x1^2*p2", n, allow_momenta=True)
+        assert ThetaPoly.monomial(n, -1, x=(0, 1), grade=2) == \
+            -(th * th * ThetaPoly.coordinate(n, 1))
+        with pytest.raises(UsageError):
+            ThetaPoly.monomial(n, p=(1, 0))  # momenta need has_momenta
+        blocks = f.momentum_blocks()
+        assert blocks == {
+            (0, 1): parse_polynomial("3*x1^2 - x2", n),
+            (2, 0): th * ThetaPoly.coordinate(n, 0),
+            (0, 0): ThetaPoly.constant(n, 5),
+        }
+        assert all(b.is_coordinate_only for b in blocks.values())
+        rebuilt = ThetaPoly.zero(n, has_momenta=True)
+        for me, coeff in blocks.items():
+            rebuilt = rebuilt + coeff.with_momenta() * ThetaPoly.monomial(
+                n, p=me, has_momenta=True)
+        assert rebuilt == f
 
 
 class TestParser:
@@ -163,6 +190,13 @@ class TestParser:
         with pytest.raises(ValueError):
             parse_polynomial("p1", 2)  # momenta disallowed by default
 
+    def test_caps_checked_before_computing(self):
+        assert parse_polynomial("(1+x1+x2)^8", 2) == parse_polynomial("(1+x1+x2)^4", 2) ** 2
+        for text in ("x1^9", "(1+x1)^4*(1+x2)^5", "x1^4*x2^4*x1",
+                     "2^257", "3^1000000000000", f"{2**256}", f"x1/{2**256}"):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                parse_polynomial(text, 2)
+
 
 class TestDivision:
     def test_exact(self):
@@ -175,7 +209,7 @@ class TestDivision:
         den = parse_polynomial("x1 + x2", 2)
         assert divide_exact(num, den) is None
 
-    @given(poly_strategy(2, max_terms=3, max_degree=2))
+    @given(poly_strategy(2, momenta=True, max_terms=3, max_degree=2))
     @settings(max_examples=25)
     def test_product_always_divides(self, f):
         den = parse_polynomial("1 + x1*x2", 2)
