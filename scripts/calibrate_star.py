@@ -12,8 +12,11 @@ Derivations performed:
      correction-tensor coefficient;
   4. the gauge-matrix coefficient from the exact trace condition.
 
-The script prints the solved values; they must match the constants frozen
-in ncqm.star / ncqm.operators (the test suite asserts the consequences).
+The script prints the solved values and asserts that they match the
+constants frozen in ncqm.star / ncqm.operators: the grade-2 and grade-3
+coefficients, a zero closure defect for every family, and an exact trace
+condition for the unit density (the other two densities are rejected).
+tests/test_scripts.py runs it.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def solve_grade3():
     u1, u2 = linear_solve(rows)
     print(f"   chain coefficient = i*({u1})   (frozen: -i/48)")
     print(f"   mixed coefficient = i*({u2})   (frozen: -i/24)")
-    return u1, u2
+    assert u1 == Fraction(-1, 48) and u2 == Fraction(-1, 24)
 
 
 def check_closure():
@@ -162,6 +165,7 @@ def check_closure():
             for k, op in defects.items():
                 if not op.is_zero:
                     print(f"      {k}: {op.text()}")
+        assert ok, name
 
 
 def check_gauge():
@@ -169,6 +173,7 @@ def check_gauge():
     rng = random.Random(31)
     fuzzy = fuzzy_sphere_bivector()
     from ncqm.star import GaugeError
+    exact = {}
     for mu_text in ("1", "x1^2+x2^2+x3^2", "1+x1^2+x2^2+x3^2"):
         mu = parse_polynomial(mu_text, 3)
         sp = StarProduct(fuzzy, 2)
@@ -188,11 +193,13 @@ def check_gauge():
             ok = ok and all(cond.theta_slice(k).is_zero for k in range(3))
         print(f"   mu = {mu_text}: trace condition exact = {ok}, "
               f"gauge = {gauge.to_json()}")
+        exact[mu_text] = ok
+    assert exact == {"1": True}, exact
 
 
 if __name__ == "__main__":
     solve_grade2()
-    u1, u2 = solve_grade3()
+    solve_grade3()
     check_closure()
     check_gauge()
     print("calibration complete")

@@ -5,9 +5,9 @@ floats.  Identical (problem, seed) pairs produce byte-identical reports,
 so timing is written to stderr only.
 
 Exit codes: 0 all tasks pass, 1 any task fails or errors, 2 usage or
-parse error.  A ``dim`` above ``MAX_DIM`` and a polynomial over the
-parser caps (``exact_algebra.MAX_DEGREE``, ``MAX_COEFF_BITS``) are parse
-errors.
+parse error.  A ``dim`` above ``MAX_DIM``, an ``order`` above ``MAX_ORDER``
+(in the file or from ``--order``) and a polynomial over the parser caps
+(``exact_algebra.MAX_DEGREE``, ``MAX_COEFF_BITS``) also exit 2.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .star import (
 RANDOM_DEGREE_MAX = 3
 RANDOM_COEFF_HEIGHT = 3
 RANDOM_TRIPLES = 20
-# the grade-3 slice build loops over n^6 index tuples
-MAX_DIM = 6
+MAX_DIM = 6  # the grade-3 triple sector loops over up to n^6 index tuples
+MAX_ORDER = 8  # the expansion tower grows with every order
 
 
 class ProblemError(ValueError):
@@ -101,6 +101,8 @@ class ProblemFile:
         order = raw.get("order", 3)
         if not _is_int(order) or order < 0:
             raise ProblemError("'order' must be a nonnegative integer")
+        if order > MAX_ORDER:
+            raise ProblemError(f"'order' {order} exceeds the cap of {MAX_ORDER}")
         trunc = max(order, 3)
         rows = raw.get("bivector", [])
         if not isinstance(rows, list):
@@ -355,7 +357,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="task to run (repeatable; default: the "
                              "problem file's task list, else validate)")
     parser.add_argument("--order", type=int, default=None,
-                        help="override the grading truncation order")
+                        help="override the grading truncation order "
+                             f"(at most {MAX_ORDER})")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the random seed")
     style = parser.add_mutually_exclusive_group()
@@ -376,6 +379,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.order is not None:
         if args.order < 0:
             print("error: order must be nonnegative", file=sys.stderr)
+            return 2
+        if args.order > MAX_ORDER:
+            print(f"error: order {args.order} exceeds the cap of {MAX_ORDER}",
+                  file=sys.stderr)
             return 2
         problem.order = args.order
     if args.seed is not None:

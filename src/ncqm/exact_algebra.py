@@ -565,7 +565,7 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if not (den.is_theta_free and den.is_coordinate_only):
             raise UsageError("denominator must be grade-free and coordinate-only")
-        if num.is_zero:
+        if num.is_zero or den == 1:
             den = ThetaPoly.one(num.n, num.trunc)
         else:
             q = divide_exact(num, den)

@@ -301,16 +301,13 @@ def build_gamma1(w: PoissonBivector, trunc: int = 3) -> Gamma1Tensor:
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
+                # sum_{a,m} W^{amk} d_a d_m w^{ij} + (j <-> k)
                 total = ThetaPoly.zero(n, trunc)
-                for nn in range(n):
-                    for l in range(n):
-                        for m in range(n):
-                            dd_ij = w.entry(i, j).diff_x(nn).diff_x(m)
-                            if not dd_ij.is_zero:
-                                total = total + w.entry(nn, l) * w.entry(m, k).diff_x(l) * dd_ij
-                            dd_ik = w.entry(i, k).diff_x(nn).diff_x(m)
-                            if not dd_ik.is_zero:
-                                total = total + w.entry(nn, l) * w.entry(m, j).diff_x(l) * dd_ik
+                for a, m in itertools.product(range(n), repeat=2):
+                    for p, q in ((j, k), (k, j)):
+                        dd = w.entry(i, p).diff_x(a).diff_x(m)
+                        if not dd.is_zero:
+                            total = total + w.contraction(a, m, q) * dd
                 val = total.scale(Fraction(1, 48))
                 if not val.is_zero:
                     comps[(i, (j, k))] = val

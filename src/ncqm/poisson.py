@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .exact_algebra import (
+    DEFAULT_TRUNC,
     DimensionError,
     Fraction,
     ThetaPoly,
@@ -35,9 +37,14 @@ class NotPoissonError(ValueError):
 
 
 class PoissonBivector:
-    """Antisymmetric matrix of grade-free coordinate polynomials."""
+    """Antisymmetric matrix of grade-free coordinate polynomials.
 
-    __slots__ = ("n", "upper")
+    ``entry`` reads the full matrix, built once at construction;
+    ``contraction`` reads the table of W^{ikl} = sum_j w^{ij} d_j w^{kl},
+    built on first use.
+    """
+
+    __slots__ = ("n", "upper", "_matrix", "_contraction")
 
     def __init__(self, n: int, upper: Mapping[tuple[int, int], ThetaPoly]):
         store: dict[tuple[int, int], ThetaPoly] = {}
@@ -52,23 +59,35 @@ class PoissonBivector:
                 raise UsageError("bivector entries must be grade-free coordinate polynomials")
             if i > j:
                 i, j, poly = j, i, -poly
-            if (i, j) in store:
-                store[(i, j)] = store[(i, j)] + poly
-            else:
-                store[(i, j)] = poly
+            store[(i, j)] = store[(i, j)] + poly if (i, j) in store else poly
+        store = {k: p for k, p in store.items() if not p.is_zero}
+        matrix = [[ThetaPoly.zero(n)] * n for _ in range(n)]
+        for (i, j), poly in store.items():
+            matrix[i][j], matrix[j][i] = poly, -poly
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "upper",
-                           {k: p for k, p in store.items() if not p.is_zero})
+        object.__setattr__(self, "upper", store)
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_contraction", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PoissonBivector is immutable")
 
     def entry(self, i: int, j: int) -> ThetaPoly:
-        if i == j:
-            return ThetaPoly.zero(self.n)
-        if i < j:
-            return self.upper.get((i, j), ThetaPoly.zero(self.n))
-        return -self.upper.get((j, i), ThetaPoly.zero(self.n))
+        return self._matrix[i][j]
+
+    def contraction(self, i: int, k: int, l: int) -> ThetaPoly:
+        """W^{ikl} = sum_j w^{ij} d_j w^{kl}: the bivector contracted with
+        its own gradient.  The Jacobi defect, the trace gauge, the
+        correction tensor and the grade-2/3 product rules read it."""
+        if self._contraction is None:
+            n, rows = self.n, self._matrix
+            # the entries' truncation, not that of the zeros on the diagonal
+            trunc = min((p.trunc for p in self.upper.values()), default=DEFAULT_TRUNC)
+            grads = [[[p.diff_x(j) for j in range(n)] for p in row] for row in rows]
+            object.__setattr__(self, "_contraction", [
+                [[sum(map(operator.mul, row, grads[k][l]), ThetaPoly.zero(n)).with_trunc(trunc)
+                  for l in range(n)] for k in range(n)] for row in rows])
+        return self._contraction[i][k][l]
 
     def with_trunc(self, trunc: int) -> "PoissonBivector":
         return PoissonBivector(
@@ -125,17 +144,10 @@ def _permutation_sign(idx: Sequence[int]) -> int:
 def jacobi_defect(w: PoissonBivector) -> JacobiDefect:
     """Cyclic contraction of the bivector with its own gradient; the zero
     tensor exactly characterizes Poisson bivectors."""
-    n = w.n
-    comps: dict[tuple[int, int, int], ThetaPoly] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = ThetaPoly.zero(n)
-                for (a, b, c) in ((i, j, k), (k, i, j), (j, k, i)):
-                    for l in range(n):
-                        total = total + w.entry(a, l) * w.entry(b, c).diff_x(l)
-                comps[(i, j, k)] = total
-    return JacobiDefect(n, comps)
+    W = w.contraction
+    comps = {(i, j, k): W(i, j, k) + W(k, i, j) + W(j, k, i)
+             for i, j, k in itertools.combinations(range(w.n), 3)}
+    return JacobiDefect(w.n, comps)
 
 
 def canonical_bracket(f: ThetaPoly, g: ThetaPoly) -> ThetaPoly:
@@ -268,13 +280,9 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     if order < 1:
         return GammaTower(n, 0, tensors, trunc)
     # order 1: antisymmetric part fixed by the bracket, symmetric gauge zero
-    first: dict[tuple[int, tuple[int, ...]], ThetaPoly] = {}
-    for i in range(n):
-        for j in range(n):
-            val = w.entry(i, j).scale(Fraction(-1, 2))
-            if not val.is_zero:
-                first[(i, (j,))] = val
-    tensors[1] = first
+    tensors[1] = {(i, (j,)): w.entry(i, j).scale(Fraction(-1, 2))
+                  for i, j in itertools.product(range(n), repeat=2)
+                  if not w.entry(i, j).is_zero}
 
     for m in range(2, order + 1):
         tower = GammaTower(n, m - 1, tensors, trunc)

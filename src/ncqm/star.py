@@ -7,7 +7,8 @@ from the bivector.  Grade two is closed-form.  At grade three the sectors
 that see only one derivative of a factor are generated from the Darboux
 expansion tensors (the coordinate operators act by left multiplication,
 which pins those sectors completely); the remaining sector coefficients
-are exact rationals fixed by associativity.
+are exact rationals fixed by associativity.  The grade-2 gradient rules and
+the grade-3 chain and mixed sectors read ``PoissonBivector.contraction``.
 
 The gauge-corrected product is the same rule table with one grade-2 rule
 delta, (e_i, e_k) -> -2 b_ik, added by ``StarProduct.with_gauge``; its
@@ -17,6 +18,7 @@ grade-3 slice is the uncorrected one.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,32 +107,27 @@ class StarProduct:
         if k == 0:
             self._add(rule, zero_idx, zero_idx, ThetaPoly.one(n, self.trunc))
             return rule
+        # the nonzero entries w^{ij}, both triangles
+        pairs = [(i, j, w.entry(i, j)) for i, j in itertools.product(range(n), repeat=2)
+                 if not w.entry(i, j).is_zero]
         if k == 1:
-            for i in range(n):
-                for j in range(n):
-                    self._add(rule, multi_index(n, i), multi_index(n, j),
-                              w.entry(i, j).scale(I * Fraction(1, 2)))
+            for i, j, wij in pairs:
+                self._add(rule, multi_index(n, i), multi_index(n, j),
+                          wij.scale(I * Fraction(1, 2)))
             return rule
+        W = w.contraction
         if k == 2:
+            # w w dd f dd g, and W^{ikl} (dd f d g - d f dd g)
             ca = self._coeffs["g2_double"]
             cb = self._coeffs["g2_grad"]
-            for i in range(n):
-                for j in range(n):
-                    for kk in range(n):
-                        for l in range(n):
-                            wij = w.entry(i, j)
-                            if wij.is_zero:
-                                continue
-                            prod = wij * w.entry(kk, l)
-                            self._add(rule, multi_index(n, i, kk),
-                                      multi_index(n, j, l), prod.scale(ca))
-                            grad = wij * w.entry(kk, l).diff_x(j)
-                            if grad.is_zero:
-                                continue
-                            self._add(rule, multi_index(n, i, kk),
-                                      multi_index(n, l), grad.scale(cb))
-                            self._add(rule, multi_index(n, kk),
-                                      multi_index(n, i, l), grad.scale(-cb))
+            for (i, j, wij), (kk, l, wkl) in itertools.product(pairs, repeat=2):
+                self._add(rule, multi_index(n, i, kk), multi_index(n, j, l),
+                          (wij * wkl).scale(ca))
+            for i, kk, l in itertools.product(range(n), repeat=3):
+                grad = W(i, kk, l)
+                if not grad.is_zero:
+                    self._add(rule, multi_index(n, i, kk), multi_index(n, l), grad.scale(cb))
+                    self._add(rule, multi_index(n, kk), multi_index(n, i, l), grad.scale(-cb))
             return rule
         # grade 3
         gamma = build_gamma(w, 3, self.trunc)
@@ -138,44 +135,37 @@ class StarProduct:
         c_chain = self._coeffs["g3_chain"]
         c_mixed = self._coeffs["g3_mixed"]
         c_triple = self._coeffs["g3_triple"]
-        for i in range(n):
-            for j in range(n):
-                for kk in range(n):
-                    for l in range(n):
-                        for m in range(n):
-                            for nn in range(n):
-                                # w^{jl} w^{im} w^{kn} dddf dddg
-                                prod = (w.entry(j, l) * w.entry(i, m)
-                                        * w.entry(kk, nn))
-                                if not prod.is_zero:
-                                    self._add(rule, multi_index(n, i, j, kk),
-                                              multi_index(n, l, nn, m),
-                                              prod.scale(c_triple))
-                                # w^{nk} d_n w^{jm} d_m w^{il} (ddf ddg - swap)
-                                chain = (w.entry(nn, kk)
-                                         * w.entry(j, m).diff_x(nn)
-                                         * w.entry(i, l).diff_x(m))
-                                if not chain.is_zero:
-                                    fa = multi_index(n, i, j)
-                                    gb = multi_index(n, kk, l)
-                                    self._add(rule, fa, gb, chain.scale(c_chain))
-                                    self._add(rule, gb, fa, chain.scale(-c_chain))
-                                # w^{ln} d_l w^{jm} w^{ik} (ddf dddg - swap)
-                                mixed = (w.entry(l, nn)
-                                         * w.entry(j, m).diff_x(l)
-                                         * w.entry(i, kk))
-                                if not mixed.is_zero:
-                                    fa = multi_index(n, i, j)
-                                    gb = multi_index(n, kk, nn, m)
-                                    self._add(rule, fa, gb, mixed.scale(c_mixed))
-                                    self._add(rule, gb, fa, mixed.scale(-c_mixed))
+
+        def antisymmetric(fa: MultiIndex, gb: MultiIndex, coeff: ThetaPoly):
+            self._add(rule, fa, gb, coeff)
+            self._add(rule, gb, fa, -coeff)
+
+        # w^{jl} w^{im} w^{kn} ddd f ddd g
+        for (j, l, wjl), (i, m, wim), (kk, nn, wkn) in itertools.product(pairs, repeat=3):
+            self._add(rule, multi_index(n, i, j, kk), multi_index(n, l, nn, m),
+                      (wjl * wim * wkn).scale(c_triple))
+        # -sum_m W^{kjm} d_m w^{il} (dd f dd g - swap)
+        for i, l, wil in pairs:
+            grad = [wil.diff_x(m) for m in range(n)]
+            for j, kk in itertools.product(range(n), repeat=2):
+                chain = sum((W(kk, j, m) * g for m, g in enumerate(grad)),
+                            ThetaPoly.zero(n, self.trunc))
+                if not chain.is_zero:
+                    antisymmetric(multi_index(n, i, j), multi_index(n, kk, l),
+                                  chain.scale(-c_chain))
+        # -W^{njm} w^{ik} (dd f ddd g - swap)
+        for i, kk, wik in pairs:
+            for j, m, nn in itertools.product(range(n), repeat=3):
+                mixed = W(nn, j, m)
+                if not mixed.is_zero:
+                    antisymmetric(multi_index(n, i, j), multi_index(n, kk, nn, m),
+                                  (mixed * wik).scale(-c_mixed))
         # single-derivative sectors, pinned by the coordinate operators:
         # x^a * g must reproduce the quantized expansion at this grade.
         for lead in range(n):
             a_idx = multi_index(n, lead)
             for midx, val in quantized_terms(gamma, gamma1, lead, 3):
-                self._add(rule, a_idx, midx, val)
-                self._add(rule, midx, a_idx, -val)
+                antisymmetric(a_idx, midx, val)
         return rule
 
     def with_gauge(self, gauge: "GaugeCorrection") -> "StarProduct":
@@ -383,13 +373,8 @@ def gauge_b(mu: ThetaPoly, w: PoissonBivector) -> GaugeCorrection:
     entries: dict[tuple[int, int], ThetaPoly] = {}
     for i in range(n):
         for k in range(n):
-            total = ThetaPoly.zero(n, mu.trunc)
-            for l in range(n):
-                inner = ThetaPoly.zero(n, mu.trunc)
-                for j in range(n):
-                    inner = inner + w.entry(i, j) * w.entry(l, k).diff_x(j)
-                total = total + (mu * inner).diff_x(l)
-            total = total.scale(GAUGE_COEFF)
+            total = sum(((mu * w.contraction(i, l, k)).diff_x(l) for l in range(n)),
+                        ThetaPoly.zero(n, mu.trunc)).scale(GAUGE_COEFF)
             if total.is_zero:
                 continue
             quotient = divide_exact(total, mu)

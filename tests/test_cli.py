@@ -180,9 +180,11 @@ class TestExitCodes:
          "entry (1,2): power of degree 40 exceeds the cap of 8"),
         ({"dim": 9, "bivector": [{"i": 1, "j": 2, "poly": "x3"}]},
          "'dim' 9 exceeds the cap of 6"),
+        ({"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "x1"}], "order": 9},
+         "'order' 9 exceeds the cap of 8"),
     ], ids=["poly-int", "measure-int", "dangling-caret", "tasks-string",
             "dim-bool", "bivector-int", "power-coefficient-cap",
-            "power-degree-cap", "dim-cap"])
+            "power-degree-cap", "dim-cap", "order-cap"])
     def test_malformed_document_is_two(self, doc, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -190,6 +192,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_order_flag_cap_is_two(self, capsys):
+        # the file's order is within the cap; the flag is checked on its own
+        assert main([str(PROBLEMS / "quadratic2d.json"),
+                     "--task", "gamma", "--order", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: order 9 exceeds the cap of 8"]
 
     def test_zero_measure_is_two(self, tmp_path, capsys):
         # a zero density makes every trace vanish, so trace-check would

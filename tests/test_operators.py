@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from ncqm import exact_algebra
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
@@ -152,6 +153,25 @@ class TestCoordinateOperators:
     def test_requires_enough_orders(self, fuzzy):
         with pytest.raises(UsageError):
             build_xhat(fuzzy, build_gamma(fuzzy, 2))
+
+    def test_polynomial_coefficients_skip_division(self, quad2d, monkeypatch):
+        """A unit denominator is kept as it is: building operators with
+        polynomial coefficients runs no exact division."""
+        calls = []
+        divide = exact_algebra.divide_exact
+
+        def counting(num, den):
+            calls.append(den)
+            return divide(num, den)
+
+        tower = build_gamma(quad2d, 3)
+        monkeypatch.setattr(exact_algebra, "divide_exact", counting)
+        build_xhat(quad2d, tower)
+        x1 = parse_polynomial("x1", 2)
+        StarProduct(quad2d, 2, trunc=3).left_multiplication_operator(x1 * x1)
+        assert calls == []
+        assert RationalFunction(x1 * x1, x1) == RationalFunction(x1)
+        assert calls
 
 
 class TestGamma1:

@@ -1,0 +1,31 @@
+"""The two scripts run to the end; the calibration script asserts the
+structure constants it re-derives."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, monkeypatch) -> None:
+    # the scripts put "src" on sys.path themselves; restore it afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(SCRIPTS.parent)
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def test_calibrate_star(monkeypatch, capsys):
+    run_script("calibrate_star.py", monkeypatch)
+    out = capsys.readouterr().out
+    assert "(frozen: -i/48)" in out
+    assert out.splitlines()[-1] == "calibration complete"
+
+
+def test_run_fuzzy_experiments(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_script("run_fuzzy_experiments.py", monkeypatch)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("bivector entries:")

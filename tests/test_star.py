@@ -107,6 +107,18 @@ class TestMoyalOracle:
             assert sp.star(f, g) == moyal_product(f, g, matrix, 3)
 
 
+    def test_truncation_above_three(self):
+        """A product built with trunc 4 keeps its grade-4 terms: every rule
+        carries the truncation of the entries, not that of a zero entry."""
+        matrix = [[0, 2, 0, 1], [-2, 0, 0, 0], [0, 0, 0, -3], [-1, 0, 3, 0]]
+        sp = StarProduct(constant_bivector(matrix, trunc=4), 3, trunc=4)
+        f = parse_polynomial("(1+x1+x2+x3+x4)^3", 4, 4) * ThetaPoly.theta(4, 2, 4)
+        g = parse_polynomial("(1+x1-x2+2*x3+x4)^3", 4, 4)
+        got = sp.star(f, g)
+        assert not got.theta_coefficient(4).is_zero
+        assert got == moyal_product(f, g, matrix, 3)
+
+
 class TestAssociativity:
     @pytest.mark.parametrize("which", ["fuzzy", "const3d", "quad2d"])
     def test_random_triples(self, which, request, rng):
