@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Re-derive every frozen structure constant of the product from first
-principles, with exact arithmetic.
+"""Check, with exact arithmetic, the derived star product and the two
+fixed coefficients it rests on: that of the correction tensor and that of
+the gauge matrix.
 
 Run from the repository root:  python3 scripts/calibrate_star.py
 
-Derivations performed:
-  1. grade-2 coefficients from associativity (given the grade-1 slice);
-  2. grade-3 chain/mixed coefficients from associativity (grade-3 triple
-     term pinned by the constant-bivector oracle);
-  3. the coordinate-operator closure at grade 3, which fixes the
+Checks performed:
+  1. the product, derived grade by grade from the coordinate operators,
+     is associative through grade 3 on sampled triples;
+  2. the coordinate-operator closure at grade 3, which fixes the
      correction-tensor coefficient;
-  4. the gauge-matrix coefficient from the exact trace condition.
+  3. the exact trace condition, which fixes the gauge-matrix coefficient.
 
-The script prints the solved values and asserts that they match the
-constants frozen in ncqm.star / ncqm.operators: the grade-2 and grade-3
-coefficients, a zero closure defect for every family, and an exact trace
-condition for the unit density (the other two densities are rejected).
+The script prints what it finds and asserts a zero associator and a zero
+closure defect for every family, and an exact trace condition for the
+unit density (the other two densities are rejected).
 tests/test_scripts.py runs it.
 """
 
@@ -23,16 +22,11 @@ from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, "src")
 
 from ncqm.cli import random_poly
-from ncqm.exact_algebra import (
-    GaussianFunction,
-    GaussianRational,
-    parse_polynomial,
-)
+from ncqm.exact_algebra import GaussianFunction, parse_polynomial
 from ncqm.operators import build_xhat, subalgebra_defect
 from ncqm.poisson import (
     PoissonBivector,
@@ -57,99 +51,17 @@ def bivector_family():
             ("quadb", quadb), ("const", const)]
 
 
-def linear_solve(rows):
-    """Exact Gaussian elimination for an overdetermined system
-    rows = [(a1, a2, rhs)]; returns the unique solution or raises."""
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for p in pivots:
-            lead = next((k for k in range(2) if p[k] != 0))
-            factor = row[lead] / p[lead] if p[lead] else 0
-            if row[lead] != 0:
-                row = [r - factor * q for r, q in zip(row, p)]
-        if any(row[:2]):
-            pivots.append(row)
-        elif row[2] != 0:
-            raise RuntimeError("inconsistent linear system")
-    if len(pivots) < 2:
-        raise RuntimeError("underdetermined system")
-    a, b = pivots[0], pivots[1]
-    if a[0] == 0:
-        a, b = b, a
-    u2 = b[2] / b[1] if b[1] else None
-    if u2 is None:
-        raise RuntimeError("singular system")
-    u1 = (a[2] - a[1] * u2) / a[0]
-    # verify on all rows
-    for row in rows:
-        if row[0] * u1 + row[1] * u2 != row[2]:
-            raise RuntimeError("solution fails a constraint row")
-    return u1, u2
-
-
-def solve_grade2():
-    print("== grade 2 from associativity ==")
-    rng = random.Random(11)
-    rows = []
-    for name, w in bivector_family():
-        for _ in range(3):
-            f, g, h = (random_poly(rng, w.n, 3, terms=6) for _ in range(3))
-            evals = {}
-            for tag, (ca, cb) in {
-                "00": (0, 0), "10": (1, 0), "01": (0, 1),
-            }.items():
-                sp = StarProduct(w, 2, coeff_overrides={
-                    "g2_double": GaussianRational(Fraction(ca)),
-                    "g2_grad": GaussianRational(Fraction(cb)),
-                })
-                evals[tag] = assoc_defect(f, g, h, sp).theta_coefficient(2)
-            k1 = evals["10"] - evals["00"]
-            k2 = evals["01"] - evals["00"]
-            keys = set(evals["00"].terms) | set(k1.terms) | set(k2.terms)
-            for key in keys:
-                for part in ("re", "im"):
-                    a1 = getattr(k1.terms.get(key, GaussianRational(0)), part)
-                    a2 = getattr(k2.terms.get(key, GaussianRational(0)), part)
-                    rhs = -getattr(evals["00"].terms.get(key, GaussianRational(0)), part)
-                    if a1 or a2 or rhs:
-                        rows.append((a1, a2, rhs))
-    u1, u2 = linear_solve(rows)
-    print(f"   double coefficient = {u1}   (frozen: -1/8)")
-    print(f"   gradient coefficient = {u2}   (frozen: -1/12)")
-    assert u1 == Fraction(-1, 8) and u2 == Fraction(-1, 12)
-
-
-def solve_grade3():
-    print("== grade 3 chain/mixed from associativity ==")
+def check_associativity():
+    print("== associativity of the derived product through grade 3 ==")
     rng = random.Random(23)
-    rows = []
     for name, w in bivector_family():
-        for _ in range(2):
+        sp = StarProduct(w, 3)
+        ok = True
+        for _ in range(3):
             f, g, h = (random_poly(rng, w.n, 3, terms=4) for _ in range(3))
-            evals = {}
-            for tag, (cc, cm) in {
-                "00": (0, 0), "10": (1, 0), "01": (0, 1),
-            }.items():
-                sp = StarProduct(w, 3, coeff_overrides={
-                    "g3_chain": GaussianRational(0, Fraction(cc)),
-                    "g3_mixed": GaussianRational(0, Fraction(cm)),
-                })
-                evals[tag] = assoc_defect(f, g, h, sp).theta_coefficient(3)
-            k1 = evals["10"] - evals["00"]
-            k2 = evals["01"] - evals["00"]
-            keys = set(evals["00"].terms) | set(k1.terms) | set(k2.terms)
-            for key in keys:
-                for part in ("re", "im"):
-                    a1 = getattr(k1.terms.get(key, GaussianRational(0)), part)
-                    a2 = getattr(k2.terms.get(key, GaussianRational(0)), part)
-                    rhs = -getattr(evals["00"].terms.get(key, GaussianRational(0)), part)
-                    if a1 or a2 or rhs:
-                        rows.append((a1, a2, rhs))
-    u1, u2 = linear_solve(rows)
-    print(f"   chain coefficient = i*({u1})   (frozen: -i/48)")
-    print(f"   mixed coefficient = i*({u2})   (frozen: -i/24)")
-    assert u1 == Fraction(-1, 48) and u2 == Fraction(-1, 24)
+            ok = ok and assoc_defect(f, g, h, sp).is_zero
+        print(f"   {name}: associator zero through grade 3 = {ok}")
+        assert ok, name
 
 
 def check_closure():
@@ -198,8 +110,7 @@ def check_gauge():
 
 
 if __name__ == "__main__":
-    solve_grade2()
-    solve_grade3()
+    check_associativity()
     check_closure()
     check_gauge()
     print("calibration complete")

@@ -7,7 +7,8 @@ so timing is written to stderr only.
 Exit codes: 0 all tasks pass, 1 any task fails or errors, 2 usage or
 parse error.  A ``dim`` above ``MAX_DIM``, an ``order`` above ``MAX_ORDER``
 (in the file or from ``--order``) and a polynomial over the parser caps
-(``exact_algebra.MAX_DEGREE``, ``MAX_COEFF_BITS``) also exit 2.
+(``exact_algebra.MAX_DEGREE``, ``MAX_COEFF_BITS``, ``MAX_NESTING``) also
+exit 2.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ from .star import (
 RANDOM_DEGREE_MAX = 3
 RANDOM_COEFF_HEIGHT = 3
 RANDOM_TRIPLES = 20
-MAX_DIM = 6  # the grade-3 triple sector loops over up to n^6 index tuples
+# The grade-3 rule table grows like n^6 and every star call visits each
+# rule: a dense constant bivector has 2916 rules at dim 6, and star-assoc
+# on it took 5.8 s on a 2-core VM with Python 3.11.
+MAX_DIM = 6
 MAX_ORDER = 8  # the expansion tower grows with every order
 
 
@@ -226,8 +230,7 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
     if order > 3:
         return {"status": "error", "reason": "star tasks need order at most 3"}
     w = problem.bivector
-    product = StarProduct(w, min(order, 2) if order >= 2 else order,
-                          trunc=max(order, 2))
+    product = StarProduct(w, min(order, 2), trunc=max(order, 2))
     mdef = measure_defect(problem.mu, w)
     if any(not d.is_zero for d in mdef):
         return {"status": "fail",

@@ -880,6 +880,8 @@ _TOKEN = _re.compile(r"\s*(\d+|[ip]\d*|x\d+|th|[()+\-*/^])")
 # they add for monomials, so a power p^e counts e*deg(p) and e*bits(p).
 MAX_DEGREE = 8
 MAX_COEFF_BITS = 256
+# The parser recurses once per parenthesis level; runs of signs are a loop.
+MAX_NESTING = 64
 
 
 def _size(p: ThetaPoly) -> tuple[int, int]:
@@ -907,7 +909,8 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
     allowed), the imaginary literal i, +, -, *, ^, parentheses.  A literal,
     product, quotient or power whose degree would exceed ``MAX_DEGREE`` or
     whose coefficients would exceed ``MAX_COEFF_BITS`` bits raises
-    ``ValueError`` before it is computed.
+    ``ValueError`` before it is computed, and so do parentheses nested
+    deeper than ``MAX_NESTING``.
     """
     tokens: list[str] = []
     pos = 0
@@ -919,7 +922,7 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
             break
         tokens.append(m.group(1))
         pos = m.end()
-    idx = 0
+    idx = depth = 0
 
     def peek() -> Optional[str]:
         return tokens[idx] if idx < len(tokens) else None
@@ -962,13 +965,9 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
                 return node
 
     def parse_factor() -> ThetaPoly:
-        tok = peek()
-        if tok == "-":
-            take()
-            return -parse_factor()
-        if tok == "+":
-            take()
-            return parse_factor()
+        negate = False
+        while peek() in ("-", "+"):
+            negate ^= take() == "-"
         node = parse_base()
         if peek() == "^":
             take()
@@ -979,18 +978,23 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
             degree, bits = _size(node)
             _check_caps("power", k * degree, k * bits)
             node = node ** k
-        return node
+        return -node if negate else node
 
     def parse_base() -> ThetaPoly:
+        nonlocal depth
         tok = peek()
         if tok is None:
             raise ValueError("unexpected end of polynomial")
         if tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
             take()
             node = parse_expr()
             if peek() != ")":
                 raise ValueError("unbalanced parentheses")
             take()
+            depth -= 1
             return node
         take()
         if tok.isdigit():

@@ -314,11 +314,12 @@ def build_gamma1(w: PoissonBivector, trunc: int = 3) -> Gamma1Tensor:
     return Gamma1Tensor(n, comps)
 
 
-def quantized_terms(gamma: GammaTower, gamma1: Gamma1Tensor, lead: int, k: int):
+def quantized_terms(gamma: GammaTower, gamma1: Optional[Gamma1Tensor], lead: int, k: int):
     """(multi-index, coefficient) terms of the quantized expansion of
     coordinate ``lead`` at grade ``k``: each canonical momentum becomes
     -i d, so a tower tensor contributes (-i)^k times its multinomial
-    weight; at grade 3 the correction tensor adds -i G1^{lead jk} d_j d_k."""
+    weight; at grade 3 the correction tensor adds -i G1^{lead jk} d_j d_k
+    (it is read only there)."""
     n = gamma.n
     factor = GaussianRational(0, -1) ** k
     for (l, trailing), coeff in gamma.tensors[k].items():

@@ -77,8 +77,8 @@ class PoissonBivector:
 
     def contraction(self, i: int, k: int, l: int) -> ThetaPoly:
         """W^{ikl} = sum_j w^{ij} d_j w^{kl}: the bivector contracted with
-        its own gradient.  The Jacobi defect, the trace gauge, the
-        correction tensor and the grade-2/3 product rules read it."""
+        its own gradient.  The Jacobi defect, the trace gauge and the
+        correction tensor read it."""
         if self._contraction is None:
             n, rows = self.n, self._matrix
             # the entries' truncation, not that of the zeros on the diagonal

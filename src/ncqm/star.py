@@ -2,13 +2,12 @@
 gauge-corrected product that restores the trace condition.
 
 The product is stored slice by slice as bilinear rules: pairs of
-derivative multi-indices with coordinate-polynomial coefficients built
-from the bivector.  Grade two is closed-form.  At grade three the sectors
-that see only one derivative of a factor are generated from the Darboux
-expansion tensors (the coordinate operators act by left multiplication,
-which pins those sectors completely); the remaining sector coefficients
-are exact rationals fixed by associativity.  The grade-2 gradient rules and
-the grade-3 chain and mixed sectors read ``PoissonBivector.contraction``.
+derivative multi-indices with coordinate-polynomial coefficients.  No rule
+is written out by hand.  The product is f * g = f(xhat) g, so the rules
+follow from the coordinate operators xhat^i = x^i + sum_j th^j X^{ij}: the
+quantized Darboux tower, with the correction tensor at grade 3.
+Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
+lower ones; ``StarProduct._derive_slice`` reads the rules off it.
 
 The gauge-corrected product is the same rule table with one grade-2 rule
 delta, (e_i, e_k) -> -2 b_ik, added by ``StarProduct.with_gauge``; its
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,8 +26,6 @@ from .exact_algebra import (
     Fraction,
     GaussianFunction,
     GaussianIntegral,
-    GaussianRational,
-    I,
     RationalFunction,
     ThetaPoly,
     UsageError,
@@ -35,26 +33,23 @@ from .exact_algebra import (
     gaussian_integrate,
     multi_index,
 )
-from .operators import DiffOperator, build_gamma1, quantized_terms
-from .poisson import (
-    NotPoissonError,
-    PoissonBivector,
-    build_gamma,
-    jacobi_defect,
-)
+from .operators import DiffOperator, _binomial_tuples, build_gamma1, quantized_terms
+from .poisson import PoissonBivector, build_gamma
 
 MultiIndex = tuple[int, ...]
 Rule = dict[tuple[MultiIndex, MultiIndex], ThetaPoly]
 
-# Exact structure constants of the product.  The grade-2 pair is forced by
-# associativity given the grade-1 normalization; the grade-3 pair below is
-# fixed the same way (see scripts/calibrate_star.py, which re-derives all
-# of them from scratch).
-COEFF_G2_DOUBLE = GaussianRational(Fraction(-1, 8))     # w w  d d f  d d g
-COEFF_G2_GRAD = GaussianRational(Fraction(-1, 12))      # w dw (ddf dg - df ddg)
-COEFF_G3_CHAIN = GaussianRational(0, Fraction(-1, 48))  # w dw dw (ddf ddg - ddg ddf)
-COEFF_G3_MIXED = GaussianRational(0, Fraction(-1, 24))  # w dw w (ddf dddg - ddg dddf)
-COEFF_G3_TRIPLE = GaussianRational(0, Fraction(-1, 48))  # w w w dddf dddg
+
+def _plus(a: MultiIndex, b: MultiIndex) -> MultiIndex:
+    return tuple(map(operator.add, a, b))
+
+
+def _minus(a: MultiIndex, b: MultiIndex) -> MultiIndex:
+    return tuple(map(operator.sub, a, b))
+
+
+def _times(p: ThetaPoly, k: int) -> ThetaPoly:
+    return p if k == 1 else p.scale(k)
 
 
 class StarProduct:
@@ -62,32 +57,26 @@ class StarProduct:
     polynomial Poisson bivector, evaluated exactly slice by slice."""
 
     def __init__(self, w: PoissonBivector, order: int = 3,
-                 trunc: Optional[int] = None,
-                 coeff_overrides: Optional[dict] = None):
+                 trunc: Optional[int] = None):
         if order > 3:
             raise UsageError("the product is only constructed through grade 3")
         if order < 0:
             raise UsageError("order must be nonnegative")
-        defect = jacobi_defect(w)
-        if not defect.is_zero:
-            raise NotPoissonError(defect)
         if trunc is None:
             trunc = max(order, 3)
         self.n = w.n
         self.w = w.with_trunc(trunc)
         self.order = order
         self.trunc = trunc
-        coeffs = {
-            "g2_double": COEFF_G2_DOUBLE,
-            "g2_grad": COEFF_G2_GRAD,
-            "g3_chain": COEFF_G3_CHAIN,
-            "g3_mixed": COEFF_G3_MIXED,
-            "g3_triple": COEFF_G3_TRIPLE,
-        }
-        if coeff_overrides:
-            coeffs.update(coeff_overrides)
-        self._coeffs = coeffs
-        self.slices: list[Rule] = [self._build_slice(k) for k in range(order + 1)]
+        # build_gamma raises NotPoissonError, at order 0 too
+        gamma = build_gamma(w, order, trunc)
+        gamma1 = build_gamma1(w, trunc) if order == 3 else None
+        xhat = {(i, j): list(quantized_terms(gamma, gamma1, i, j))
+                for i in range(self.n) for j in range(1, order + 1)}
+        zero_idx = (0,) * self.n
+        self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
+        for k in range(1, order + 1):
+            self.slices.append(self._derive_slice(k, xhat))
 
     # -- slice construction ---------------------------------------------------
 
@@ -99,73 +88,47 @@ class StarProduct:
         else:
             rule[key] = s
 
-    def _build_slice(self, k: int) -> Rule:
-        n = self.n
-        w = self.w
+    def _derive_slice(self, k: int, xhat: dict) -> Rule:
+        """The grade-k rules, read off associativity with the coordinate
+        operators x^i * f = x^i f + sum_j th^j X^{ij} f.  The grade-k part
+        of (x^i * f) * g = x^i * (f * g) is
+
+            sum_ab a_i c_ab d^(a-e_i) f d^b g
+                = sum_{j=1..k} X^{ij}(B_{k-j}(f, g)) - B_{k-j}(X^{ij} f, g),
+
+        with B_m the grade-m rules; each rule (a, b) is read off the first
+        axis i with a_i > 0."""
         rule: Rule = {}
-        zero_idx = (0,) * n
-        if k == 0:
-            self._add(rule, zero_idx, zero_idx, ThetaPoly.one(n, self.trunc))
-            return rule
-        # the nonzero entries w^{ij}, both triangles
-        pairs = [(i, j, w.entry(i, j)) for i, j in itertools.product(range(n), repeat=2)
-                 if not w.entry(i, j).is_zero]
-        if k == 1:
-            for i, j, wij in pairs:
-                self._add(rule, multi_index(n, i), multi_index(n, j),
-                          wij.scale(I * Fraction(1, 2)))
-            return rule
-        W = w.contraction
-        if k == 2:
-            # w w dd f dd g, and W^{ikl} (dd f d g - d f dd g)
-            ca = self._coeffs["g2_double"]
-            cb = self._coeffs["g2_grad"]
-            for (i, j, wij), (kk, l, wkl) in itertools.product(pairs, repeat=2):
-                self._add(rule, multi_index(n, i, kk), multi_index(n, j, l),
-                          (wij * wkl).scale(ca))
-            for i, kk, l in itertools.product(range(n), repeat=3):
-                grad = W(i, kk, l)
-                if not grad.is_zero:
-                    self._add(rule, multi_index(n, i, kk), multi_index(n, l), grad.scale(cb))
-                    self._add(rule, multi_index(n, kk), multi_index(n, i, l), grad.scale(-cb))
-            return rule
-        # grade 3
-        gamma = build_gamma(w, 3, self.trunc)
-        gamma1 = build_gamma1(w, self.trunc)
-        c_chain = self._coeffs["g3_chain"]
-        c_mixed = self._coeffs["g3_mixed"]
-        c_triple = self._coeffs["g3_triple"]
+        for i in range(self.n):
+            rhs: Rule = {}
 
-        def antisymmetric(fa: MultiIndex, gb: MultiIndex, coeff: ThetaPoly):
-            self._add(rule, fa, gb, coeff)
-            self._add(rule, gb, fa, -coeff)
+            # rhs keeps only the keys a - e_i of the rules whose first axis
+            # is i, so no derivative of f may fall on an axis before i
+            def tail(idx: MultiIndex) -> MultiIndex:
+                return (0,) * i + idx[i:]
 
-        # w^{jl} w^{im} w^{kn} ddd f ddd g
-        for (j, l, wjl), (i, m, wim), (kk, nn, wkn) in itertools.product(pairs, repeat=3):
-            self._add(rule, multi_index(n, i, j, kk), multi_index(n, l, nn, m),
-                      (wjl * wim * wkn).scale(c_triple))
-        # -sum_m W^{kjm} d_m w^{il} (dd f dd g - swap)
-        for i, l, wil in pairs:
-            grad = [wil.diff_x(m) for m in range(n)]
-            for j, kk in itertools.product(range(n), repeat=2):
-                chain = sum((W(kk, j, m) * g for m, g in enumerate(grad)),
-                            ThetaPoly.zero(n, self.trunc))
-                if not chain.is_zero:
-                    antisymmetric(multi_index(n, i, j), multi_index(n, kk, l),
-                                  chain.scale(-c_chain))
-        # -W^{njm} w^{ik} (dd f ddd g - swap)
-        for i, kk, wik in pairs:
-            for j, m, nn in itertools.product(range(n), repeat=3):
-                mixed = W(nn, j, m)
-                if not mixed.is_zero:
-                    antisymmetric(multi_index(n, i, j), multi_index(n, kk, nn, m),
-                                  (mixed * wik).scale(-c_mixed))
-        # single-derivative sectors, pinned by the coordinate operators:
-        # x^a * g must reproduce the quantized expansion at this grade.
-        for lead in range(n):
-            a_idx = multi_index(n, lead)
-            for midx, val in quantized_terms(gamma, gamma1, lead, 3):
-                antisymmetric(a_idx, midx, val)
+            for j in range(1, k + 1):
+                for (m, x), ((a, b), c) in itertools.product(
+                        xhat[i, j], self.slices[k - j].items()):
+                    if not any(a[:i]):
+                        # X^{ij}(c d^a f d^b g): d^m splits over c, f and g
+                        for fg, binom in _binomial_tuples(m):
+                            dc = c.diff_multi(_minus(m, fg))
+                            if dc.is_zero:
+                                continue
+                            xdc = x * dc
+                            for df, binom_f in _binomial_tuples(tail(fg)):
+                                self._add(rhs, _plus(a, df), _plus(b, _minus(fg, df)),
+                                          _times(xdc, binom * binom_f))
+                    if not any(m[:i]):
+                        # -c d^a(X^{ij} f) d^b g: d^a splits over x and f
+                        for df, binom in _binomial_tuples(tail(a)):
+                            dx = x.diff_multi(_minus(a, df))
+                            if not dx.is_zero:
+                                self._add(rhs, _plus(df, m), b, _times(c * dx, -binom))
+            for (alpha, beta), coeff in rhs.items():
+                a = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                rule[(a, beta)] = coeff if a[i] == 1 else coeff.scale(Fraction(1, a[i]))
         return rule
 
     def with_gauge(self, gauge: "GaugeCorrection") -> "StarProduct":
@@ -355,7 +318,7 @@ class GaugeCorrection:
 
 # Coefficient of the gauge matrix in terms of the divergence of the
 # once-differentiated bivector; fixed by the exact trace condition for the
-# calibrated product (scripts/calibrate_star.py re-derives it).
+# derived product (scripts/calibrate_star.py checks it).
 GAUGE_COEFF = Fraction(1, 48)
 
 

@@ -182,9 +182,14 @@ class TestExitCodes:
          "'dim' 9 exceeds the cap of 6"),
         ({"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "x1"}], "order": 9},
          "'order' 9 exceeds the cap of 8"),
+        ({"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "(" * 246 + "x1" + ")" * 246}]},
+         "entry (1,2): parentheses nested deeper than 64"),
+        ({"dim": 2, "bivector": [], "measure": "-" * 983 + "x3"},
+         "measure: variable x3 out of range for dimension 2"),
     ], ids=["poly-int", "measure-int", "dangling-caret", "tasks-string",
             "dim-bool", "bivector-int", "power-coefficient-cap",
-            "power-degree-cap", "dim-cap", "order-cap"])
+            "power-degree-cap", "dim-cap", "order-cap", "nesting-cap",
+            "sign-run"])
     def test_malformed_document_is_two(self, doc, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

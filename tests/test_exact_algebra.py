@@ -11,6 +11,7 @@ from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianIntegral,
     GaussianRational,
+    MAX_NESTING,
     RationalFunction,
     ThetaPoly,
     UsageError,
@@ -196,6 +197,15 @@ class TestParser:
                      "2^257", "3^1000000000000", f"{2**256}", f"x1/{2**256}"):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 parse_polynomial(text, 2)
+
+    def test_deep_input_has_no_recursion_error(self):
+        # a run of signs is one loop, however long
+        assert parse_polynomial("-" * 983 + "x1", 2) == -parse_polynomial("x1", 2)
+        assert parse_polynomial("-+-" * 400 + "x1^2", 2) == parse_polynomial("x1^2", 2)
+        nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert parse_polynomial(nested, 2) == parse_polynomial("x1", 2)
+        with pytest.raises(ValueError, match="nested deeper than"):
+            parse_polynomial("(" + nested + ")", 2)
 
 
 class TestDivision:

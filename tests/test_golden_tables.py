@@ -1,11 +1,14 @@
 """The rule tables and the tensors read from the bivector contraction,
-pinned by digest beyond dimension 3.
+pinned by digest.
 
 Each digest is the sha256 of a sorted text form, recorded before the
 contraction W^{ikl} = sum_j w^{ij} d_j w^{kl} was shared: the product
 rules of kappa-Minkowski (n = 4, 5, 6) and of a quadratic Nambu bivector,
 that bivector's correction tensor and unit-density gauge, and the Jacobi
-defect of the non-Poisson control.
+defect of the non-Poisson control.  The rule tables of six more families
+at five (order, trunc) pairs, each coefficient with its truncation, were
+recorded while every rule was still written out by hand, sector by
+sector, before the rules were derived from the coordinate operators.
 """
 
 import hashlib
@@ -15,7 +18,12 @@ import pytest
 
 from ncqm.exact_algebra import ThetaPoly, parse_polynomial
 from ncqm.operators import build_gamma1
-from ncqm.poisson import PoissonBivector, jacobi_defect
+from ncqm.poisson import (
+    PoissonBivector,
+    constant_bivector,
+    fuzzy_sphere_bivector,
+    jacobi_defect,
+)
 from ncqm.star import StarProduct, gauge_b
 
 
@@ -31,6 +39,27 @@ def bivector(rows: dict) -> PoissonBivector:
 # w^{ij} = eps^{ijk} d_k C for C = x3^3/3 + x1^2*x2 + x2^2
 NAMBU = bivector({(0, 1): "x3^2", (1, 2): "2*x1*x2", (2, 0): "x1^2+2*x2"})
 NON_POISSON = bivector({(0, 1): "x2", (1, 2): "x3", (2, 0): "x1"})
+# C = 2*x1*x2*x3 - x3^2/2
+NAMBU_LINEAR = bivector({(0, 1): "2*x1*x2-x3", (1, 2): "2*x2*x3", (2, 0): "2*x1*x3"})
+
+TABLE_FAMILIES = {
+    "fuzzy": fuzzy_sphere_bivector(),
+    "planar": PoissonBivector(2, {(0, 1): parse_polynomial("1+x1^2+x2^2", 2)}),
+    "quadratic": PoissonBivector(2, {(0, 1): parse_polynomial("x1*x2", 2)}),
+    "constant3": constant_bivector([[0, 1, -2], [-1, 0, 3], [2, -3, 0]]),
+    "constant4": constant_bivector(
+        [[0, 2, 0, 1], [-2, 0, 0, 0], [0, 0, 0, -3], [-1, 0, 3, 0]]),
+    "nambu": NAMBU_LINEAR,
+}
+ORDER_TRUNC = ((1, 3), (2, 2), (2, 3), (3, 3), (3, 4))
+TABLE_DIGESTS = {
+    "fuzzy": "6f93f05c6b61bf85b02a9a604b38b6a964368ca1f12d6a978ed7fba0cc08b179",
+    "planar": "e18dff5da13a004644728d6116fc1d82bdfcdc3dc7ee51198c11b81fccb07ad7",
+    "quadratic": "6ade7964bfcc48e352c521c7d68e3bc40368169e12010b0049094b017444c121",
+    "constant3": "a6045cd951f99e4e029bf69f17aa2e050f117d91d0b2cbe76ce2848c69b63436",
+    "constant4": "33c55efea1a78805cfc26bf3464421c581659848f77d1cdad0a5585202abb039",
+    "nambu": "f2861a72d854ef927aaea707f17dae27c368a1dd87d5aca1407df300689acdd6",
+}
 
 
 def digest(text: str) -> str:
@@ -51,6 +80,24 @@ def rules_text(w: PoissonBivector) -> str:
 ])
 def test_kappa_rules(n, expected):
     assert digest(rules_text(kappa(n))) == expected
+
+
+def truncated_rules_text(w: PoissonBivector) -> str:
+    """Every rule at each (order, trunc) pair, with its coefficient's
+    truncation, so a rule that keeps the right text at the wrong
+    truncation shows too."""
+    lines = []
+    for order, trunc in ORDER_TRUNC:
+        product = StarProduct(w, order, trunc=trunc)
+        lines += [f"{order} {trunc} {k} {a} {b} {coeff.text()} {coeff.trunc}"
+                  for k, rule in enumerate(product.slices)
+                  for (a, b), coeff in sorted(rule.items())]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("family", list(TABLE_FAMILIES))
+def test_rule_tables(family):
+    assert digest(truncated_rules_text(TABLE_FAMILIES[family])) == TABLE_DIGESTS[family]
 
 
 def test_nambu_rules():

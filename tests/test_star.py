@@ -1,5 +1,6 @@
 """Star product, gauge correction, trace functional."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from ncqm.poisson import (
     constant_bivector,
     fuzzy_sphere_bivector,
 )
-from ncqm.operators import build_phat, build_xhat
+from ncqm.operators import Gamma1Tensor, build_gamma1, build_phat, build_xhat
 from ncqm.star import (
     GaugeError,
     Measure,
@@ -80,8 +81,9 @@ class TestProductBasics:
             (1, 2): parse_polynomial("x3", 3),
             (2, 0): parse_polynomial("x1", 3),
         })
-        with pytest.raises(NotPoissonError):
-            StarProduct(w, 2)
+        for order in (0, 2):
+            with pytest.raises(NotPoissonError):
+                StarProduct(w, order)
 
 
 class TestMoyalOracle:
@@ -127,6 +129,29 @@ class TestAssociativity:
         for _ in range(5):
             f, g, h = (seeded_poly(rng, w.n) for _ in range(3))
             assert assoc_defect(f, g, h, sp).is_zero
+
+    def test_product_depends_on_gamma1(self, monkeypatch, rng):
+        """The grade-3 rules come from the coordinate operators, correction
+        tensor included: doubling that tensor breaks associativity at grade
+        3 and nowhere else."""
+        # w^{ij} = eps^{ijk} d_k C for C = x3^3/3 + x1^2*x2 + x2^2
+        w = PoissonBivector(3, {(0, 1): parse_polynomial("x3^2", 3),
+                                (1, 2): parse_polynomial("2*x1*x2", 3),
+                                (2, 0): parse_polynomial("x1^2+2*x2", 3)})
+        f, g, h = (seeded_poly(rng, 3) for _ in range(3))
+        assert assoc_defect(f, g, h, StarProduct(w, 3)).is_zero
+
+        def doubled(w, trunc=3):
+            true = build_gamma1(w, trunc)
+            return Gamma1Tensor(w.n, {key: p.scale(2)
+                                      for key, p in true.components.items()})
+
+        # the package exports the function star, which hides the module
+        star_module = importlib.import_module("ncqm.star")
+        monkeypatch.setattr(star_module, "build_gamma1", doubled)
+        defect = assoc_defect(f, g, h, StarProduct(w, 3))
+        assert [defect.theta_coefficient(k).is_zero for k in range(4)] == \
+            [True, True, True, False]
 
     def test_constant_argument_trivial_grade_zero(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 3)
