@@ -54,8 +54,6 @@ from .star import (
     gauge_b,
     hermiticity_defect,
     measure_defect,
-    star,
-    star_prime,
     trace,
 )
 
@@ -86,8 +84,6 @@ __all__ = [
     "build_phat",
     "subalgebra_defect",
     "StarProduct",
-    "star",
-    "star_prime",
     "assoc_defect",
     "Measure",
     "measure_defect",

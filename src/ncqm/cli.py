@@ -95,6 +95,11 @@ class ProblemFile:
         except json.JSONDecodeError as err:
             raise ProblemError(
                 f"parse error at line {err.lineno}, column {err.colno}: {err.msg}")
+        except RecursionError:
+            raise ProblemError("parse error: arrays or objects nested too deep")
+        except ValueError:
+            # an integer past Python's digit limit for int()
+            raise ProblemError("parse error: a number has too many digits")
         if not isinstance(raw, dict):
             raise ProblemError("problem file must be a JSON object")
         dim = raw.get("dim")
@@ -376,6 +381,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             problem = ProblemFile.parse(fh.read())
+    except UnicodeDecodeError:
+        print("error: problem file is not valid UTF-8", file=sys.stderr)
+        return 2
     except (OSError, ProblemError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

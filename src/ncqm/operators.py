@@ -23,7 +23,7 @@ from .exact_algebra import (
     UsageError,
     multi_index,
 )
-from .poisson import GammaTower, PoissonBivector, _multinomial, levi_civita
+from .poisson import GammaTower, PoissonBivector, levi_civita
 
 MultiIndex = tuple[int, ...]
 Coefficient = Union[RationalFunction, ThetaPoly, GaussianRational, int, Fraction]
@@ -317,16 +317,12 @@ def build_gamma1(w: PoissonBivector, trunc: int = 3) -> Gamma1Tensor:
 def quantized_terms(gamma: GammaTower, gamma1: Optional[Gamma1Tensor], lead: int, k: int):
     """(multi-index, coefficient) terms of the quantized expansion of
     coordinate ``lead`` at grade ``k``: each canonical momentum becomes
-    -i d, so a tower tensor contributes (-i)^k times its multinomial
-    weight; at grade 3 the correction tensor adds -i G1^{lead jk} d_j d_k
-    (it is read only there)."""
+    -i d, so the term p^e of P^lead_k becomes (-i)^k d^e; at grade 3 the
+    correction tensor adds -i G1^{lead jk} d_j d_k (it is read only there)."""
     n = gamma.n
     factor = GaussianRational(0, -1) ** k
-    for (l, trailing), coeff in gamma.tensors[k].items():
-        if l != lead:
-            continue
-        midx = multi_index(n, *trailing)
-        yield midx, coeff.scale(factor * _multinomial(k, midx))
+    for midx, coeff in gamma.momenta[k][lead].momentum_blocks().items():
+        yield midx, coeff.scale(factor)
     if k != 3:
         return
     for (l, (j, kk)), g1 in gamma1.components.items():

@@ -1,10 +1,12 @@
 """Poisson-bivector validation and the direct construction of Darboux
 coordinates by an order-by-order algebraic recursion.
 
-The curved coordinates are expanded in the canonical momenta with
-coefficient tensors that are symmetric in their trailing indices; each
-order is fixed (up to the hard-coded symmetric gauge) by requiring the
-canonical bracket of the expansion to reproduce the bivector exactly.
+The curved coordinates are a series in the canonical momenta,
+x^i = y^i + sum_m th^m P^i_m(y, p), with P^i_m homogeneous of degree m in
+p; the tower stores the P^i_m themselves.  Each order is fixed (up to the
+hard-coded symmetric gauge) by requiring the canonical bracket of the
+expansion to reproduce the bivector exactly.  The symmetric tensors of
+the paper are read off the P^i_m only for reports.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ class NotPoissonError(ValueError):
 class PoissonBivector:
     """Antisymmetric matrix of grade-free coordinate polynomials.
 
-    ``entry`` reads the full matrix, built once at construction;
-    ``contraction`` reads the table of W^{ikl} = sum_j w^{ij} d_j w^{kl},
-    built on first use.
+    ``entry`` reads the full matrix, built once at construction, its zeros
+    at the entries' truncation; ``contraction`` reads the table of
+    W^{ikl} = sum_j w^{ij} d_j w^{kl}, built on first use.
     """
 
     __slots__ = ("n", "upper", "_matrix", "_contraction")
@@ -61,7 +63,8 @@ class PoissonBivector:
                 i, j, poly = j, i, -poly
             store[(i, j)] = store[(i, j)] + poly if (i, j) in store else poly
         store = {k: p for k, p in store.items() if not p.is_zero}
-        matrix = [[ThetaPoly.zero(n)] * n for _ in range(n)]
+        zero = ThetaPoly.zero(n, min((p.trunc for p in store.values()), default=DEFAULT_TRUNC))
+        matrix = [[zero] * n for _ in range(n)]
         for (i, j), poly in store.items():
             matrix[i][j], matrix[j][i] = poly, -poly
         object.__setattr__(self, "n", n)
@@ -81,11 +84,10 @@ class PoissonBivector:
         correction tensor read it."""
         if self._contraction is None:
             n, rows = self.n, self._matrix
-            # the entries' truncation, not that of the zeros on the diagonal
-            trunc = min((p.trunc for p in self.upper.values()), default=DEFAULT_TRUNC)
+            zero = rows[0][0]  # a diagonal entry, at the entries' truncation
             grads = [[[p.diff_x(j) for j in range(n)] for p in row] for row in rows]
             object.__setattr__(self, "_contraction", [
-                [[sum(map(operator.mul, row, grads[k][l]), ThetaPoly.zero(n)).with_trunc(trunc)
+                [[sum(map(operator.mul, row, grads[k][l]), zero)
                   for l in range(n)] for k in range(n)] for row in rows])
         return self._contraction[i][k][l]
 
@@ -182,50 +184,46 @@ def _exps_to_tuple(exps: Sequence[int]) -> tuple[int, ...]:
 
 
 class GammaTower:
-    """Per-order tensors of the momentum expansion of the curved
-    coordinates, stored symmetric in the trailing indices."""
+    """The momentum expansion of the curved coordinates,
+    x^i = y^i + sum_m th^m P^i_m(y, p), stored as the polynomials it is
+    solved in: ``momenta[m][i]`` is P^i_m, homogeneous of degree m in p,
+    and ``momenta[0][i]`` is y^i.
 
-    __slots__ = ("n", "max_order", "tensors", "trunc")
+    ``component`` and ``to_json`` read the symmetric tensor form: the
+    coefficient of p^e in P^i_m over its multinomial weight.
+    """
 
-    def __init__(self, n: int, max_order: int,
-                 tensors: Mapping[int, Mapping[tuple[int, tuple[int, ...]], ThetaPoly]],
-                 trunc: int):
+    __slots__ = ("n", "max_order", "momenta", "trunc")
+
+    def __init__(self, n: int, momenta: Sequence[Sequence[ThetaPoly]], trunc: int):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "tensors",
-                           {order: dict(comps) for order, comps in tensors.items()})
+        object.__setattr__(self, "max_order", len(momenta) - 1)
+        object.__setattr__(self, "momenta", tuple(map(tuple, momenta)))
         object.__setattr__(self, "trunc", trunc)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("GammaTower is immutable")
 
+    def _tensor(self, order: int, lead: int) -> dict[tuple[int, ...], ThetaPoly]:
+        """The symmetric tensor of P^lead_order, keyed by momentum exponents."""
+        return {exps: coeff.scale(Fraction(1, _multinomial(order, exps)))
+                for exps, coeff in self.momenta[order][lead].momentum_blocks().items()}
+
     def component(self, order: int, lead: int, trailing: Sequence[int]) -> ThetaPoly:
         if order < 1 or order > self.max_order:
             raise UsageError(f"order {order} not built (max {self.max_order})")
-        key = (lead, tuple(sorted(trailing)))
-        return self.tensors[order].get(key, ThetaPoly.zero(self.n, self.trunc))
-
-    def contracted(self, order: int, lead: int) -> ThetaPoly:
-        """The degree-``order`` momentum polynomial carried by one coordinate."""
-        n = self.n
-        out = ThetaPoly.zero(n, self.trunc, True)
-        for (l, trailing), coeff in self.tensors[order].items():
-            if l != lead:
-                continue
-            exps = multi_index(n, *trailing)
-            mono = ThetaPoly.monomial(n, _multinomial(order, exps), p=exps,
-                                      trunc=self.trunc, has_momenta=True)
-            out = out + coeff.with_momenta() * mono
-        return out
+        return self._tensor(order, lead).get(multi_index(self.n, *trailing),
+                                             ThetaPoly.zero(self.n, self.trunc))
 
     def to_json(self) -> dict:
         out: dict[str, dict[str, str]] = {}
-        for order in sorted(self.tensors):
-            block = {}
-            for (lead, trailing), coeff in sorted(self.tensors[order].items()):
-                label = f"({lead+1};{','.join(str(t+1) for t in trailing)})"
-                block[label] = coeff.text()
-            out[str(order)] = block
+        for order in range(1, self.max_order + 1):
+            comps = sorted((lead, _exps_to_tuple(exps), coeff)
+                           for lead in range(self.n)
+                           for exps, coeff in self._tensor(order, lead).items())
+            out[str(order)] = {
+                f"({lead+1};{','.join(str(t+1) for t in trailing)})": coeff.text()
+                for lead, trailing, coeff in comps}
         return out
 
 
@@ -241,32 +239,19 @@ class DarbouxMap:
         return len(self.x_of)
 
 
-def _tensor_from_momentum_poly(r: ThetaPoly,
-                               degree: int) -> dict[tuple[int, ...], ThetaPoly]:
-    """Read the symmetric tensor representative off a momentum polynomial.
-
-    Contraction with symmetric momentum powers determines only the
-    symmetric part; dividing each monomial coefficient by its multinomial
-    weight recovers the unique symmetric representative.
-    """
-    comps: dict[tuple[int, ...], ThetaPoly] = {}
-    for me, coeff in r.momentum_blocks().items():
-        if sum(me) != degree:
-            raise UsageError("momentum degree mismatch in tensor extraction")
-        comps[_exps_to_tuple(me)] = coeff.scale(Fraction(1, _multinomial(degree, me)))
-    return comps
-
-
 def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> GammaTower:
-    """Solve the expansion tensors order by order.
+    """Solve the momentum polynomials P^i_m order by order.
 
-    Order 1 is the antisymmetric half of the bivector (symmetric gauge
-    fixed to zero).  At order n the canonical bracket of the partial
-    expansion determines an inhomogeneity; its symmetric-representative
-    tensor feeds a closed-form symmetrization that inverts the
-    antisymmetrized linear equation.  The defining property (the bracket
-    of the assembled coordinates reproduces the bivector) holds exactly
-    through the built order and is re-checked by ``verify_darboux``.
+    The bracket of the curved coordinates must reproduce the bivector,
+    {x^i, x^j} = th w^{ij}(x).  At grade m the part linear in the unknowns
+    is {y^i, P^j_m} + {P^i_m, y^j}; the rest is the residual
+
+        r^{ij} = [th^(m-1)] w^{ij}(x) - sum_{k=1..m-1} {P^i_k, P^j_(m-k)},
+
+    antisymmetric in (i, j).  In the symmetric gauge the solution is
+    P^i_m = -(1/(m+1)) sum_j p_j r^{ij}; at m = 1, r = w.  The defining
+    property holds exactly through the built order and is re-checked by
+    ``verify_darboux``.
     """
     defect = jacobi_defect(w)
     if not defect.is_zero:
@@ -275,70 +260,32 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     if trunc is None:
         trunc = max(order, 3)
     w = w.with_trunc(trunc)
-
-    tensors: dict[int, dict[tuple[int, tuple[int, ...]], ThetaPoly]] = {}
-    if order < 1:
-        return GammaTower(n, 0, tensors, trunc)
-    # order 1: antisymmetric part fixed by the bracket, symmetric gauge zero
-    tensors[1] = {(i, (j,)): w.entry(i, j).scale(Fraction(-1, 2))
-                  for i, j in itertools.product(range(n), repeat=2)
-                  if not w.entry(i, j).is_zero}
-
-    for m in range(2, order + 1):
-        tower = GammaTower(n, m - 1, tensors, trunc)
-        xs = assemble_darboux(tower).x_of
-        images = {("x", i): xs[i] for i in range(n)}
-        block: dict[tuple[int, tuple[int, ...]], ThetaPoly] = {}
-        # inhomogeneity, antisymmetric in the leading pair
-        g_hat: dict[tuple[int, int], dict[tuple[int, ...], ThetaPoly]] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                taylor = w.entry(i, j).substitute(images).theta_coefficient(m - 1)
-                bracket_sum = ThetaPoly.zero(n, trunc, True)
-                for k in range(1, m):
-                    a = tower.contracted(k, i)
-                    b = tower.contracted(m - k, j)
-                    bracket_sum = bracket_sum + canonical_bracket(a, b)
-                r = taylor.with_momenta() - bracket_sum
-                g_hat[(i, j)] = _tensor_from_momentum_poly(-r, m - 1)
-
-        def g_component(i: int, j: int, trailing: tuple[int, ...]) -> ThetaPoly:
-            if i == j:
-                return ThetaPoly.zero(n, trunc)
-            if i < j:
-                comp = g_hat[(i, j)].get(tuple(sorted(trailing)))
-            else:
-                comp = g_hat[(j, i)].get(tuple(sorted(trailing)))
-                comp = -comp if comp is not None else None
-            return comp if comp is not None else ThetaPoly.zero(n, trunc)
-
-        # closed-form inverse: promote each trailing index to the pair slot
-        scale = Fraction(1, m * (m + 1))
-        for lead in range(n):
-            for trailing in itertools.combinations_with_replacement(range(n), m):
-                total = ThetaPoly.zero(n, trunc)
-                for t_pos in range(len(trailing)):
-                    second = trailing[t_pos]
-                    rest = trailing[:t_pos] + trailing[t_pos + 1:]
-                    total = total + g_component(lead, second, rest)
-                val = total.scale(scale)
-                if not val.is_zero:
-                    block[(lead, trailing)] = val
-        tensors[m] = block
-    return GammaTower(n, order, tensors, trunc)
+    zero = ThetaPoly.zero(n, trunc, True)
+    ps = [ThetaPoly.momentum(n, j, trunc) for j in range(n)]
+    momenta = [[ThetaPoly.coordinate(n, i, trunc, True) for i in range(n)]]
+    for m in range(1, order + 1):
+        xs = assemble_darboux(GammaTower(n, momenta, trunc)).x_of
+        images = {("x", i): x for i, x in enumerate(xs)}
+        r = [[zero] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            brackets = (canonical_bracket(momenta[k][i], momenta[m - k][j])
+                        for k in range(1, m))
+            r[i][j] = w.entry(i, j).substitute(images).theta_coefficient(m - 1) \
+                - sum(brackets, zero)
+            r[j][i] = -r[i][j]
+        momenta.append([sum(map(operator.mul, ps, r[i]), zero).scale(Fraction(-1, m + 1))
+                        for i in range(n)])
+    return GammaTower(n, momenta, trunc)
 
 
 def assemble_darboux(gamma: GammaTower) -> DarbouxMap:
-    """Curved coordinates from the tower; momenta are left canonical."""
-    n = gamma.n
-    xs = []
-    for i in range(n):
-        x = ThetaPoly.coordinate(n, i, gamma.trunc, True)
-        for m in range(1, gamma.max_order + 1):
-            x = x + gamma.contracted(m, i).theta_shift(m)
-        xs.append(x)
-    ps = tuple(ThetaPoly.momentum(n, i, gamma.trunc) for i in range(n))
-    return DarbouxMap(tuple(xs), ps)
+    """Curved coordinates x^i = sum_m th^m P^i_m from the tower; momenta
+    are left canonical."""
+    n, trunc = gamma.n, gamma.trunc
+    xs = tuple(sum((ps[i].theta_shift(m) for m, ps in enumerate(gamma.momenta)),
+                   ThetaPoly.zero(n, trunc, True))
+               for i in range(n))
+    return DarbouxMap(xs, tuple(ThetaPoly.momentum(n, i, trunc) for i in range(n)))
 
 
 def invert_phase_map(x_of: Sequence[ThetaPoly], p_of: Sequence[ThetaPoly],

@@ -210,16 +210,6 @@ def _zero_like(f, g, n: int, trunc: int):
     return ThetaPoly.zero(n, trunc, f.has_momenta or g.has_momenta)
 
 
-def star(f, g, w: PoissonBivector, order: int = 3):
-    return StarProduct(w, order).star(f, g)
-
-
-def star_prime(f, g, w: PoissonBivector, mu: ThetaPoly, order: int = 3):
-    """Gauge-corrected product for a validated density, one-shot form."""
-    product = StarProduct(w, order)
-    return product.star_prime(f, g, gauge_b(mu, w), order)
-
-
 def assoc_defect(f, g, h, product: StarProduct, order: Optional[int] = None):
     """(f*g)*h - f*(g*h), exact; zero through the built grade certifies
     associativity on the inputs."""

@@ -198,6 +198,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("raw,message", [
+        (b'{"dim": 2, "bivector": [], "measure": "\xff"}',
+         "problem file is not valid UTF-8"),
+        (b'{"dim": ' + b"9" * 5000 + b'}',
+         "parse error: a number has too many digits"),
+        (b"[" * 100000,
+         "parse error: arrays or objects nested too deep"),
+    ], ids=["not-utf8", "long-integer", "deep-nesting"])
+    def test_malformed_bytes_are_two(self, raw, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_order_flag_cap_is_two(self, capsys):
         # the file's order is within the cap; the flag is checked on its own
         assert main([str(PROBLEMS / "quadratic2d.json"),

@@ -8,10 +8,14 @@ that bivector's correction tensor and unit-density gauge, and the Jacobi
 defect of the non-Poisson control.  The rule tables of six more families
 at five (order, trunc) pairs, each coefficient with its truncation, were
 recorded while every rule was still written out by hand, sector by
-sector, before the rules were derived from the coordinate operators.
+sector, before the rules were derived from the coordinate operators.  The
+Darboux towers of those families and of kappa-Minkowski (n = 3, 4), with
+every tensor component and its truncation, were recorded while the tower
+was still stored as symmetric tensors.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -20,6 +24,7 @@ from ncqm.exact_algebra import ThetaPoly, parse_polynomial
 from ncqm.operators import build_gamma1
 from ncqm.poisson import (
     PoissonBivector,
+    build_gamma,
     constant_bivector,
     fuzzy_sphere_bivector,
     jacobi_defect,
@@ -98,6 +103,40 @@ def truncated_rules_text(w: PoissonBivector) -> str:
 @pytest.mark.parametrize("family", list(TABLE_FAMILIES))
 def test_rule_tables(family):
     assert digest(truncated_rules_text(TABLE_FAMILIES[family])) == TABLE_DIGESTS[family]
+
+
+TOWER_FAMILIES = {**TABLE_FAMILIES, "kappa3": kappa(3), "kappa4": kappa(4)}
+TOWER_DIGESTS = {
+    "fuzzy": "bcbd5e62ad931112802acded8b0117b9abf24e8ea3a2a6fceb6444ac65d2528d",
+    "planar": "edc1f2db0c741eb6b0ace71f549b921fe34f2e63ef49aa469efb61df3d97241c",
+    "quadratic": "1821373cde6e252d39738b7754350c5fc0d6e652cd6b1437689678b9f9b202eb",
+    "constant3": "af090b371d66b85cd5e491a750b31f6c18befb5c562faecb3552eec89834eee3",
+    "constant4": "21b68d75862f4de4ad18fd8452ae172e890c7a3f3110cb8bfead0bfdaa06731f",
+    "nambu": "9a5410a8911e89bf0fc1c2b3107e850ff5998cf49700a6549ff31155d3699bb2",
+    "kappa3": "5803e7a03b20676e1d530df53f9a1ba1c7c1b20069c62368d5a47bf9923aab96",
+    "kappa4": "521102cad3ee48186fed4bdb0ef724e2d9b01c1c20a364e30a78b16dbe054c8f",
+}
+
+
+def tower_text(w: PoissonBivector) -> str:
+    """The report form of the tower and every tensor component with its
+    truncation, at orders 1-5 and three truncations each."""
+    lines = []
+    for order in range(1, 6):
+        for trunc in sorted({order, max(order, 3), 5}):
+            tower = build_gamma(w, order, trunc)
+            lines.append(f"{order} {trunc} {json.dumps(tower.to_json(), sort_keys=True)}")
+            for m in range(1, order + 1):
+                for lead in range(w.n):
+                    for trailing in itertools.combinations_with_replacement(range(w.n), m):
+                        c = tower.component(m, lead, trailing)
+                        lines.append(f"{m} {lead} {trailing} {c.text()} {c.trunc}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("family", list(TOWER_FAMILIES))
+def test_towers(family):
+    assert digest(tower_text(TOWER_FAMILIES[family])) == TOWER_DIGESTS[family]
 
 
 def test_nambu_rules():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from ncqm.exact_algebra import (
+    DEFAULT_TRUNC,
     GaussianRational,
     ThetaPoly,
     UsageError,
@@ -78,6 +79,12 @@ class TestBivectorType:
         with pytest.raises(UsageError):
             PoissonBivector(2, {(0, 1): ThetaPoly.theta(2)})
 
+    def test_zero_entries_carry_the_truncation(self):
+        # the zeros, the diagonal included, are built at the entries' truncation
+        w = constant_bivector([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]).with_trunc(5)
+        assert [w.entry(i, j).trunc for i in range(3) for j in range(3)] == [5] * 9
+        assert PoissonBivector(2, {}).entry(0, 1).trunc == DEFAULT_TRUNC
+
 
 class TestCanonicalBracket:
     def test_canonical_pairs(self):
@@ -135,8 +142,9 @@ class TestGammaTower:
 
     def test_constant_bivector_truncates(self, const3d):
         tower = build_gamma(const3d, 3)
-        assert not tower.tensors[2]
-        assert not tower.tensors[3]
+        for i in range(3):
+            assert tower.momenta[2][i].is_zero
+            assert tower.momenta[3][i].is_zero
 
     def test_trailing_symmetry_is_structural(self, quad2d):
         tower = build_gamma(quad2d, 3)
@@ -197,12 +205,14 @@ class TestDarboux:
 
     @pytest.mark.parametrize("which,order", [
         ("fuzzy", 2), ("fuzzy", 3), ("quad2d", 3), ("const3d", 3),
+        ("fuzzy", 5), ("quad2d", 5),
     ])
     def test_defining_property(self, which, order, request):
         w = request.getfixturevalue(which)
         report = verify_darboux(assemble_darboux(build_gamma(w, order)), w, order)
         assert report.xx_zero
         assert report.pp_zero
+        assert report.delta_matches_reference
 
     def test_mixed_bracket_reference(self, fuzzy):
         report = verify_darboux(assemble_darboux(build_gamma(fuzzy, 3)), fuzzy, 3)
