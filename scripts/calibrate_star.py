@@ -27,10 +27,9 @@ sys.path.insert(0, "src")
 
 from ncqm.cli import random_poly
 from ncqm.exact_algebra import GaussianFunction, parse_polynomial
-from ncqm.operators import build_xhat, subalgebra_defect
+from ncqm.operators import subalgebra_defect
 from ncqm.poisson import (
     PoissonBivector,
-    build_gamma,
     constant_bivector,
     fuzzy_sphere_bivector,
 )
@@ -68,9 +67,7 @@ def check_closure():
     print("== coordinate-operator closure at grade 3 ==")
     for name, w in bivector_family():
         sp = StarProduct(w, 2, trunc=3)
-        gamma = build_gamma(w, 3)
-        xhat = build_xhat(w, gamma)
-        defects = subalgebra_defect(xhat, w, sp)
+        defects = subalgebra_defect(sp.xhat, w, sp)
         ok = all(op.is_zero for op in defects.values())
         print(f"   {name}: closure defect zero = {ok}")
         if not ok:

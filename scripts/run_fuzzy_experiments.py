@@ -13,7 +13,7 @@ import sys
 sys.path.insert(0, "src")
 
 from ncqm.exact_algebra import ThetaPoly
-from ncqm.operators import build_xhat, subalgebra_defect
+from ncqm.operators import subalgebra_defect
 from ncqm.poisson import (
     assemble_darboux,
     build_gamma,
@@ -48,8 +48,7 @@ def main() -> int:
     x2 = ThetaPoly.coordinate(3, 1)
     print("x1 * x2 =", product.star(x1, x2).text())
 
-    xhat = build_xhat(w, tower)
-    closure = subalgebra_defect(xhat, w, StarProduct(w, 2, trunc=3))
+    closure = subalgebra_defect(product.xhat, w, StarProduct(w, 2, trunc=3))
     print("operator closure defects zero:",
           all(op.is_zero for op in closure.values()))
 

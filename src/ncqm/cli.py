@@ -242,22 +242,20 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
                 "reason": "density fails the divergence condition",
                 "measure_defect": [d.text() for d in mdef]}
     gauge = gauge_b(problem.mu, w)
+    corrected = product.with_gauge(gauge)
     failures = []
     uncorrected = []
-    check_order = min(order, 2)
     for k in range(RANDOM_TRIPLES):
         f = GaussianFunction(random_poly(rng, problem.dim, product.trunc))
         g = GaussianFunction(random_poly(rng, problem.dim, product.trunc))
-        rep = cyclicity_defect(f, g, product, problem.mu, True,
-                               gauge, check_order)
-        if not rep.zero_through(check_order):
+        rep = cyclicity_defect(f, g, corrected, problem.mu)
+        if not rep.zero_through(product.order):
             failures.append({
                 "pair": k,
                 "antisymmetric": rep.antisymmetric.text(),
                 "trace_condition": rep.trace_condition.text(),
             })
-        raw = cyclicity_defect(f, g, product, problem.mu, False,
-                               gauge, check_order)
+        raw = cyclicity_defect(f, g, product, problem.mu)
         uncorrected.append(raw.trace_condition.theta_slice(2).text())
     return {"status": "pass" if not failures else "fail",
             "bounds": RANDOM_BOUNDS,
@@ -268,11 +266,10 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
 
 def _subalgebra(problem: ProblemFile, rng: random.Random) -> dict:
     w = problem.bivector
-    tower = build_gamma(w, 3)
     product = StarProduct(w, 2, trunc=3)
-    defects = subalgebra_defect(build_xhat(w, tower), w, product)
+    defects = subalgebra_defect(product.xhat, w, product)
     ok = all(op.is_zero for op in defects.values())
-    bare = build_xhat(w, tower, Gamma1Tensor.zero(problem.dim))
+    bare = build_xhat(w, product.gamma, Gamma1Tensor.zero(problem.dim))
     residuals = subalgebra_defect(bare, w, product)
     return {
         "status": "pass" if ok else "fail",

@@ -4,6 +4,10 @@ Operators are kept in normal form: rational-function coefficients stand to
 the left of coordinate derivatives.  Composition expands coefficients by
 the Leibniz rule exactly; everything is graded by the deformation
 parameter and truncated at a fixed order.
+
+The coordinate operators xhat^i are built here, by ``build_xhat``, and
+nowhere else: ``StarProduct`` keeps the ones it derives its rules from as
+``product.xhat``.
 """
 
 from __future__ import annotations
@@ -314,48 +318,35 @@ def build_gamma1(w: PoissonBivector, trunc: int = 3) -> Gamma1Tensor:
     return Gamma1Tensor(n, comps)
 
 
-def quantized_terms(gamma: GammaTower, gamma1: Optional[Gamma1Tensor], lead: int, k: int):
-    """(multi-index, coefficient) terms of the quantized expansion of
-    coordinate ``lead`` at grade ``k``: each canonical momentum becomes
-    -i d, so the term p^e of P^lead_k becomes (-i)^k d^e; at grade 3 the
-    correction tensor adds -i G1^{lead jk} d_j d_k (it is read only there)."""
-    n = gamma.n
-    factor = GaussianRational(0, -1) ** k
-    for midx, coeff in gamma.momenta[k][lead].momentum_blocks().items():
-        yield midx, coeff.scale(factor)
-    if k != 3:
-        return
-    for (l, (j, kk)), g1 in gamma1.components.items():
-        if l != lead:
-            continue
-        yield multi_index(n, j, kk), g1.scale(GaussianRational(0, -2 if j != kk else -1))
-
-
 def build_xhat(w: PoissonBivector, gamma: GammaTower,
                gamma1: Optional[Gamma1Tensor] = None,
                trunc: int = 3) -> list[DiffOperator]:
-    """Coordinate operators: the normal-ordered quantization of the
-    momentum expansion (each canonical momentum becomes -i d), plus the
-    third-grade correction term.
-
-    Grade by grade: multiplication by the coordinate, (i th/2) w^{il} d_l,
-    -th^2 G^{ilm} d_l d_m, +i th^3 G^{ilmn} d_l d_m d_n - i th^3
-    G1^{ilm} d_l d_m, with G the tower tensors.
+    """Coordinate operators xhat^i = x^i + sum_k th^k X^{ik}: the
+    normal-ordered quantization of the momentum expansion, each canonical
+    momentum becoming -i d, so the term p^e of P^i_k becomes (-i)^k d^e.
+    At grade 3 the correction tensor adds -i G1^{ijk} d_j d_k; when none is
+    given it is built from the bivector, and only if grade 3 is reached.
     """
     n = w.n
     if gamma.max_order < min(trunc, 3):
         raise UsageError("tower must be built through the requested order")
-    if gamma1 is None:
+    top = min(trunc, gamma.max_order)
+    if top >= 3 and gamma1 is None:
         gamma1 = build_gamma1(w, trunc)
     ops = []
     for i in range(n):
-        op = DiffOperator.multiplication(
-            RationalFunction(ThetaPoly.coordinate(n, i, trunc)), trunc)
-        for order in range(1, min(trunc, gamma.max_order) + 1):
-            for midx, val in quantized_terms(gamma, gamma1, i, order):
-                op = op + DiffOperator.term(RationalFunction(val.with_trunc(trunc)),
-                                            midx, theta_power=order, trunc=trunc)
-        ops.append(op)
+        terms = {(0, (0,) * n): RationalFunction(ThetaPoly.coordinate(n, i, trunc))}
+        for k in range(1, top + 1):
+            factor = GaussianRational(0, -1) ** k
+            for midx, coeff in gamma.momenta[k][i].momentum_blocks().items():
+                terms[k, midx] = RationalFunction(coeff.scale(factor).with_trunc(trunc))
+        if top >= 3:
+            for (lead, (j, l)), g1 in gamma1.components.items():
+                if lead == i:
+                    factor = GaussianRational(0, -2 if j != l else -1)
+                    terms[3, multi_index(n, j, l)] = RationalFunction(
+                        g1.scale(factor).with_trunc(trunc))
+        ops.append(DiffOperator(n, terms, trunc))
     return ops
 
 

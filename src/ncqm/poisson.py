@@ -264,14 +264,15 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     ps = [ThetaPoly.momentum(n, j, trunc) for j in range(n)]
     momenta = [[ThetaPoly.coordinate(n, i, trunc, True) for i in range(n)]]
     for m in range(1, order + 1):
-        xs = assemble_darboux(GammaTower(n, momenta, trunc)).x_of
+        # w^{ij}(x) is read only at grade m - 1, so substitute at that truncation
+        xs = assemble_darboux(GammaTower(n, momenta, m - 1)).x_of
         images = {("x", i): x for i, x in enumerate(xs)}
         r = [[zero] * n for _ in range(n)]
         for i, j in itertools.combinations(range(n), 2):
             brackets = (canonical_bracket(momenta[k][i], momenta[m - k][j])
                         for k in range(1, m))
             r[i][j] = w.entry(i, j).substitute(images).theta_coefficient(m - 1) \
-                - sum(brackets, zero)
+                .with_trunc(trunc) - sum(brackets, zero)
             r[j][i] = -r[i][j]
         momenta.append([sum(map(operator.mul, ps, r[i]), zero).scale(Fraction(-1, m + 1))
                         for i in range(n)])

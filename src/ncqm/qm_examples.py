@@ -26,6 +26,7 @@ from .operators import (
     DiffOperator,
     angular_momentum,
     build_phat,
+    build_xhat,
     conjugate_by_measure_power,
     l_squared,
     laplacian,
@@ -33,6 +34,7 @@ from .operators import (
 )
 from .poisson import (
     PoissonBivector,
+    build_gamma,
     fuzzy_sphere_bivector,
     jacobi_defect,
     levi_civita,
@@ -143,8 +145,8 @@ class OscillatorReport:
 
     The potential enters through gauge-corrected left multiplication by
     the squared radius; ``potential_slices[k]`` is the grade-k slice of
-    that operator (the frequency squared over two multiplies the whole
-    potential and is kept symbolic).
+    that operator through grade 2 (the frequency squared over two
+    multiplies the whole potential and is kept symbolic).
     """
 
     frequency_symbol: str
@@ -173,13 +175,13 @@ def build_fuzzy_oscillator(max_l: int = 2, trunc: int = 3) -> OscillatorReport:
     model = FuzzySphereModel.build(order=trunc)
     w = model.bivector
     mu = model.mu
-    product = StarProduct(w, min(trunc, 3), trunc=trunc)
+    product = StarProduct(w, 2, trunc=trunc)
     gauge = gauge_b(mu, w)
     r2 = ThetaPoly.zero(3, trunc)
     for i in range(3):
         r2 = r2 + ThetaPoly.coordinate(3, i, trunc) ** 2
     potential = product.with_gauge(gauge).left_multiplication_operator(r2)
-    slices = tuple(potential.theta_slice(k) for k in range(trunc + 1))
+    slices = tuple(potential.theta_slice(k) for k in range(product.order + 1))
     first_ok = slices[1].is_zero
     target = l_squared(trunc).scale(Fraction(1, 12))
     identity_ok = slices[2] == target
@@ -250,9 +252,6 @@ class RotationReport:
 def rotation_covariance_check(trunc: int = 3) -> RotationReport:
     """Check rotational covariance of the fuzzy-sphere construction as
     exact operator identities, through the built grade."""
-    from .operators import build_xhat
-    from .poisson import build_gamma
-
     w = fuzzy_sphere_bivector(trunc=trunc)
     L = [angular_momentum(3, i, trunc) for i in range(3)]
     i_unit = GaussianRational(0, 1)

@@ -6,18 +6,20 @@ derivative multi-indices with coordinate-polynomial coefficients.  No rule
 is written out by hand.  The product is f * g = f(xhat) g, so the rules
 follow from the coordinate operators xhat^i = x^i + sum_j th^j X^{ij}: the
 quantized Darboux tower, with the correction tensor at grade 3.
+``StarProduct`` builds the tower and xhat once, through grade
+min(trunc, 3), and keeps them as ``product.gamma`` and ``product.xhat``.
 Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
 lower ones; ``StarProduct._derive_slice`` reads the rules off it.
 
 The gauge-corrected product is the same rule table with one grade-2 rule
 delta, (e_i, e_k) -> -2 b_ik, added by ``StarProduct.with_gauge``; its
-grade-3 slice is the uncorrected one.
+grade-3 slice is the uncorrected one.  The checks take the product they
+check: pass ``product.with_gauge(gauge)`` for the corrected one.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +35,7 @@ from .exact_algebra import (
     gaussian_integrate,
     multi_index,
 )
-from .operators import DiffOperator, _binomial_tuples, build_gamma1, quantized_terms
+from .operators import DiffOperator, _binomial_tuples, build_gamma1, build_xhat
 from .poisson import PoissonBivector, build_gamma
 
 MultiIndex = tuple[int, ...]
@@ -54,7 +56,8 @@ def _times(p: ThetaPoly, k: int) -> ThetaPoly:
 
 class StarProduct:
     """Associative deformation of pointwise multiplication for one
-    polynomial Poisson bivector, evaluated exactly slice by slice."""
+    polynomial Poisson bivector, evaluated exactly slice by slice; keeps
+    the Darboux tower ``gamma`` and the coordinate operators ``xhat``."""
 
     def __init__(self, w: PoissonBivector, order: int = 3,
                  trunc: Optional[int] = None):
@@ -68,15 +71,15 @@ class StarProduct:
         self.w = w.with_trunc(trunc)
         self.order = order
         self.trunc = trunc
+        top = min(trunc, 3)
         # build_gamma raises NotPoissonError, at order 0 too
-        gamma = build_gamma(w, order, trunc)
-        gamma1 = build_gamma1(w, trunc) if order == 3 else None
-        xhat = {(i, j): list(quantized_terms(gamma, gamma1, i, j))
-                for i in range(self.n) for j in range(1, order + 1)}
+        self.gamma = build_gamma(w, top, trunc)
+        gamma1 = build_gamma1(w, trunc) if top == 3 else None
+        self.xhat = build_xhat(w, self.gamma, gamma1, trunc)
         zero_idx = (0,) * self.n
         self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
         for k in range(1, order + 1):
-            self.slices.append(self._derive_slice(k, xhat))
+            self.slices.append(self._derive_slice(k))
 
     # -- slice construction ---------------------------------------------------
 
@@ -88,7 +91,7 @@ class StarProduct:
         else:
             rule[key] = s
 
-    def _derive_slice(self, k: int, xhat: dict) -> Rule:
+    def _derive_slice(self, k: int) -> Rule:
         """The grade-k rules, read off associativity with the coordinate
         operators x^i * f = x^i f + sum_j th^j X^{ij} f.  The grade-k part
         of (x^i * f) * g = x^i * (f * g) is
@@ -107,9 +110,11 @@ class StarProduct:
             def tail(idx: MultiIndex) -> MultiIndex:
                 return (0,) * i + idx[i:]
 
-            for j in range(1, k + 1):
-                for (m, x), ((a, b), c) in itertools.product(
-                        xhat[i, j], self.slices[k - j].items()):
+            for (j, m), x in self.xhat[i].terms.items():
+                if not 0 < j <= k:
+                    continue
+                x = x.num
+                for (a, b), c in self.slices[k - j].items():
                     if not any(a[:i]):
                         # X^{ij}(c d^a f d^b g): d^m splits over c, f and g
                         for fg, binom in _binomial_tuples(m):
@@ -178,8 +183,8 @@ class StarProduct:
             cache[midx] = got
         return got
 
-    def commutator(self, f, g, order: Optional[int] = None):
-        return self.star(f, g, order) - self.star(g, f, order)
+    def commutator(self, f, g):
+        return self.star(f, g) - self.star(g, f)
 
     def left_multiplication_operator(self, f: ThetaPoly,
                                      order: Optional[int] = None) -> DiffOperator:
@@ -210,12 +215,10 @@ def _zero_like(f, g, n: int, trunc: int):
     return ThetaPoly.zero(n, trunc, f.has_momenta or g.has_momenta)
 
 
-def assoc_defect(f, g, h, product: StarProduct, order: Optional[int] = None):
+def assoc_defect(f, g, h, product: StarProduct):
     """(f*g)*h - f*(g*h), exact; zero through the built grade certifies
     associativity on the inputs."""
-    left = product.star(product.star(f, g, order), h, order)
-    right = product.star(f, product.star(g, h, order), order)
-    return left - right
+    return product.star(product.star(f, g), h) - product.star(f, product.star(g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +350,12 @@ class CyclicityReport:
     """Exact per-grade defects of the trace functional on one pair.
 
     ``antisymmetric`` is Tr(f#g - g#f); ``trace_condition`` is
-    Tr(f#g) - Tr(fg), the stronger defining condition (# is the corrected
-    or uncorrected product as requested).
+    Tr(f#g) - Tr(fg), the stronger defining condition (# is the product
+    that was checked).
     """
 
     antisymmetric: GaussianIntegral
     trace_condition: GaussianIntegral
-    corrected: bool
 
     def zero_through(self, order: int) -> bool:
         return all(self.antisymmetric.theta_slice(k).is_zero
@@ -362,22 +364,14 @@ class CyclicityReport:
 
 
 def cyclicity_defect(f: GaussianFunction, g: GaussianFunction,
-                     product: StarProduct, mu: ThetaPoly,
-                     corrected: bool,
-                     gauge: Optional[GaugeCorrection] = None,
-                     order: int = 2) -> CyclicityReport:
-    if corrected:
-        if gauge is None:
-            gauge = gauge_b(mu, product.w)
-        fg = product.star_prime(f, g, gauge, order)
-        gf = product.star_prime(g, f, gauge, order)
-    else:
-        fg = product.star(f, g, order)
-        gf = product.star(g, f, order)
-    tr_fg = trace(fg, mu)
-    anti = tr_fg - trace(gf, mu)
+                     product: StarProduct, mu: ThetaPoly) -> CyclicityReport:
+    """The trace defects of ``product`` on one pair, through its built
+    grade; pass ``product.with_gauge(gauge)`` to check the corrected
+    product."""
+    tr_fg = trace(product.star(f, g), mu)
+    anti = tr_fg - trace(product.star(g, f), mu)
     cond = tr_fg - trace(f * g, mu)
-    return CyclicityReport(anti, cond, corrected)
+    return CyclicityReport(anti, cond)
 
 
 def trace_condition_oracle(f: GaussianFunction, g: GaussianFunction,
@@ -414,15 +408,10 @@ def trace_condition_oracle(f: GaussianFunction, g: GaussianFunction,
 
 def hermiticity_defect(fpoly: ThetaPoly, phi: GaussianFunction,
                        psi: GaussianFunction, product: StarProduct,
-                       mu: ThetaPoly, gauge: Optional[GaugeCorrection] = None,
-                       order: int = 2) -> GaussianIntegral:
-    """Tr(conj(f # phi) # psi) - Tr(conj(phi) # (f # psi)) per grade,
-    where # is the gauge-corrected product; measures self-adjointness of
-    left multiplication by a real polynomial."""
-    if gauge is None:
-        gauge = gauge_b(mu, product.w)
-    left = product.star_prime(
-        product.star_prime(fpoly, phi, gauge, order).conjugate(), psi, gauge, order)
-    right = product.star_prime(
-        phi.conjugate(), product.star_prime(fpoly, psi, gauge, order), gauge, order)
+                       mu: ThetaPoly) -> GaussianIntegral:
+    """Tr(conj(f # phi) # psi) - Tr(conj(phi) # (f # psi)) per grade, with #
+    the given product (pass product.with_gauge(gauge)); measures
+    self-adjointness of left multiplication by a real polynomial."""
+    left = product.star(product.star(fpoly, phi).conjugate(), psi)
+    right = product.star(phi.conjugate(), product.star(fpoly, psi))
     return trace(left, mu) - trace(right, mu)

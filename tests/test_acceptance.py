@@ -191,12 +191,12 @@ def test_criterion_6_trace_cyclicity(fuzzy):
     for _ in range(N_SAMPLES):
         f = GaussianFunction(seeded_poly(rng, 3))
         g = GaussianFunction(seeded_poly(rng, 3))
-        rep = cyclicity_defect(f, g, product, mu, True, gauge)
+        rep = cyclicity_defect(f, g, product.with_gauge(gauge), mu)
         assert rep.zero_through(2)
     # the uncorrected product exhibits the grade-2 obstruction, matching
     # the independent moment-oracle evaluation
     f = GaussianFunction(ThetaPoly.coordinate(3, 0))
-    raw = cyclicity_defect(f, f, product, mu, False, gauge)
+    raw = cyclicity_defect(f, f, product, mu)
     grade2 = raw.trace_condition.theta_slice(2)
     assert not grade2.is_zero
     assert grade2 == trace_condition_oracle(f, f, fuzzy, mu)

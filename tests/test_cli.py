@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from ncqm import cli
 from ncqm.cli import ProblemError, ProblemFile, main, run, run_task
+from ncqm.poisson import build_gamma
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -237,13 +239,14 @@ class TestExitCodes:
 
 
 # sha256 of the compact report and the exit code of every problem file and
-# task that runs in under a second (fuzzy star-assoc and trace-check,
-# quadratic2d star-assoc and constant trace-check are left out)
+# task that runs in under two seconds (fuzzy star-assoc and trace-check and
+# quadratic2d star-assoc are left out)
 GOLDEN = [
     ("constant", "validate", 0, "118ca62224184f89ee075765d01ff999eb7ae28e5a4ef3dacc3578bc59165766"),
     ("constant", "gamma", 0, "0e6b719a7fd2d04d8a643fc19448b5d50be89c14cd7372bf7638179929118295"),
     ("constant", "darboux-check", 0, "6961b2e4619f7b778c4504cb082fe696f46e09b3ee05aa1b726857538f6e746e"),
     ("constant", "star-assoc", 0, "7849ce4c1b5843dca41d509955ee8231d96870adda9c48b7216072dbb0d79057"),
+    ("constant", "trace-check", 0, "bdb7222d6f7cee3e541b28aa387488ec2df43fe55a969078fa2ab0cdab22da2d"),
     ("constant", "subalgebra", 0, "783522d41dfc9bc62a0237bf3651fce2dd8e99795863ded64ff5225b8de9a808"),
     ("constant", "oscillator", 1, "ab9b1027b5d23a2e59f913c9e77a0557e9ecff0f3c932783f60b51f8931c832e"),
     ("constant", "free-particle", 0, "5c13fa26b0f2336f3c1caadacf067c3970a421b7052a4fe70830251a629f35c5"),
@@ -277,3 +280,34 @@ def test_golden_report(name, task, code, digest, capsys):
     assert main([str(PROBLEMS / f"{name}.json"), "--task", task]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the Nambu bivector of C = x1*x2 at order 2; its gauge, (3,3) = -1/24, is
+# nonzero, so the gauge-corrected pairs run through a nontrivial product
+NAMBU_X1X2 = json.dumps({
+    "dim": 3, "order": 2,
+    "bivector": [{"i": 2, "j": 3, "poly": "x2"}, {"i": 3, "j": 1, "poly": "x1"}]})
+
+
+def test_trace_check_with_gauge(monkeypatch):
+    monkeypatch.setattr(cli, "RANDOM_TRIPLES", 3)
+    rec = run_task(ProblemFile.parse(NAMBU_X1X2), "trace-check")
+    assert rec["gauge"] == {"(3,3)": "-1/24"}
+    text = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "77da724c41aa462eb59159ec515fec3f9eace549da57c75a17d1fdf00002f63c"
+
+
+def test_subalgebra_builds_one_tower(monkeypatch):
+    import ncqm.star
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_gamma(*args, **kwargs)
+
+    monkeypatch.setattr(ncqm.star, "build_gamma", counted)
+    monkeypatch.setattr(cli, "build_gamma", counted)
+    rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
+    assert rec["status"] == "pass"
+    assert len(calls) == 1

@@ -11,7 +11,9 @@ recorded while every rule was still written out by hand, sector by
 sector, before the rules were derived from the coordinate operators.  The
 Darboux towers of those families and of kappa-Minkowski (n = 3, 4), with
 every tensor component and its truncation, were recorded while the tower
-was still stored as symmetric tensors.
+was still stored as symmetric tensors.  The coordinate operators of the
+six families, each with its truncation, were recorded while the product
+still built its own copy of them as raw term lists.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import json
 import pytest
 
 from ncqm.exact_algebra import ThetaPoly, parse_polynomial
-from ncqm.operators import build_gamma1
+from ncqm.operators import Gamma1Tensor, build_gamma1, build_xhat
 from ncqm.poisson import (
     PoissonBivector,
     build_gamma,
@@ -139,6 +141,33 @@ def test_towers(family):
     assert digest(tower_text(TOWER_FAMILIES[family])) == TOWER_DIGESTS[family]
 
 
+XHAT_DIGESTS = {
+    "fuzzy": "ca7e68fe8147c5c935ab0fe2feb26a681d72a6a38c25fd7ed271039c17d5037c",
+    "planar": "582484f5451660025a0fd0d2e43d11e1a2edd38850e80d9403cecd044544749a",
+    "quadratic": "d4ebbc9cced237c05043287a8ac40965e5fdcb6f1cd4685605a8f79676d88167",
+    "constant3": "afab6eeb80e2a3055da9ca2d7bbafe16aceaafde1ba06eeebceca4f0c2561dc2",
+    "constant4": "e1a019ef9099ecd0b1ae6ae3a5a56ab1f9c6f77c64bd998a0e3fa062a03d74d5",
+    "nambu": "fe2ee7881728e808728bdad2073550182e4ae7c09c26ffeb70d59055a8122f1d",
+}
+
+
+def xhat_text(w: PoissonBivector) -> str:
+    """Every coordinate operator with its truncation at trunc 2, 3 and 4,
+    and the bare operators (no correction tensor) at trunc 3."""
+    lines = []
+    for trunc in (2, 3, 4):
+        ops = build_xhat(w, build_gamma(w, min(trunc, 3), trunc), trunc=trunc)
+        lines += [f"{trunc} {i} {op.text()} {op.trunc}" for i, op in enumerate(ops)]
+    bare = build_xhat(w, build_gamma(w, 3), Gamma1Tensor.zero(w.n))
+    lines += [f"bare {i} {op.text()} {op.trunc}" for i, op in enumerate(bare)]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("family", list(TABLE_FAMILIES))
+def test_coordinate_operators(family):
+    assert digest(xhat_text(TABLE_FAMILIES[family])) == XHAT_DIGESTS[family]
+
+
 def test_nambu_rules():
     assert digest(rules_text(NAMBU)) == \
         "6112f2f4b8661a91864aade5367e1c7fa2c7343cea7a5c01d64223c54cf0e8d2"
@@ -182,3 +211,9 @@ def test_entries_are_stored():
     assert NAMBU.entry(0, 0) is NAMBU.entry(0, 0)
     assert NAMBU.entry(2, 0) is NAMBU.entry(2, 0)
     assert NAMBU.entry(0, 2) == -NAMBU.entry(2, 0)
+
+
+@pytest.mark.parametrize("family", list(TABLE_FAMILIES))
+def test_product_keeps_the_coordinate_operators(family):
+    w = TABLE_FAMILIES[family]
+    assert StarProduct(w, 2, trunc=3).xhat == build_xhat(w, build_gamma(w, 3))

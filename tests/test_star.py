@@ -308,33 +308,31 @@ class TestCyclicity:
         for _ in range(4):
             f = GaussianFunction(seeded_poly(rng, 3))
             g = GaussianFunction(seeded_poly(rng, 3))
-            rep = cyclicity_defect(f, g, sp, mu, True, gauge)
+            rep = cyclicity_defect(f, g, sp.with_gauge(gauge), mu)
             assert rep.zero_through(2)
 
     def test_uncorrected_obstruction_matches_oracle(self, fuzzy):
         sp = StarProduct(fuzzy, 2)
         mu = ThetaPoly.one(3)
-        gauge = gauge_b(mu, fuzzy)
         # an even-parity pair exhibits the obstruction (odd pairs such as
         # x1, x2 integrate to zero termwise and are checked below)
         f = GaussianFunction(ThetaPoly.coordinate(3, 0))
-        rep = cyclicity_defect(f, f, sp, mu, False, gauge)
+        rep = cyclicity_defect(f, f, sp, mu)
         grade2 = rep.trace_condition.theta_slice(2)
         assert not grade2.is_zero
         assert grade2 == trace_condition_oracle(f, f, fuzzy, mu)
         g = GaussianFunction(ThetaPoly.coordinate(3, 1))
-        rep2 = cyclicity_defect(f, g, sp, mu, False, gauge)
+        rep2 = cyclicity_defect(f, g, sp, mu)
         assert rep2.trace_condition.theta_slice(2) == \
             trace_condition_oracle(f, g, fuzzy, mu)
 
     def test_first_grade_always_zero_for_valid_measure(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 2)
         mu = ThetaPoly.one(3)
-        gauge = gauge_b(mu, fuzzy)
         for _ in range(3):
             f = GaussianFunction(seeded_poly(rng, 3))
             g = GaussianFunction(seeded_poly(rng, 3))
-            rep = cyclicity_defect(f, g, sp, mu, False, gauge)
+            rep = cyclicity_defect(f, g, sp, mu)
             assert rep.trace_condition.theta_slice(1).is_zero
             assert rep.antisymmetric.theta_slice(1).is_zero
 
@@ -344,7 +342,7 @@ class TestCyclicity:
         gauge = gauge_b(mu, planar)
         f = GaussianFunction(seeded_poly(rng, 3))
         g = GaussianFunction(seeded_poly(rng, 3))
-        rep = cyclicity_defect(f, g, sp, mu, True, gauge)
+        rep = cyclicity_defect(f, g, sp.with_gauge(gauge), mu)
         assert rep.zero_through(2)
 
 
@@ -357,7 +355,7 @@ class TestHermiticity:
         for _ in range(3):
             phi = GaussianFunction(seeded_poly(rng, 3))
             psi = GaussianFunction(seeded_poly(rng, 3))
-            defect = hermiticity_defect(f, phi, psi, sp, mu, gauge)
+            defect = hermiticity_defect(f, phi, psi, sp.with_gauge(gauge), mu)
             for k in range(3):
                 assert defect.theta_slice(k).is_zero
 
@@ -369,7 +367,7 @@ class TestHermiticity:
         f = (f + f.conjugate()).scale(Fraction(1, 2))  # real part
         phi = GaussianFunction(seeded_poly(rng, 3))
         psi = GaussianFunction(seeded_poly(rng, 3))
-        defect = hermiticity_defect(f, phi, psi, sp, mu, gauge)
+        defect = hermiticity_defect(f, phi, psi, sp.with_gauge(gauge), mu)
         assert defect.theta_slice(0).is_zero
 
     def test_equal_real_states_purely_imaginary(self, fuzzy, rng):
@@ -380,7 +378,7 @@ class TestHermiticity:
         raw = seeded_poly(rng, 3)
         real_pre = (raw + raw.conjugate()).scale(Fraction(1, 2))
         phi = GaussianFunction(real_pre)
-        defect = hermiticity_defect(f, phi, phi, sp, mu, gauge)
+        defect = hermiticity_defect(f, phi, phi, sp.with_gauge(gauge), mu)
         assert (defect + defect.conjugate()).is_zero
 
 
