@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check, with exact arithmetic, the derived star product and the two
-fixed coefficients it rests on: that of the correction tensor and that of
-the gauge matrix.
+fixed coefficients it rests on: that of the grade-3 correction Q^i and
+that of the gauge matrix.
 
 Run from the repository root:  python3 scripts/calibrate_star.py
 
@@ -9,7 +9,7 @@ Checks performed:
   1. the product, derived grade by grade from the coordinate operators,
      is associative through grade 3 on sampled triples;
   2. the coordinate-operator closure at grade 3, which fixes the
-     correction-tensor coefficient;
+     coefficient of the correction Q^i;
   3. the exact trace condition, which fixes the gauge-matrix coefficient.
 
 The script prints what it finds and asserts a zero associator and a zero

@@ -18,7 +18,6 @@ from .exact_algebra import (
 from .moyal import moyal_product
 from .operators import (
     DiffOperator,
-    Gamma1Tensor,
     build_gamma1,
     build_phat,
     build_xhat,
@@ -78,7 +77,6 @@ __all__ = [
     "general_brackets",
     "fuzzy_sphere_bivector",
     "DiffOperator",
-    "Gamma1Tensor",
     "build_xhat",
     "build_gamma1",
     "build_phat",

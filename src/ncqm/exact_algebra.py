@@ -7,8 +7,11 @@ operations are pure, so values can be shared freely.
 
 Term layout: a polynomial term is keyed by ``(grade, exponents)``, where
 ``exponents`` holds the n coordinate exponents followed by the n momentum
-exponents.  Only this module reads or builds those keys; other modules go
-through ``ThetaPoly.monomial``, ``momentum_blocks`` and the arithmetic.
+exponents.  There is one format for coordinate and phase-space values: a
+coordinate polynomial is one whose momentum exponents are all zero
+(``is_coordinate_only``).  Only this module reads or builds those keys;
+other modules go through ``ThetaPoly.monomial``, ``momentum_blocks`` and
+the arithmetic.
 The ``ThetaPoly`` and ``GaussianIntegral`` constructors are the only
 places that drop zero terms (and grades above the truncation); the
 arithmetic only accumulates.
@@ -184,21 +187,16 @@ class ThetaPoly:
     the deformation parameter.
 
     Keys are ``(grade, exponents)``; ``exponents`` holds the n coordinate
-    exponents followed by the n momentum exponents.  Momentum exponents
-    stay zero for coordinate-only values; ``has_momenta`` records whether
-    the value conceptually lives on phase space (used to validate bracket
-    arguments).
+    exponents followed by the n momentum exponents, which stay zero for
+    coordinate-only values.  The same type serves coordinate and
+    phase-space values; checks that need a coordinate polynomial read
+    ``is_coordinate_only``.
     """
 
-    __slots__ = ("n", "has_momenta", "trunc", "terms")
+    __slots__ = ("n", "trunc", "terms")
 
-    def __init__(
-        self,
-        n: int,
-        terms: Mapping[TermKey, GaussianRational],
-        trunc: int = DEFAULT_TRUNC,
-        has_momenta: bool = False,
-    ):
+    def __init__(self, n: int, terms: Mapping[TermKey, GaussianRational],
+                 trunc: int = DEFAULT_TRUNC):
         if n <= 0:
             raise DimensionError("need at least one coordinate")
         clean: dict[TermKey, GaussianRational] = {}
@@ -207,11 +205,8 @@ class ThetaPoly:
                 continue
             if len(e) != 2 * n:
                 raise DimensionError("exponent vector length mismatch")
-            if not has_momenta and any(e[n:]):
-                raise UsageError("momentum exponent in a coordinate-only polynomial")
             clean[(t, tuple(e))] = c
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "has_momenta", has_momenta)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "terms", clean)
 
@@ -223,43 +218,38 @@ class ThetaPoly:
     @staticmethod
     def monomial(n: int, c: Scalarish = 1, x: tuple[int, ...] = (),
                  p: tuple[int, ...] = (), grade: int = 0,
-                 trunc: int = DEFAULT_TRUNC,
-                 has_momenta: bool = False) -> "ThetaPoly":
+                 trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
         """c * th^grade * x^x * p^p; an empty exponent vector is all zeros."""
         exps = (tuple(x) or (0,) * n) + (tuple(p) or (0,) * n)
-        return ThetaPoly(n, {(grade, exps): GaussianRational.of(c)}, trunc, has_momenta)
+        return ThetaPoly(n, {(grade, exps): GaussianRational.of(c)}, trunc)
 
     @staticmethod
-    def zero(n: int, trunc: int = DEFAULT_TRUNC, has_momenta: bool = False) -> "ThetaPoly":
-        return ThetaPoly(n, {}, trunc, has_momenta)
+    def zero(n: int, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
+        return ThetaPoly(n, {}, trunc)
 
     @staticmethod
-    def constant(n: int, c: Scalarish, trunc: int = DEFAULT_TRUNC,
-                 has_momenta: bool = False) -> "ThetaPoly":
-        return ThetaPoly.monomial(n, c, trunc=trunc, has_momenta=has_momenta)
+    def constant(n: int, c: Scalarish, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
+        return ThetaPoly.monomial(n, c, trunc=trunc)
 
     @staticmethod
-    def one(n: int, trunc: int = DEFAULT_TRUNC, has_momenta: bool = False) -> "ThetaPoly":
-        return ThetaPoly.monomial(n, trunc=trunc, has_momenta=has_momenta)
+    def one(n: int, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
+        return ThetaPoly.monomial(n, trunc=trunc)
 
     @staticmethod
-    def coordinate(n: int, i: int, trunc: int = DEFAULT_TRUNC,
-                   has_momenta: bool = False) -> "ThetaPoly":
+    def coordinate(n: int, i: int, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
         if not 0 <= i < n:
             raise IndexError(f"coordinate index {i} out of range for n={n}")
-        return ThetaPoly.monomial(n, x=multi_index(n, i), trunc=trunc,
-                                  has_momenta=has_momenta)
+        return ThetaPoly.monomial(n, x=multi_index(n, i), trunc=trunc)
 
     @staticmethod
     def momentum(n: int, i: int, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
         if not 0 <= i < n:
             raise IndexError(f"momentum index {i} out of range for n={n}")
-        return ThetaPoly.monomial(n, p=multi_index(n, i), trunc=trunc, has_momenta=True)
+        return ThetaPoly.monomial(n, p=multi_index(n, i), trunc=trunc)
 
     @staticmethod
-    def theta(n: int, power: int = 1, trunc: int = DEFAULT_TRUNC,
-              has_momenta: bool = False) -> "ThetaPoly":
-        return ThetaPoly.monomial(n, grade=power, trunc=trunc, has_momenta=has_momenta)
+    def theta(n: int, power: int = 1, trunc: int = DEFAULT_TRUNC) -> "ThetaPoly":
+        return ThetaPoly.monomial(n, grade=power, trunc=trunc)
 
     # -- structure ----------------------------------------------------------
 
@@ -288,39 +278,33 @@ class ThetaPoly:
             blocks.setdefault(e[n:], {})[(t, e[:n] + (0,) * n)] = c
         return {me: ThetaPoly(n, terms, self.trunc) for me, terms in blocks.items()}
 
-    def with_momenta(self) -> "ThetaPoly":
-        if self.has_momenta:
-            return self
-        return ThetaPoly(self.n, self.terms, self.trunc, True)
-
     def with_trunc(self, trunc: int) -> "ThetaPoly":
-        return ThetaPoly(self.n, self.terms, trunc, self.has_momenta)
+        return ThetaPoly(self.n, self.terms, trunc)
 
-    def _merge_ctx(self, other: "ThetaPoly") -> tuple[int, bool]:
+    def _merge_trunc(self, other: "ThetaPoly") -> int:
         if self.n != other.n:
             raise DimensionError(f"dimension mismatch: {self.n} vs {other.n}")
-        return min(self.trunc, other.trunc), self.has_momenta or other.has_momenta
+        return min(self.trunc, other.trunc)
 
     # -- ring arithmetic -----------------------------------------------------
 
     def __add__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
         if not isinstance(other, ThetaPoly):
-            other = ThetaPoly.constant(self.n, other, self.trunc, self.has_momenta)
-        trunc, hm = self._merge_ctx(other)
+            other = ThetaPoly.constant(self.n, other, self.trunc)
+        trunc = self._merge_trunc(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c
-        return ThetaPoly(self.n, out, trunc, hm)
+        return ThetaPoly(self.n, out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ThetaPoly":
-        return ThetaPoly(self.n, {k: -c for k, c in self.terms.items()},
-                         self.trunc, self.has_momenta)
+        return ThetaPoly(self.n, {k: -c for k, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
         if not isinstance(other, ThetaPoly):
-            other = ThetaPoly.constant(self.n, other, self.trunc, self.has_momenta)
+            other = ThetaPoly.constant(self.n, other, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other: Scalarish) -> "ThetaPoly":
@@ -329,16 +313,15 @@ class ThetaPoly:
     def scale(self, c: Scalarish) -> "ThetaPoly":
         c = GaussianRational.of(c)
         if c.is_zero:
-            return ThetaPoly.zero(self.n, self.trunc, self.has_momenta)
-        return ThetaPoly(self.n, {k: v * c for k, v in self.terms.items()},
-                         self.trunc, self.has_momenta)
+            return ThetaPoly.zero(self.n, self.trunc)
+        return ThetaPoly(self.n, {k: v * c for k, v in self.terms.items()}, self.trunc)
 
     def __mul__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        trunc, hm = self._merge_ctx(other)
+        trunc = self._merge_trunc(other)
         out: dict[TermKey, GaussianRational] = {}
         for (t1, e1), c1 in self.terms.items():
             for (t2, e2), c2 in other.terms.items():
@@ -348,14 +331,14 @@ class ThetaPoly:
                 k = (t, tuple(a + b for a, b in zip(e1, e2)))
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return ThetaPoly(self.n, out, trunc, hm)
+        return ThetaPoly(self.n, out, trunc)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "ThetaPoly":
         if k < 0:
             raise UsageError("negative polynomial power")
-        out = ThetaPoly.one(self.n, self.trunc, self.has_momenta)
+        out = ThetaPoly.one(self.n, self.trunc)
         base = self
         while k:
             if k & 1:
@@ -366,7 +349,7 @@ class ThetaPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = ThetaPoly.constant(self.n, other, self.trunc, self.has_momenta)
+            other = ThetaPoly.constant(self.n, other, self.trunc)
         if not isinstance(other, ThetaPoly):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
@@ -382,7 +365,7 @@ class ThetaPoly:
             self.n,
             {(t, e[:slot] + (e[slot] - 1,) + e[slot + 1:]): c * e[slot]
              for (t, e), c in self.terms.items() if e[slot]},
-            self.trunc, self.has_momenta)
+            self.trunc)
 
     def diff_x(self, i: int) -> "ThetaPoly":
         if not 0 <= i < self.n:
@@ -390,8 +373,6 @@ class ThetaPoly:
         return self._diff(i)
 
     def diff_p(self, i: int) -> "ThetaPoly":
-        if not self.has_momenta:
-            raise UsageError("momentum derivative of a coordinate-only polynomial")
         if not 0 <= i < self.n:
             raise IndexError(f"momentum index {i} out of range for n={self.n}")
         return self._diff(self.n + i)
@@ -409,20 +390,20 @@ class ThetaPoly:
     def conjugate(self) -> "ThetaPoly":
         # the grading variable is treated as real
         return ThetaPoly(self.n, {k: c.conjugate() for k, c in self.terms.items()},
-                         self.trunc, self.has_momenta)
+                         self.trunc)
 
     def theta_coefficient(self, k: int) -> "ThetaPoly":
         """Coordinate/momentum polynomial multiplying the k-th grade."""
         out = {(0, e): c for (t, e), c in self.terms.items() if t == k}
-        return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
+        return ThetaPoly(self.n, out, self.trunc)
 
     def theta_shift(self, k: int) -> "ThetaPoly":
         out = {(t + k, e): c for (t, e), c in self.terms.items()}
-        return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
+        return ThetaPoly(self.n, out, self.trunc)
 
     def truncated(self, order: int) -> "ThetaPoly":
         out = {k: c for k, c in self.terms.items() if k[0] <= order}
-        return ThetaPoly(self.n, out, self.trunc, self.has_momenta)
+        return ThetaPoly(self.n, out, self.trunc)
 
     def max_theta_power(self) -> int:
         return max((t for (t, _) in self.terms), default=0)
@@ -435,7 +416,6 @@ class ThetaPoly:
         """
         n = self.n
         trunc = self.trunc
-        hm = self.has_momenta or any(img.has_momenta for img in images.values())
         for img in images.values():
             if img.n != n:
                 raise DimensionError("substitution image dimension mismatch")
@@ -448,14 +428,14 @@ class ThetaPoly:
                 return got
             base = images.get(("x", slot) if slot < n else ("p", slot - n))
             if base is None:
-                base = ThetaPoly(n, {(0, multi_index(2 * n, slot)): ONE}, trunc, hm)
+                base = ThetaPoly(n, {(0, multi_index(2 * n, slot)): ONE}, trunc)
             val = base.with_trunc(trunc) ** e
             cache[(slot, e)] = val
             return val
 
-        out = ThetaPoly.zero(n, trunc, hm)
+        out = ThetaPoly.zero(n, trunc)
         for (t, exps), c in self.terms.items():
-            term = ThetaPoly(n, {(t, (0,) * (2 * n)): c}, trunc, hm)
+            term = ThetaPoly(n, {(t, (0,) * (2 * n)): c}, trunc)
             for slot, e in enumerate(exps):
                 if e:
                     term = term * image_power(slot, e)
@@ -545,7 +525,7 @@ def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
                     rem.pop(k, None)
                 else:
                     rem[k] = s
-    return ThetaPoly(num.n, out, num.trunc, num.has_momenta)
+    return ThetaPoly(num.n, out, num.trunc)
 
 
 class RationalFunction:
@@ -999,18 +979,18 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
         take()
         if tok.isdigit():
             _check_caps("literal", 0, int(tok).bit_length())
-            return ThetaPoly.constant(n, int(tok), trunc, allow_momenta)
+            return ThetaPoly.constant(n, int(tok), trunc)
         if tok == "i":
-            return ThetaPoly.constant(n, I, trunc, allow_momenta)
+            return ThetaPoly.constant(n, I, trunc)
         if tok == "th":
             if not allow_theta:
                 raise ValueError("the grading variable is not allowed here")
-            return ThetaPoly.theta(n, 1, trunc, allow_momenta)
+            return ThetaPoly.theta(n, 1, trunc)
         if tok.startswith("x"):
             i = int(tok[1:]) - 1
             if not 0 <= i < n:
                 raise ValueError(f"variable {tok} out of range for dimension {n}")
-            return ThetaPoly.coordinate(n, i, trunc, allow_momenta)
+            return ThetaPoly.coordinate(n, i, trunc)
         if tok.startswith("p") and len(tok) > 1:
             if not allow_momenta:
                 raise ValueError("momentum variables are not allowed here")

@@ -24,7 +24,7 @@ def moyal_product(f: ThetaPoly, g: ThetaPoly,
     n_dim = f.n
     if len(matrix) != n_dim:
         raise ValueError("matrix dimension mismatch")
-    out = ThetaPoly.zero(n_dim, f.trunc, f.has_momenta or g.has_momenta)
+    out = ThetaPoly.zero(n_dim, f.trunc)
     half_i = GaussianRational(0, Fraction(1, 2))
     for n in range(order + 1):
         scale = (half_i ** n) * Fraction(1, math.factorial(n))

@@ -7,7 +7,9 @@ parameter and truncated at a fixed order.
 
 The coordinate operators xhat^i are built here, by ``build_xhat``, and
 nowhere else: ``StarProduct`` keeps the ones it derives its rules from as
-``product.xhat``.
+``product.xhat``.  They quantize momentum polynomials: the Darboux tower
+P^i_m, and at grade 3 P^i_3 - Q^i with the correction Q^i of
+``build_gamma1`` stored in the same form.
 """
 
 from __future__ import annotations
@@ -155,8 +157,7 @@ class DiffOperator:
     def apply_poly(self, f: ThetaPoly) -> RationalFunction:
         if f.n != self.n:
             raise DimensionError("operand dimension mismatch")
-        out = RationalFunction(ThetaPoly.zero(self.n, min(self.trunc, f.trunc),
-                                              f.has_momenta))
+        out = RationalFunction(ThetaPoly.zero(self.n, min(self.trunc, f.trunc)))
         for (t, midx), coeff in self.terms.items():
             d = f.diff_multi(midx)
             if d.is_zero:
@@ -261,91 +262,57 @@ class DiffOperator:
 # ---------------------------------------------------------------------------
 
 
-class Gamma1Tensor:
-    """Third-grade quantum correction tensor, symmetric in the trailing pair."""
+def build_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
+    """The grade-3 correction as one momentum polynomial per coordinate,
 
-    __slots__ = ("n", "components")
+        Q^i = (1/24) sum_{j,k,a,m} W^{amk} d_a d_m w^{ij} p_j p_k,
 
-    def __init__(self, n: int, components: Mapping[tuple[int, tuple[int, int]], ThetaPoly]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "components",
-            {(i, tuple(sorted(jk))): p for (i, jk), p in components.items()
-             if not p.is_zero})
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Gamma1Tensor is immutable")
-
-    def component(self, i: int, j: int, k: int) -> ThetaPoly:
-        return self.components.get((i, tuple(sorted((j, k)))),
-                                   ThetaPoly.zero(self.n))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    @staticmethod
-    def zero(n: int) -> "Gamma1Tensor":
-        return Gamma1Tensor(n, {})
-
-
-def build_gamma1(w: PoissonBivector, trunc: int = 3) -> Gamma1Tensor:
-    """Closed-form correction that restores the coordinate subalgebra at
-    third grade.
-
-    The antisymmetrized combination of this tensor cancels the obstruction
-    left by the bare quantized coordinate operators; both the obstruction
-    and the solution carry second derivatives of the bivector, so the
-    tensor vanishes for constant and linear bivectors.  The coefficient is
-    fixed by the exact closure requirement (see the acceptance suite).
+    stored like the tower orders; ``build_xhat`` quantizes P^i_3 - Q^i.
+    It cancels the grade-3 obstruction left by the bare quantized tower;
+    both carry second derivatives of the bivector, so Q vanishes for
+    constant and linear bivectors.  The coefficient is fixed by the exact
+    closure requirement (see the acceptance suite).
     """
     n = w.n
     w = w.with_trunc(trunc)
-    comps: dict[tuple[int, tuple[int, int]], ThetaPoly] = {}
+    zero = ThetaPoly.zero(n, trunc)
+    ps = [ThetaPoly.momentum(n, k, trunc) for k in range(n)]
+    wp: dict[tuple[int, int], ThetaPoly] = {}  # sum_k W^{amk} p_k, on first use
+    out = []
     for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                # sum_{a,m} W^{amk} d_a d_m w^{ij} + (j <-> k)
-                total = ThetaPoly.zero(n, trunc)
-                for a, m in itertools.product(range(n), repeat=2):
-                    for p, q in ((j, k), (k, j)):
-                        dd = w.entry(i, p).diff_x(a).diff_x(m)
-                        if not dd.is_zero:
-                            total = total + w.contraction(a, m, q) * dd
-                val = total.scale(Fraction(1, 48))
-                if not val.is_zero:
-                    comps[(i, (j, k))] = val
-    return Gamma1Tensor(n, comps)
+        total = zero
+        for j, a, m in itertools.product(range(n), repeat=3):
+            dd = w.entry(i, j).diff_x(a).diff_x(m)
+            if dd.is_zero:
+                continue
+            if (a, m) not in wp:
+                wp[a, m] = sum((w.contraction(a, m, k) * p for k, p in enumerate(ps)), zero)
+            total = total + dd * ps[j] * wp[a, m]
+        out.append(total.scale(Fraction(1, 24)))
+    return out
 
 
 def build_xhat(w: PoissonBivector, gamma: GammaTower,
-               gamma1: Optional[Gamma1Tensor] = None,
+               gamma1: Optional[Sequence[ThetaPoly]],
                trunc: int = 3) -> list[DiffOperator]:
     """Coordinate operators xhat^i = x^i + sum_k th^k X^{ik}: the
     normal-ordered quantization of the momentum expansion, each canonical
     momentum becoming -i d, so the term p^e of P^i_k becomes (-i)^k d^e.
-    At grade 3 the correction tensor adds -i G1^{ijk} d_j d_k; when none is
-    given it is built from the bivector, and only if grade 3 is reached.
+    At grade 3 the quantized polynomial is P^i_3 - Q^i, with Q = ``gamma1``
+    the correction from ``build_gamma1`` (zeros give the bare operators);
+    it is read only when grade 3 is reached.
     """
     n = w.n
     if gamma.max_order < min(trunc, 3):
         raise UsageError("tower must be built through the requested order")
-    top = min(trunc, gamma.max_order)
-    if top >= 3 and gamma1 is None:
-        gamma1 = build_gamma1(w, trunc)
     ops = []
     for i in range(n):
         terms = {(0, (0,) * n): RationalFunction(ThetaPoly.coordinate(n, i, trunc))}
-        for k in range(1, top + 1):
+        for k in range(1, min(trunc, gamma.max_order) + 1):
+            poly = gamma.momenta[k][i] - gamma1[i] if k == 3 else gamma.momenta[k][i]
             factor = GaussianRational(0, -1) ** k
-            for midx, coeff in gamma.momenta[k][i].momentum_blocks().items():
+            for midx, coeff in poly.momentum_blocks().items():
                 terms[k, midx] = RationalFunction(coeff.scale(factor).with_trunc(trunc))
-        if top >= 3:
-            for (lead, (j, l)), g1 in gamma1.components.items():
-                if lead == i:
-                    factor = GaussianRational(0, -2 if j != l else -1)
-                    terms[3, multi_index(n, j, l)] = RationalFunction(
-                        g1.scale(factor).with_trunc(trunc))
         ops.append(DiffOperator(n, terms, trunc))
     return ops
 
@@ -417,7 +384,7 @@ def plane_wave_symbol(op: DiffOperator) -> ThetaPoly:
     """Eigenvalue polynomial of a constant-coefficient operator on plane
     waves exp(-i k.x): each derivative contributes -i k."""
     n = op.n
-    out = ThetaPoly.zero(n, op.trunc, True)
+    out = ThetaPoly.zero(n, op.trunc)
     minus_i = GaussianRational(0, -1)
     for (t, midx), coeff in op.terms.items():
         if not coeff.is_polynomial:
@@ -425,10 +392,10 @@ def plane_wave_symbol(op: DiffOperator) -> ThetaPoly:
         poly = coeff.num
         if poly != poly.constant_term():
             raise UsageError("plane-wave symbol needs constant coefficients")
-        factor = ThetaPoly.constant(n, minus_i ** sum(midx), op.trunc, True)
+        factor = ThetaPoly.constant(n, minus_i ** sum(midx), op.trunc)
         for i, e in enumerate(midx):
             factor = factor * ThetaPoly.momentum(n, i, op.trunc) ** e
-        out = out + poly.with_momenta() * factor.theta_shift(t)
+        out = out + poly * factor.theta_shift(t)
     return out
 
 

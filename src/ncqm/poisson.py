@@ -81,7 +81,7 @@ class PoissonBivector:
     def contraction(self, i: int, k: int, l: int) -> ThetaPoly:
         """W^{ikl} = sum_j w^{ij} d_j w^{kl}: the bivector contracted with
         its own gradient.  The Jacobi defect, the trace gauge and the
-        correction tensor read it."""
+        grade-3 correction read it."""
         if self._contraction is None:
             n, rows = self.n, self._matrix
             zero = rows[0][0]  # a diagonal entry, at the entries' truncation
@@ -154,11 +154,9 @@ def jacobi_defect(w: PoissonBivector) -> JacobiDefect:
 
 def canonical_bracket(f: ThetaPoly, g: ThetaPoly) -> ThetaPoly:
     """{f,g} = sum_i df/dy^i dg/dpi_i - df/dpi_i dg/dy^i, exact."""
-    if not (f.has_momenta and g.has_momenta):
-        raise UsageError("canonical bracket needs phase-space polynomials")
     if f.n != g.n:
         raise DimensionError("bracket dimension mismatch")
-    out = ThetaPoly.zero(f.n, min(f.trunc, g.trunc), True)
+    out = ThetaPoly.zero(f.n, min(f.trunc, g.trunc))
     for i in range(f.n):
         out = out + f.diff_x(i) * g.diff_p(i) - f.diff_p(i) * g.diff_x(i)
     return out
@@ -260,9 +258,9 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     if trunc is None:
         trunc = max(order, 3)
     w = w.with_trunc(trunc)
-    zero = ThetaPoly.zero(n, trunc, True)
+    zero = ThetaPoly.zero(n, trunc)
     ps = [ThetaPoly.momentum(n, j, trunc) for j in range(n)]
-    momenta = [[ThetaPoly.coordinate(n, i, trunc, True) for i in range(n)]]
+    momenta = [[ThetaPoly.coordinate(n, i, trunc) for i in range(n)]]
     for m in range(1, order + 1):
         # w^{ij}(x) is read only at grade m - 1, so substitute at that truncation
         xs = assemble_darboux(GammaTower(n, momenta, m - 1)).x_of
@@ -284,7 +282,7 @@ def assemble_darboux(gamma: GammaTower) -> DarbouxMap:
     are left canonical."""
     n, trunc = gamma.n, gamma.trunc
     xs = tuple(sum((ps[i].theta_shift(m) for m, ps in enumerate(gamma.momenta)),
-                   ThetaPoly.zero(n, trunc, True))
+                   ThetaPoly.zero(n, trunc))
                for i in range(n))
     return DarbouxMap(xs, tuple(ThetaPoly.momentum(n, i, trunc) for i in range(n)))
 
@@ -297,7 +295,7 @@ def invert_phase_map(x_of: Sequence[ThetaPoly], p_of: Sequence[ThetaPoly],
     trunc = order
     xs = [x.with_trunc(trunc) for x in x_of]
     ps = [p.with_trunc(trunc) for p in p_of]
-    ys = [ThetaPoly.coordinate(n, i, trunc, True) for i in range(n)]
+    ys = [ThetaPoly.coordinate(n, i, trunc) for i in range(n)]
     pis = [ThetaPoly.momentum(n, i, trunc) for i in range(n)]
     for _ in range(order + 1):
         images = {("x", i): ys[i] for i in range(n)}
@@ -306,7 +304,7 @@ def invert_phase_map(x_of: Sequence[ThetaPoly], p_of: Sequence[ThetaPoly],
         new_pis = []
         for i in range(n):
             # y = x - higher(x(y,pi)) evaluated on the current iterate
-            resid = xs[i].substitute(images) - ThetaPoly.coordinate(n, i, trunc, True)
+            resid = xs[i].substitute(images) - ThetaPoly.coordinate(n, i, trunc)
             new_ys.append(ys[i] - resid)
             resid_p = ps[i].substitute(images) - ThetaPoly.momentum(n, i, trunc)
             new_pis.append(pis[i] - resid_p)
@@ -321,14 +319,14 @@ def reference_delta(w: PoissonBivector, i: int, j: int, trunc: int = 3) -> Theta
     variables.  (First-grade sign fixed by the bracket algebra; see the
     acceptance suite.)"""
     n = w.n
-    out = ThetaPoly.zero(n, trunc, True)
+    out = ThetaPoly.zero(n, trunc)
     if i == j:
-        out = out + ThetaPoly.one(n, trunc, True)
-    th1 = ThetaPoly.theta(n, 1, trunc, True)
-    th2 = ThetaPoly.theta(n, 2, trunc, True)
+        out = out + ThetaPoly.one(n, trunc)
+    th1 = ThetaPoly.theta(n, 1, trunc)
+    th2 = ThetaPoly.theta(n, 2, trunc)
     for l in range(n):
         p_l = ThetaPoly.momentum(n, l, trunc)
-        out = out - th1 * w.entry(i, l).diff_x(j).with_momenta() * p_l.scale(Fraction(1, 2))
+        out = out - th1 * w.entry(i, l).diff_x(j) * p_l.scale(Fraction(1, 2))
     for l in range(n):
         for m in range(n):
             p_lm = ThetaPoly.momentum(n, l, trunc) * ThetaPoly.momentum(n, m, trunc)
@@ -338,7 +336,7 @@ def reference_delta(w: PoissonBivector, i: int, j: int, trunc: int = 3) -> Theta
                 term1 = term1 + w.entry(k, l).diff_x(j) * w.entry(i, m).diff_x(k)
                 term2 = term2 + w.entry(l, k) * w.entry(i, m).diff_x(j).diff_x(k)
             out = out + th2 * (term1.scale(Fraction(1, 12))
-                               + term2.scale(Fraction(1, 6))).with_momenta() * p_lm
+                               + term2.scale(Fraction(1, 6))) * p_lm
     return out
 
 
@@ -389,7 +387,7 @@ def verify_darboux(darboux: DarbouxMap, w: PoissonBivector, order: int) -> Darbo
     xs = [x.with_trunc(trunc) for x in darboux.x_of]
     ps = [p.with_trunc(trunc) for p in darboux.p_of]
     images = {("x", i): xs[i] for i in range(n)}
-    th = ThetaPoly.theta(n, 1, trunc, True)
+    th = ThetaPoly.theta(n, 1, trunc)
 
     xx: dict[tuple[int, int], ThetaPoly] = {}
     for i in range(n):
@@ -444,11 +442,11 @@ def general_brackets(w: PoissonBivector, j1: Sequence[ThetaPoly],
     trunc = order
     gamma = build_gamma(w, order, trunc)
     base = assemble_darboux(gamma)
-    th = ThetaPoly.theta(n, 1, trunc, True)
+    th = ThetaPoly.theta(n, 1, trunc)
     xs = [x.with_trunc(trunc) for x in base.x_of]
     ps = []
     for i in range(n):
-        ji = j1[i].with_trunc(trunc).with_momenta()
+        ji = j1[i].with_trunc(trunc)
         ps.append(ThetaPoly.momentum(n, i, trunc) - th * ji)
 
     ys, pis = invert_phase_map(xs, ps, order)
@@ -481,7 +479,7 @@ def phase_space_jacobi_defect(
     for mu in range(dim):
         for nu in range(mu + 1, dim):
             for al in range(nu + 1, dim):
-                total = ThetaPoly.zero(n, order, True)
+                total = ThetaPoly.zero(n, order)
                 for (a, b, c) in ((mu, nu, al), (al, mu, nu), (nu, al, mu)):
                     for sigma in range(dim):
                         total = total + omega(a, sigma) * d(sigma, omega(b, c))

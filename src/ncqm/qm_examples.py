@@ -25,6 +25,7 @@ from .exact_algebra import (
 from .operators import (
     DiffOperator,
     angular_momentum,
+    build_gamma1,
     build_phat,
     build_xhat,
     conjugate_by_measure_power,
@@ -249,48 +250,33 @@ class RotationReport:
         }
 
 
+def _transforms_as_vector(L: list[DiffOperator], ops: list[DiffOperator],
+                          trunc: int) -> bool:
+    """[L_i, V_j] = i eps^{ijk} V_k for every i, j, exactly."""
+    i_unit = GaussianRational(0, 1)
+    for i in range(3):
+        for j in range(3):
+            expect = DiffOperator.zero(3, trunc)
+            for k in range(3):
+                e = levi_civita(i, j, k)
+                if e:
+                    expect = expect + ops[k].scale(i_unit * e)
+            if L[i].commutator(ops[j]) != expect:
+                return False
+    return True
+
+
 def rotation_covariance_check(trunc: int = 3) -> RotationReport:
     """Check rotational covariance of the fuzzy-sphere construction as
-    exact operator identities, through the built grade."""
+    exact operator identities, through the built grade: the generators,
+    the coordinate multiplications and the full coordinate operators all
+    transform as vectors."""
     w = fuzzy_sphere_bivector(trunc=trunc)
     L = [angular_momentum(3, i, trunc) for i in range(3)]
-    i_unit = GaussianRational(0, 1)
-
-    generators_ok = True
-    for i in range(3):
-        for j in range(3):
-            expect = DiffOperator.zero(3, trunc)
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if e:
-                    expect = expect + L[k].scale(i_unit * e)
-            generators_ok = generators_ok and L[i].commutator(L[j]) == expect
-
-    # multiplication operators transform as a vector
     xmul = [DiffOperator.multiplication(ThetaPoly.coordinate(3, k, trunc), trunc)
             for k in range(3)]
-    coords_ok = True
-    for i in range(3):
-        for j in range(3):
-            expect = DiffOperator.zero(3, trunc)
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if e:
-                    expect = expect + xmul[k].scale(i_unit * e)
-            coords_ok = coords_ok and L[i].commutator(xmul[j]) == expect
-
-    # full coordinate operators transform the same way at every grade
     gamma = build_gamma(w, min(trunc, 3), trunc)
-    xhat = build_xhat(w, gamma, trunc=trunc)
-    ops_ok = True
-    for i in range(3):
-        for j in range(3):
-            expect = DiffOperator.zero(3, trunc)
-            for k in range(3):
-                e = levi_civita(i, j, k)
-                if e:
-                    expect = expect + xhat[k].scale(i_unit * e)
-            ops_ok = ops_ok and L[i].commutator(xhat[j]) == expect
+    xhat = build_xhat(w, gamma, build_gamma1(w, trunc), trunc)
 
     r2 = ThetaPoly.zero(3, trunc)
     for i in range(3):
@@ -301,4 +287,7 @@ def rotation_covariance_check(trunc: int = 3) -> RotationReport:
     corr = l_squared(trunc)
     corr_ok = all(L[i].commutator(corr).is_zero for i in range(3))
 
-    return RotationReport(generators_ok, coords_ok, ops_ok, radius_ok, corr_ok)
+    return RotationReport(_transforms_as_vector(L, L, trunc),
+                          _transforms_as_vector(L, xmul, trunc),
+                          _transforms_as_vector(L, xhat, trunc),
+                          radius_ok, corr_ok)

@@ -5,9 +5,10 @@ The product is stored slice by slice as bilinear rules: pairs of
 derivative multi-indices with coordinate-polynomial coefficients.  No rule
 is written out by hand.  The product is f * g = f(xhat) g, so the rules
 follow from the coordinate operators xhat^i = x^i + sum_j th^j X^{ij}: the
-quantized Darboux tower, with the correction tensor at grade 3.
-``StarProduct`` builds the tower and xhat once, through grade
-min(trunc, 3), and keeps them as ``product.gamma`` and ``product.xhat``.
+quantized Darboux tower, with P^i_3 - Q^i quantized at grade 3 (Q from
+``build_gamma1``).  ``StarProduct`` builds the tower, Q and xhat once,
+through grade min(trunc, 3), and keeps the tower and xhat as
+``product.gamma`` and ``product.xhat``.
 Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
 lower ones; ``StarProduct._derive_slice`` reads the rules off it.
 
@@ -191,15 +192,15 @@ class StarProduct:
         """The operator g -> f * g."""
         if order is None:
             order = self.order
-        op = DiffOperator.zero(self.n, self.trunc)
+        terms: dict[tuple[int, MultiIndex], ThetaPoly] = {}
         for k in range(order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = f.diff_multi(a)
-                if df.is_zero:
-                    continue
-                coeff_f = RationalFunction((coeff * df).with_trunc(self.trunc))
-                op = op + DiffOperator.term(coeff_f, b, theta_power=k, trunc=self.trunc)
-        return op
+                if not df.is_zero:
+                    key = (k, b)
+                    terms[key] = terms[key] + coeff * df if key in terms else coeff * df
+        return DiffOperator(self.n, {key: RationalFunction(c.with_trunc(self.trunc))
+                                     for key, c in terms.items()}, self.trunc)
 
     def star_prime(self, f, g, gauge: "GaugeCorrection",
                    order: Optional[int] = None):
@@ -212,7 +213,7 @@ def _zero_like(f, g, n: int, trunc: int):
         wf = f.weight if isinstance(f, GaussianFunction) else 0
         wg = g.weight if isinstance(g, GaussianFunction) else 0
         return GaussianFunction(ThetaPoly.zero(n, trunc), max(wf + wg, 1))
-    return ThetaPoly.zero(n, trunc, f.has_momenta or g.has_momenta)
+    return ThetaPoly.zero(n, trunc)
 
 
 def assoc_defect(f, g, h, product: StarProduct):

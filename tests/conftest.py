@@ -11,21 +11,20 @@ from ncqm.poisson import PoissonBivector, constant_bivector, fuzzy_sphere_bivect
 def seeded_poly(rng: random.Random, n: int, degree: int = 3, terms: int = 5,
                 trunc: int = 3, height: int = 3, momenta: bool = False) -> ThetaPoly:
     """Deterministic random polynomial of bounded degree and coefficient height."""
-    p = ThetaPoly.zero(n, trunc, momenta)
+    p = ThetaPoly.zero(n, trunc)
     for _ in range(terms):
         # slots 0..n-1 are coordinates, n..2n-1 momenta
         slots = [rng.randrange(2 * n if momenta else n)
                  for _ in range(rng.randint(0, degree))]
         c = GaussianRational(Fraction(rng.randint(-height, height)),
                              Fraction(rng.randint(-height, height)))
-        p = p + _slot_monomial(n, c, slots, 0, trunc, momenta)
+        p = p + _slot_monomial(n, c, slots, 0, trunc)
     return p
 
 
-def _slot_monomial(n: int, c, slots, grade: int, trunc: int, momenta: bool) -> ThetaPoly:
+def _slot_monomial(n: int, c, slots, grade: int, trunc: int) -> ThetaPoly:
     e = multi_index(2 * n, *slots)
-    return ThetaPoly.monomial(n, c, x=e[:n], p=e[n:], grade=grade, trunc=trunc,
-                              has_momenta=momenta)
+    return ThetaPoly.monomial(n, c, x=e[:n], p=e[n:], grade=grade, trunc=trunc)
 
 
 @pytest.fixture
@@ -59,9 +58,9 @@ scalars = st.builds(GaussianRational, small_fractions, small_fractions)
 def poly_strategy(n: int, momenta: bool = False, max_terms: int = 4,
                   max_degree: int = 2, trunc: int = 3):
     def build(term_list):
-        p = ThetaPoly.zero(n, trunc, momenta)
+        p = ThetaPoly.zero(n, trunc)
         for t, slots, c in term_list:
-            p = p + _slot_monomial(n, c, slots, t, trunc, momenta)
+            p = p + _slot_monomial(n, c, slots, t, trunc)
         return p
 
     slot_range = 2 * n if momenta else n

@@ -27,7 +27,6 @@ from ncqm.exact_algebra import (
 from ncqm.moyal import moyal_product
 from ncqm.operators import (
     DiffOperator,
-    Gamma1Tensor,
     build_gamma1,
     build_xhat,
     l_squared,
@@ -145,18 +144,18 @@ def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
     for w in (fuzzy, quad2d, const3d):
         product = StarProduct(w, 2, trunc=3)
         tower = build_gamma(w, 3)
-        defects = subalgebra_defect(build_xhat(w, tower), w, product)
+        defects = subalgebra_defect(build_xhat(w, tower, build_gamma1(w)), w, product)
         assert all(op.is_zero for op in defects.values())
         # constant and fuzzy close with or without the correction tensor
         if w is not quad2d:
             bare = subalgebra_defect(
-                build_xhat(w, tower, Gamma1Tensor.zero(w.n)), w, product)
+                build_xhat(w, tower, [ThetaPoly.zero(w.n)] * w.n), w, product)
             assert all(op.is_zero for op in bare.values())
     # with the correction zeroed the quadratic residual is exactly
     # (i/8) w^{nk} d_k w^{ml} d_n d_m w^{ij} d_l at grade 3
     product = StarProduct(quad2d, 2, trunc=3)
     tower = build_gamma(quad2d, 3)
-    bare = build_xhat(quad2d, tower, Gamma1Tensor.zero(2))
+    bare = build_xhat(quad2d, tower, [ThetaPoly.zero(2)] * 2)
     residual = subalgebra_defect(bare, quad2d, product)[(0, 1)]
     expect = DiffOperator.zero(2, 3)
     for l in range(2):
@@ -225,7 +224,7 @@ def test_criterion_8_free_particle():
         report = free_particle_check(mu)
         assert report.momentum_identity
         assert report.hamiltonian_identity
-        expect = ThetaPoly.zero(n, 3, True)
+        expect = ThetaPoly.zero(n, 3)
         for i in range(n):
             expect = expect + ThetaPoly.momentum(n, i) ** 2
         assert report.eigenvalue_symbol == expect.scale(Fraction(1, 2))

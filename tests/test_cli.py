@@ -1,7 +1,9 @@
 """Problem-file parsing, task dispatch, report determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -311,3 +313,12 @@ def test_subalgebra_builds_one_tower(monkeypatch):
     rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
     assert rec["status"] == "pass"
     assert len(calls) == 1
+
+
+def test_oscillator_reports_the_computed_coefficient(monkeypatch):
+    """The record carries the report's coefficient, not a fixed string."""
+    report = dataclasses.replace(cli.build_fuzzy_oscillator(),
+                                 correction_coefficient=Fraction(1, 12))
+    monkeypatch.setattr(cli, "build_fuzzy_oscillator", lambda: report)
+    rec = run_task(ProblemFile.parse(FUZZY_TEXT), "oscillator")
+    assert rec["correction_coefficient"] == "1/12"

@@ -14,7 +14,6 @@ from ncqm.exact_algebra import (
     MAX_NESTING,
     RationalFunction,
     ThetaPoly,
-    UsageError,
     DimensionError,
     divide_exact,
     gaussian_integrate,
@@ -133,9 +132,9 @@ class TestThetaPoly:
         assert (th * g).conjugate() == th * g.conjugate()
 
     def test_momentum_block_guard(self):
+        # a coordinate-only polynomial has no momentum dependence
         f = parse_polynomial("x1", 2)
-        with pytest.raises(UsageError):
-            f.diff_p(0)
+        assert f.diff_p(0) == ThetaPoly.zero(2)
 
     def test_text_and_json_deterministic(self):
         f = parse_polynomial("x2 + x1 + x1*x2 + 3/2 + 2*p1*x2", 2, allow_momenta=True)
@@ -153,12 +152,11 @@ class TestThetaPoly:
         th = ThetaPoly.theta(n)
         f = parse_polynomial("3*x1^2*p2 - x2*p2 + th*x1*p1^2 + 5", n,
                              allow_momenta=True, allow_theta=True)
-        assert ThetaPoly.monomial(n, 3, x=(2, 0), p=(0, 1), has_momenta=True) == \
+        assert ThetaPoly.monomial(n, 3, x=(2, 0), p=(0, 1)) == \
             parse_polynomial("3*x1^2*p2", n, allow_momenta=True)
         assert ThetaPoly.monomial(n, -1, x=(0, 1), grade=2) == \
             -(th * th * ThetaPoly.coordinate(n, 1))
-        with pytest.raises(UsageError):
-            ThetaPoly.monomial(n, p=(1, 0))  # momenta need has_momenta
+        assert ThetaPoly.monomial(n, p=(1, 0)) == ThetaPoly.momentum(n, 0)
         blocks = f.momentum_blocks()
         assert blocks == {
             (0, 1): parse_polynomial("3*x1^2 - x2", n),
@@ -166,10 +164,9 @@ class TestThetaPoly:
             (0, 0): ThetaPoly.constant(n, 5),
         }
         assert all(b.is_coordinate_only for b in blocks.values())
-        rebuilt = ThetaPoly.zero(n, has_momenta=True)
+        rebuilt = ThetaPoly.zero(n)
         for me, coeff in blocks.items():
-            rebuilt = rebuilt + coeff.with_momenta() * ThetaPoly.monomial(
-                n, p=me, has_momenta=True)
+            rebuilt = rebuilt + coeff * ThetaPoly.monomial(n, p=me)
         assert rebuilt == f
 
 

@@ -19,11 +19,12 @@ still built its own copy of them as raw term lists.
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from ncqm.exact_algebra import ThetaPoly, parse_polynomial
-from ncqm.operators import Gamma1Tensor, build_gamma1, build_xhat
+from ncqm.operators import build_gamma1, build_xhat
 from ncqm.poisson import (
     PoissonBivector,
     build_gamma,
@@ -153,12 +154,13 @@ XHAT_DIGESTS = {
 
 def xhat_text(w: PoissonBivector) -> str:
     """Every coordinate operator with its truncation at trunc 2, 3 and 4,
-    and the bare operators (no correction tensor) at trunc 3."""
+    and the bare operators (Q = 0) at trunc 3."""
     lines = []
     for trunc in (2, 3, 4):
-        ops = build_xhat(w, build_gamma(w, min(trunc, 3), trunc), trunc=trunc)
+        ops = build_xhat(w, build_gamma(w, min(trunc, 3), trunc), build_gamma1(w, trunc),
+                         trunc)
         lines += [f"{trunc} {i} {op.text()} {op.trunc}" for i, op in enumerate(ops)]
-    bare = build_xhat(w, build_gamma(w, 3), Gamma1Tensor.zero(w.n))
+    bare = build_xhat(w, build_gamma(w, 3), [ThetaPoly.zero(w.n)] * w.n)
     lines += [f"bare {i} {op.text()} {op.trunc}" for i, op in enumerate(bare)]
     return "\n".join(lines)
 
@@ -174,8 +176,15 @@ def test_nambu_rules():
 
 
 def test_nambu_gamma1():
-    components = sorted(build_gamma1(NAMBU).components.items())
-    text = "\n".join(f"{k} {p.text()}" for k, p in components)
+    """The correction tensor G1^{ijk} (j <= k), read off Q^i: the
+    coefficient of p_j p_k, halved off the diagonal."""
+    components = []
+    for i, q in enumerate(build_gamma1(NAMBU)):
+        for exps, coeff in q.momentum_blocks().items():
+            j, k = (a for a, e in enumerate(exps) for _ in range(e))
+            g1 = coeff if j == k else coeff.scale(Fraction(1, 2))
+            components.append(((i, (j, k)), g1))
+    text = "\n".join(f"{k} {p.text()}" for k, p in sorted(components))
     assert digest(text) == \
         "705c0b77bb6e07dc5f9d6f77357216bd7e07e962f6e389a52298559a6281a48f"
 
@@ -216,4 +225,5 @@ def test_entries_are_stored():
 @pytest.mark.parametrize("family", list(TABLE_FAMILIES))
 def test_product_keeps_the_coordinate_operators(family):
     w = TABLE_FAMILIES[family]
-    assert StarProduct(w, 2, trunc=3).xhat == build_xhat(w, build_gamma(w, 3))
+    assert StarProduct(w, 2, trunc=3).xhat == \
+        build_xhat(w, build_gamma(w, 3), build_gamma1(w))

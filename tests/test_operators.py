@@ -18,7 +18,6 @@ from ncqm.exact_algebra import (
 )
 from ncqm.operators import (
     DiffOperator,
-    Gamma1Tensor,
     angular_momentum,
     build_gamma1,
     build_phat,
@@ -102,7 +101,7 @@ class TestAlgebra:
 
 class TestCoordinateOperators:
     def test_grade_slices(self, fuzzy):
-        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3))
+        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3), build_gamma1(fuzzy))
         for i in range(3):
             # grade 0 is multiplication by the coordinate
             assert xhat[i].theta_slice(0) == DiffOperator.multiplication(
@@ -117,7 +116,7 @@ class TestCoordinateOperators:
 
     def test_grade2_is_minus_tower_tensor(self, fuzzy):
         tower = build_gamma(fuzzy, 3)
-        xhat = build_xhat(fuzzy, tower)
+        xhat = build_xhat(fuzzy, tower, build_gamma1(fuzzy))
         for i in range(3):
             expect = DiffOperator.zero(3)
             for l in range(3):
@@ -134,14 +133,14 @@ class TestCoordinateOperators:
             assert xhat[i].theta_slice(2) == expect
 
     def test_applied_to_one_returns_coordinate(self, fuzzy):
-        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3))
+        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3), build_gamma1(fuzzy))
         one = ThetaPoly.one(3)
         for i in range(3):
             assert xhat[i].apply(one) == RationalFunction.of(
                 ThetaPoly.coordinate(3, i))
 
     def test_constant_bivector_commutator(self, const3d):
-        xhat = build_xhat(const3d, build_gamma(const3d, 3))
+        xhat = build_xhat(const3d, build_gamma(const3d, 3), build_gamma1(const3d))
         th = ThetaPoly.theta(3)
         for i in range(3):
             for j in range(3):
@@ -152,7 +151,7 @@ class TestCoordinateOperators:
 
     def test_requires_enough_orders(self, fuzzy):
         with pytest.raises(UsageError):
-            build_xhat(fuzzy, build_gamma(fuzzy, 2))
+            build_xhat(fuzzy, build_gamma(fuzzy, 2), build_gamma1(fuzzy))
 
     def test_polynomial_coefficients_skip_division(self, quad2d, monkeypatch):
         """A unit denominator is kept as it is: building operators with
@@ -166,7 +165,7 @@ class TestCoordinateOperators:
 
         tower = build_gamma(quad2d, 3)
         monkeypatch.setattr(exact_algebra, "divide_exact", counting)
-        build_xhat(quad2d, tower)
+        build_xhat(quad2d, tower, build_gamma1(quad2d))
         x1 = parse_polynomial("x1", 2)
         StarProduct(quad2d, 2, trunc=3).left_multiplication_operator(x1 * x1)
         assert calls == []
@@ -176,20 +175,22 @@ class TestCoordinateOperators:
 
 class TestGamma1:
     def test_vanishes_for_constant_and_linear(self, fuzzy, const3d):
-        assert build_gamma1(fuzzy).is_zero
-        assert build_gamma1(const3d).is_zero
+        assert all(q.is_zero for q in build_gamma1(fuzzy))
+        assert all(q.is_zero for q in build_gamma1(const3d))
 
     def test_nonzero_for_quadratic(self, quad2d):
         g1 = build_gamma1(quad2d)
-        assert not g1.is_zero
-        # trailing symmetry is structural
-        assert g1.component(0, 0, 1) == g1.component(0, 1, 0)
+        assert not all(q.is_zero for q in g1)
+        # each Q^i is a grade-free quadratic form in the momenta
+        for q in g1:
+            assert q.is_theta_free
+            assert all(sum(exps) == 2 for exps in q.momentum_blocks())
 
     @pytest.mark.parametrize("which", ["fuzzy", "quad2d", "const3d"])
     def test_closure(self, which, request):
         w = request.getfixturevalue(which)
         product = StarProduct(w, 2, trunc=3)
-        xhat = build_xhat(w, build_gamma(w, 3))
+        xhat = build_xhat(w, build_gamma(w, 3), build_gamma1(w))
         defects = subalgebra_defect(xhat, w, product)
         assert all(op.is_zero for op in defects.values())
 
@@ -197,7 +198,7 @@ class TestGamma1:
         """Dropping the correction leaves exactly (i/8) A^{ij,l} d_l at
         grade 3, with A the double-derivative obstruction tensor."""
         product = StarProduct(quad2d, 2, trunc=3)
-        bare = build_xhat(quad2d, build_gamma(quad2d, 3), Gamma1Tensor.zero(2))
+        bare = build_xhat(quad2d, build_gamma(quad2d, 3), [ThetaPoly.zero(2)] * 2)
         residual = subalgebra_defect(bare, quad2d, product)[(0, 1)]
         expect = DiffOperator.zero(2, 3)
         for l in range(2):
@@ -235,7 +236,7 @@ class TestMomentumOperators:
     def test_mixed_commutator_first_grade(self, fuzzy):
         """[xhat, phat] = i delta - (i th/2) d_j w^{il} phat_l  exactly
         through first grade for the unit density."""
-        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3))
+        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3), build_gamma1(fuzzy))
         phat = build_phat(ThetaPoly.one(3))
         for i in range(3):
             for j in range(3):

@@ -89,21 +89,22 @@ class TestBivectorType:
 class TestCanonicalBracket:
     def test_canonical_pairs(self):
         n = 2
-        y1 = ThetaPoly.coordinate(n, 0, has_momenta=True)
+        y1 = ThetaPoly.coordinate(n, 0)
         pi1 = ThetaPoly.momentum(n, 0)
-        assert canonical_bracket(y1, pi1) == ThetaPoly.one(n, has_momenta=True)
+        assert canonical_bracket(y1, pi1) == ThetaPoly.one(n)
 
     def test_spec_example(self):
         n = 2
-        y1 = ThetaPoly.coordinate(n, 0, has_momenta=True)
-        y2 = ThetaPoly.coordinate(n, 1, has_momenta=True)
+        y1 = ThetaPoly.coordinate(n, 0)
+        y2 = ThetaPoly.coordinate(n, 1)
         pi2 = ThetaPoly.momentum(n, 1)
         assert canonical_bracket(y1 * pi2, y2) == -y1
 
     def test_requires_momentum_block(self):
+        # coordinate-only polynomials Poisson-commute
         f = parse_polynomial("x1", 2)
-        with pytest.raises(UsageError):
-            canonical_bracket(f, f)
+        assert canonical_bracket(f, f) == ThetaPoly.zero(2)
+        assert canonical_bracket(f, parse_polynomial("x2", 2)) == ThetaPoly.zero(2)
 
     @given(poly_strategy(2, momenta=True), poly_strategy(2, momenta=True))
     @settings(max_examples=25, deadline=None)
@@ -178,11 +179,11 @@ class TestGammaTower:
 class TestDarboux:
     def test_first_order_map(self, fuzzy):
         darboux = assemble_darboux(build_gamma(fuzzy, 1))
-        th = ThetaPoly.theta(3, 1, 3, True)
+        th = ThetaPoly.theta(3, 1, 3)
         for i in range(3):
-            expect = ThetaPoly.coordinate(3, i, 3, True)
+            expect = ThetaPoly.coordinate(3, i, 3)
             for j in range(3):
-                expect = expect - th * fuzzy.entry(i, j).with_momenta() \
+                expect = expect - th * fuzzy.entry(i, j) \
                     * ThetaPoly.momentum(3, j).scale(Fraction(1, 2))
             assert darboux.x_of[i] == expect
 
@@ -190,16 +191,16 @@ class TestDarboux:
         darboux = assemble_darboux(build_gamma(fuzzy, 2))
         for i in range(3):
             assert darboux.x_of[i].theta_coefficient(0) == \
-                ThetaPoly.coordinate(3, i, 3, True)
+                ThetaPoly.coordinate(3, i, 3)
             assert darboux.p_of[i] == ThetaPoly.momentum(3, i)
 
     def test_constant_bivector_exact_at_first_order(self, const3d):
         darboux = assemble_darboux(build_gamma(const3d, 3))
-        th = ThetaPoly.theta(3, 1, 3, True)
+        th = ThetaPoly.theta(3, 1, 3)
         for i in range(3):
-            expect = ThetaPoly.coordinate(3, i, 3, True)
+            expect = ThetaPoly.coordinate(3, i, 3)
             for j in range(3):
-                expect = expect - th * const3d.entry(i, j).with_momenta() \
+                expect = expect - th * const3d.entry(i, j) \
                     * ThetaPoly.momentum(3, j).scale(Fraction(1, 2))
             assert darboux.x_of[i] == expect
 
@@ -224,7 +225,7 @@ class TestDarboux:
     def test_order_zero_is_canonical(self, fuzzy):
         darboux = assemble_darboux(build_gamma(fuzzy, 0))
         for i in range(3):
-            assert darboux.x_of[i] == ThetaPoly.coordinate(3, i, 3, True)
+            assert darboux.x_of[i] == ThetaPoly.coordinate(3, i, 3)
         report = verify_darboux(darboux, fuzzy, 0)
         assert report.xx_zero and report.pp_zero
 
@@ -235,9 +236,9 @@ class TestDarboux:
         darboux = assemble_darboux(build_gamma(fuzzy, 3))
         images = {("x", i): darboux.x_of[i] for i in range(3)}
         got = fuzzy.entry(0, 1).with_trunc(3).substitute(images).theta_coefficient(1)
-        expect = ThetaPoly.zero(3, 3, True)
+        expect = ThetaPoly.zero(3, 3)
         for j in range(3):
-            expect = expect - fuzzy.entry(2, j).with_momenta() \
+            expect = expect - fuzzy.entry(2, j) \
                 * ThetaPoly.momentum(3, j).scale(Fraction(1, 2))
         assert got == expect
 
@@ -249,12 +250,12 @@ class TestDarboux:
         images.update({("p", i): pis[i] for i in range(3)})
         for i in range(3):
             back = darboux.x_of[i].with_trunc(3).substitute(images)
-            assert back == ThetaPoly.coordinate(3, i, 3, True)
+            assert back == ThetaPoly.coordinate(3, i, 3)
 
 
 class TestGeneralBrackets:
     def test_zero_gauge_matches_reference(self, fuzzy):
-        zero_j = [ThetaPoly.zero(3, 2, True)] * 3
+        zero_j = [ThetaPoly.zero(3, 2)] * 3
         got = general_brackets(fuzzy, zero_j, order=2)
         assert all(p.is_zero for p in got.varpi.values())
         for i in range(3):
@@ -263,41 +264,41 @@ class TestGeneralBrackets:
                     reference_delta(fuzzy, i, j, 2).truncated(2)
 
     def test_zero_gauge_agrees_with_darboux_report(self, fuzzy):
-        zero_j = [ThetaPoly.zero(3, 2, True)] * 3
+        zero_j = [ThetaPoly.zero(3, 2)] * 3
         got = general_brackets(fuzzy, zero_j, order=2)
         report = verify_darboux(assemble_darboux(build_gamma(fuzzy, 2)), fuzzy, 2)
         for key, val in got.delta.items():
             assert val == report.delta[key]
 
     def test_gradient_gauge_kills_first_grade_varpi(self, fuzzy):
-        f = parse_polynomial("x1^2*x2 + x3^2 - x1", 3).with_momenta()
+        f = parse_polynomial("x1^2*x2 + x3^2 - x1", 3)
         grad_j = [f.diff_x(i) for i in range(3)]
         got = general_brackets(fuzzy, grad_j, order=2)
         for p in got.varpi.values():
             assert p.theta_coefficient(1).is_zero
 
     def test_nongradient_gauge_shows_in_varpi(self, fuzzy):
-        j = [ThetaPoly.momentum(3, 0, 2) * ThetaPoly.coordinate(3, 1, 2, True),
-             ThetaPoly.zero(3, 2, True), ThetaPoly.zero(3, 2, True)]
+        j = [ThetaPoly.momentum(3, 0, 2) * ThetaPoly.coordinate(3, 1, 2),
+             ThetaPoly.zero(3, 2), ThetaPoly.zero(3, 2)]
         got = general_brackets(fuzzy, j, order=2)
         assert any(not p.theta_coefficient(1).is_zero for p in got.varpi.values())
 
     def test_full_structure_jacobi_first_grade(self, fuzzy):
-        j = [ThetaPoly.momentum(3, 0, 2) * ThetaPoly.coordinate(3, 1, 2, True),
-             ThetaPoly.zero(3, 2, True), ThetaPoly.zero(3, 2, True)]
+        j = [ThetaPoly.momentum(3, 0, 2) * ThetaPoly.coordinate(3, 1, 2),
+             ThetaPoly.zero(3, 2), ThetaPoly.zero(3, 2)]
         got = general_brackets(fuzzy, j, order=2)
-        th = ThetaPoly.theta(3, 1, 2, True)
+        th = ThetaPoly.theta(3, 1, 2)
 
         def omega_fn(mu, nu):
             if mu < 3 and nu < 3:
-                return th * fuzzy.entry(mu, nu).with_trunc(2).with_momenta()
+                return th * fuzzy.entry(mu, nu).with_trunc(2)
             if mu < 3 <= nu:
                 return got.delta[(mu, nu - 3)]
             if nu < 3 <= mu:
                 return -got.delta[(nu, mu - 3)]
             i, j_ = mu - 3, nu - 3
             if i == j_:
-                return ThetaPoly.zero(3, 2, True)
+                return ThetaPoly.zero(3, 2)
             return got.varpi[(i, j_)] if i < j_ else -got.varpi[(j_, i)]
 
         assert not phase_space_jacobi_defect(3, omega_fn, 1)

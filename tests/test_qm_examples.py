@@ -39,7 +39,7 @@ class TestFreeParticle:
 
     def test_eigenvalue_symbol(self):
         report = free_particle_check(parse_polynomial("1+x1^2", 3))
-        expect = ThetaPoly.zero(3, 3, True)
+        expect = ThetaPoly.zero(3, 3)
         for i in range(3):
             expect = expect + ThetaPoly.momentum(3, i) ** 2
         assert report.eigenvalue_symbol == expect.scale(Fraction(1, 2))

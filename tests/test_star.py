@@ -23,7 +23,7 @@ from ncqm.poisson import (
     constant_bivector,
     fuzzy_sphere_bivector,
 )
-from ncqm.operators import Gamma1Tensor, build_gamma1, build_phat, build_xhat
+from ncqm.operators import build_gamma1, build_phat, build_xhat
 from ncqm.star import (
     GaugeError,
     Measure,
@@ -131,8 +131,8 @@ class TestAssociativity:
 
     def test_product_depends_on_gamma1(self, monkeypatch, rng):
         """The grade-3 rules come from the coordinate operators, correction
-        tensor included: doubling that tensor breaks associativity at grade
-        3 and nowhere else."""
+        Q^i included: doubling Q breaks associativity at grade 3 and
+        nowhere else."""
         # w^{ij} = eps^{ijk} d_k C for C = x3^3/3 + x1^2*x2 + x2^2
         w = PoissonBivector(3, {(0, 1): parse_polynomial("x3^2", 3),
                                 (1, 2): parse_polynomial("2*x1*x2", 3),
@@ -141,9 +141,7 @@ class TestAssociativity:
         assert assoc_defect(f, g, h, StarProduct(w, 3)).is_zero
 
         def doubled(w, trunc=3):
-            true = build_gamma1(w, trunc)
-            return Gamma1Tensor(w.n, {key: p.scale(2)
-                                      for key, p in true.components.items()})
+            return [q.scale(2) for q in build_gamma1(w, trunc)]
 
         monkeypatch.setattr(ncqm.star, "build_gamma1", doubled)
         defect = assoc_defect(f, g, h, StarProduct(w, 3))
@@ -161,7 +159,7 @@ class TestAssociativity:
         coordinate operator, term by term through grade 3."""
         for w in (fuzzy, quad2d):
             sp = StarProduct(w, 3)
-            xhat = build_xhat(w, build_gamma(w, 3))
+            xhat = build_xhat(w, build_gamma(w, 3), build_gamma1(w))
             for i in range(w.n):
                 got = sp.left_multiplication_operator(
                     ThetaPoly.coordinate(w.n, i, sp.trunc))
