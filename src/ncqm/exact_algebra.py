@@ -5,6 +5,12 @@ rational functions, and Gaussian-weighted integrands with closed-form
 moments.  Everything here is immutable after construction and all
 operations are pure, so values can be shared freely.
 
+Scalar layout: a ``GaussianRational`` is one reduced int triple
+``(a, b, d)`` meaning ``(a + b*i)/d``, with ``d > 0`` and
+``gcd(a, b, d) = 1``; equal values have equal triples.  ``re`` and ``im``
+are ``Fraction`` views derived from it, used by the text form and the
+parser's size caps.
+
 Term layout: a polynomial term is keyed by ``(grade, exponents)``, where
 ``exponents`` holds the n coordinate exponents followed by the n momentum
 exponents.  There is one format for coordinate and phase-space values: a
@@ -25,6 +31,8 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Mapping, Optional, Union
 
 DEFAULT_TRUNC = 3
@@ -46,16 +54,27 @@ class UsageError(ValueError):
 
 
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number (a + b*i)/d with integers a, b, d.
 
-    __slots__ = ("re", "im")
+    The triple is kept reduced: d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples and zero is (0, 0, 1).  ``re`` and ``im`` are derived
+    ``Fraction`` views of it.  Arithmetic builds its results through
+    ``_make``, which reduces with one gcd and skips the public constructor.
+    Values are immutable by convention: nothing assigns to a, b or d after
+    construction.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GaussianRational is immutable")
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        q, r = re.denominator, im.denominator
+        # reduced parts over their lcm leave gcd(a, b, d) = 1
+        d = q // gcd(q, r) * r
+        self.a, self.b, self.d = re.numerator * (d // q), im.numerator * (d // r), d
 
     @staticmethod
     def of(value: Scalarish) -> "GaussianRational":
@@ -64,24 +83,36 @@ class GaussianRational:
         return GaussianRational(value)
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def __add__(self, other: Scalarish) -> "GaussianRational":
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a + other.a, self.b + other.b, d1)
+        return _make(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other: Scalarish) -> "GaussianRational":
         return self + (-GaussianRational.of(other))
@@ -90,23 +121,24 @@ class GaussianRational:
         return GaussianRational.of(other) + (-self)
 
     def __mul__(self, other: Scalarish) -> "GaussianRational":
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not b1 and not b2:
+            return _make(a1 * a2, 0, self.d * other.d)
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalarish) -> "GaussianRational":
         other = GaussianRational.of(other)
-        norm = other.re * other.re + other.im * other.im
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        norm = a2 * a2 + b2 * b2
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # ((a1 + b1 i)/d1) / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 norm)
+        a1, b1 = a1 * other.d, b1 * other.d
+        return _make(a1 * a2 + b1 * b2, b1 * a2 - a1 * b2, self.d * norm)
 
     def __rtruediv__(self, other: Scalarish) -> "GaussianRational":
         return GaussianRational.of(other) / self
@@ -124,22 +156,24 @@ class GaussianRational:
         return out
 
     def __eq__(self, other) -> bool:
+        if type(other) is GaussianRational:
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (not self.b and self.d == other.denominator
+                    and self.a == other.numerator)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
         # canonical text form: "p/q" or "p/q+r/s*i", explicit sign, reduced
-        re_s = f"{self.re.numerator}/{self.re.denominator}"
-        if self.im == 0:
+        re, im = self.re, self.im
+        re_s = f"{re.numerator}/{re.denominator}"
+        if im == 0:
             return re_s
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         return f"{re_s}{sign}{mag.numerator}/{mag.denominator}*i"
 
     def __repr__(self) -> str:
@@ -159,6 +193,24 @@ class GaussianRational:
         if m.group(3) == "-":
             im_part = -im_part
         return GaussianRational(re_part, im_part)
+
+
+_new_scalar = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced by one gcd when d != 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = _new_scalar(GaussianRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
 
 
 ZERO = GaussianRational(0)
@@ -735,20 +787,25 @@ class GaussianFunction:
         return f"({self.prefactor.text()}) * exp(-{self.weight}*r^2)"
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+# Entries of the moment table that ``gaussian_integrate`` keeps: one per
+# (exponent vector, weight) pair, least recently used dropped first.
+MOMENT_TABLE_SIZE = 4096
 
 
-def _moment(e: int, weight: int) -> Fraction:
-    """integral over the line of x^e exp(-weight x^2), divided by sqrt(pi/weight)."""
-    if e % 2 == 1:
-        return Fraction(0)
-    k = e // 2
-    return Fraction(_double_factorial(2 * k - 1), (2 * weight) ** k)
+@lru_cache(maxsize=MOMENT_TABLE_SIZE)
+def _moment_product(exps: tuple[int, ...], weight: int) -> Optional[GaussianRational]:
+    """Integral over all space of prod_i x_i^exps[i] exp(-weight |x|^2), in
+    units of (pi/weight)^(n/2); None when an odd exponent makes it zero.
+
+    Each axis contributes (e-1)!! / (2 weight)^(e/2)."""
+    num, half = 1, 0
+    for e in exps:
+        if e & 1:
+            return None
+        for k in range(e - 1, 1, -2):
+            num *= k
+        half += e >> 1
+    return _make(num, 0, (2 * weight) ** half)
 
 
 class GaussianIntegral:
@@ -832,21 +889,18 @@ class GaussianIntegral:
 
 
 def gaussian_integrate(f: GaussianFunction) -> GaussianIntegral:
-    """Closed-form integral over all space, via one-dimensional moments."""
-    n = f.n
+    """Closed-form integral over all space, one moment-table lookup per term
+    (the prefactor's momentum exponents are zero)."""
+    weight = f.weight
     parts: dict[tuple[int, int], GaussianRational] = {}
     for (t, e), c in f.prefactor.terms.items():
-        m = Fraction(1)
-        for k in e[:n]:
-            m *= _moment(k, f.weight)
-            if m == 0:
-                break
-        if m == 0:
+        m = _moment_product(e, weight)
+        if m is None:
             continue
-        key = (t, f.weight)
+        key = (t, weight)
         c = c * m
         parts[key] = parts[key] + c if key in parts else c
-    return GaussianIntegral(n, parts)
+    return GaussianIntegral(f.n, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -154,14 +154,19 @@ class StarProduct:
     # -- evaluation -------------------------------------------------------------
 
     def star(self, f, g, order: Optional[int] = None):
-        """Exact product of two polynomials or Gaussian-class functions."""
+        """Exact product of two polynomials or Gaussian-class functions.
+
+        Every rule's piece is added term by term into one accumulator; for
+        Gaussian-class operands the pieces are prefactors, all of weight
+        wf + wg, wrapped once at the end."""
         if order is None:
             order = self.order
         if order > self.order:
             raise UsageError(f"product built only through grade {self.order}")
-        out = None
-        d_cache_f: dict[MultiIndex, object] = {}
-        d_cache_g: dict[MultiIndex, object] = {}
+        acc: dict = {}
+        top = None
+        d_cache_f: dict[MultiIndex, ThetaPoly] = {}
+        d_cache_g: dict[MultiIndex, ThetaPoly] = {}
         for k in range(order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = self._diff_cached(f, a, d_cache_f)
@@ -170,17 +175,29 @@ class StarProduct:
                 dg = self._diff_cached(g, b, d_cache_g)
                 if dg.is_zero:
                     continue
-                piece = (coeff * df * dg).theta_shift(k)
-                out = piece if out is None else out + piece
-        if out is None:
-            out = _zero_like(f, g, self.n, self.trunc)
+                piece = coeff * df * dg
+                if top is None or piece.trunc < top:
+                    top = piece.trunc
+                for (t, e), c in piece.terms.items():
+                    t += k
+                    if t <= top:
+                        key = (t, e)
+                        acc[key] = acc[key] + c if key in acc else c
+        if top is None:
+            return _zero_like(f, g, self.n, self.trunc)
+        out = ThetaPoly(self.n, acc, top)
+        if isinstance(f, GaussianFunction) or isinstance(g, GaussianFunction):
+            return GaussianFunction(out, _weight(f) + _weight(g))
         return out
 
     @staticmethod
-    def _diff_cached(f, midx: MultiIndex, cache: dict):
+    def _diff_cached(f, midx: MultiIndex, cache: dict) -> ThetaPoly:
+        """The midx derivative of f, or of its prefactor for a Gaussian-class f."""
         got = cache.get(midx)
         if got is None:
             got = f.diff_multi(midx)
+            if isinstance(got, GaussianFunction):
+                got = got.prefactor
             cache[midx] = got
         return got
 
@@ -208,11 +225,13 @@ class StarProduct:
         return self.with_gauge(gauge).star(f, g, order)
 
 
+def _weight(f) -> int:
+    return f.weight if isinstance(f, GaussianFunction) else 0
+
+
 def _zero_like(f, g, n: int, trunc: int):
     if isinstance(f, GaussianFunction) or isinstance(g, GaussianFunction):
-        wf = f.weight if isinstance(f, GaussianFunction) else 0
-        wg = g.weight if isinstance(g, GaussianFunction) else 0
-        return GaussianFunction(ThetaPoly.zero(n, trunc), max(wf + wg, 1))
+        return GaussianFunction(ThetaPoly.zero(n, trunc), max(_weight(f) + _weight(g), 1))
     return ThetaPoly.zero(n, trunc)
 
 

@@ -2,6 +2,7 @@
 Gaussian-class integrands."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from ncqm.exact_algebra import (
     gaussian_integrate,
     parse_polynomial,
 )
+from ncqm.exact_algebra import _moment_product
 
 from conftest import poly_strategy, scalars
 
@@ -48,6 +50,137 @@ class TestGaussianRational:
     def test_text_forms(self):
         assert str(GaussianRational(Fraction(1, 2))) == "1/2"
         assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
+
+
+# The kernel stores (a + b*i)/d as an int triple; the reference below is the
+# two-Fraction arithmetic it replaced, written out independently.
+
+parts = st.one_of(st.integers(min_value=-60, max_value=60),
+                  st.fractions(min_value=-60, max_value=60, max_denominator=90))
+kernel_scalars = st.builds(GaussianRational, parts, parts)
+operands = st.one_of(kernel_scalars, st.integers(min_value=-9, max_value=9),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+def reduced(z):
+    """z, after checking that its triple is canonical."""
+    assert type(z) is GaussianRational
+    assert all(type(v) is int for v in (z.a, z.b, z.d))
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    return z
+
+
+def pair(x):
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def ref_mul(x, y):
+    (p, q), (r, s) = x, y
+    return p * r - q * s, p * s + q * r
+
+
+def ref_div(x, y):
+    (p, q), (r, s) = x, y
+    norm = r * r + s * s
+    return (p * r + q * s) / norm, (q * r - p * s) / norm
+
+
+def ref_text(x):
+    re, im = x
+    out = f"{re.numerator}/{re.denominator}"
+    if im:
+        sign = "+" if im > 0 else "-"
+        out += f"{sign}{abs(im).numerator}/{abs(im).denominator}*i"
+    return out
+
+
+def agrees(z, want):
+    assert pair(reduced(z)) == want
+    # equal values have equal triples
+    canon = GaussianRational(*want)
+    assert (z.a, z.b, z.d) == (canon.a, canon.b, canon.d)
+
+
+class TestScalarKernel:
+    @given(kernel_scalars, operands)
+    @settings(max_examples=300)
+    def test_ring_ops_match_fraction_pairs(self, z, w):
+        x, y = pair(z), pair(w)
+        agrees(z + w, (x[0] + y[0], x[1] + y[1]))
+        agrees(w + z, (x[0] + y[0], x[1] + y[1]))
+        agrees(z - w, (x[0] - y[0], x[1] - y[1]))
+        agrees(w - z, (y[0] - x[0], y[1] - x[1]))
+        agrees(z * w, ref_mul(x, y))
+        agrees(w * z, ref_mul(x, y))
+        agrees(-z, (-x[0], -x[1]))
+        agrees(z.conjugate(), (x[0], -x[1]))
+
+    @given(kernel_scalars, operands)
+    @settings(max_examples=300)
+    def test_division_matches_fraction_pairs(self, z, w):
+        x, y = pair(z), pair(w)
+        if y != (0, 0):
+            agrees(z / w, ref_div(x, y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z / w
+        if x != (0, 0):
+            agrees(w / z, ref_div(y, x))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                w / z
+
+    @given(kernel_scalars, st.integers(min_value=-5, max_value=5))
+    @settings(max_examples=150)
+    def test_powers_match_fraction_pairs(self, z, k):
+        x = pair(z)
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            want = ref_mul(want, x)
+        if k >= 0:
+            agrees(z ** k, want)
+        elif x == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                z ** k
+        else:
+            agrees(z ** k, ref_div((Fraction(1), Fraction(0)), want))
+
+    @given(kernel_scalars, st.one_of(st.integers(min_value=-60, max_value=60), parts))
+    @settings(max_examples=200)
+    def test_equality_with_ints_and_fractions(self, z, q):
+        x = pair(z)
+        assert (z == q) == (x[1] == 0 and x[0] == q)
+        assert (z != q) == (not (x[1] == 0 and x[0] == q))
+        assert GaussianRational(q) == q
+        assert z == GaussianRational(*x)
+
+    @given(kernel_scalars)
+    @settings(max_examples=200)
+    def test_text_and_parse_roundtrip(self, z):
+        text = str(z)
+        assert text == ref_text(pair(z))
+        back = GaussianRational.parse(text)
+        agrees(back, pair(z))
+        assert hash(back) == hash(z)
+
+    def test_zero_is_one_triple(self):
+        for z in (GaussianRational(0), GaussianRational(Fraction(0, 7), 0),
+                  GaussianRational(Fraction(3, 4)) - Fraction(3, 4),
+                  GaussianRational(0, Fraction(2, 9)) * 0):
+            assert (reduced(z).a, z.b, z.d) == (0, 0, 1)
+            assert z.is_zero and z == 0 and str(z) == "0/1"
+
+    def test_division_by_zero_raises(self):
+        one = GaussianRational(1)
+        for zero in (GaussianRational(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                one / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / GaussianRational(0)
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational(0) ** -2
 
 
 class TestThetaPoly:
@@ -280,6 +413,13 @@ class TestGaussianClass:
         f = GaussianFunction(ThetaPoly.coordinate(3, 0) ** 2)
         assert gaussian_integrate(f).coefficient(0, 1) == \
             GaussianRational(Fraction(1, 2))
+
+    def test_moment_table_entries(self):
+        # (3!! / 6^2) * (1 / 6) for x1^4 x2^2 under exp(-3|x|^2)
+        assert _moment_product((4, 2, 0, 0), 3) == GaussianRational(Fraction(1, 72))
+        assert _moment_product((0, 0), 5) == GaussianRational(1)
+        assert _moment_product((2, 1), 1) is None
+        assert _moment_product((4, 2, 0, 0), 3) is _moment_product((4, 2, 0, 0), 3)
 
     def test_integral_arithmetic(self):
         a = gaussian_integrate(GaussianFunction(ThetaPoly.one(2)))
