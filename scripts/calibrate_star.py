@@ -67,7 +67,7 @@ def check_closure():
     print("== coordinate-operator closure at grade 3 ==")
     for name, w in bivector_family():
         sp = StarProduct(w, 2, trunc=3)
-        defects = subalgebra_defect(sp.xhat, w, sp)
+        defects, = subalgebra_defect([sp.xhat], w, sp)
         ok = all(op.is_zero for op in defects.values())
         print(f"   {name}: closure defect zero = {ok}")
         if not ok:

@@ -33,6 +33,7 @@ import re as _re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, sub
 from typing import Mapping, Optional, Union
 
 DEFAULT_TRUNC = 3
@@ -542,11 +543,11 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
 def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
     """Return num/den when den divides num exactly, else None.
 
-    The divisor must be a nonzero, grade-free, coordinate-only polynomial.
-    Division runs independently on every grade of the numerator; the
-    momentum exponents are just more variables under grlex.  A single
-    divisor always yields a unique remainder, and exact divisibility is
-    equivalent to that remainder being zero.
+    The divisor must be a nonzero, grade-free, coordinate-only polynomial,
+    so division runs independently on the coordinate polynomial that
+    multiplies each grade and momentum monomial, lowest momentum degree
+    first.  A single divisor always yields a unique remainder, and exact
+    divisibility is equivalent to that remainder being zero.
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
@@ -556,22 +557,23 @@ def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
                        key=lambda item: _grlex_key(item[0]), reverse=True)
     lead_e, lead_c = den_terms[0]
 
-    blocks: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
+    n = num.n
+    blocks: dict[tuple, dict[tuple[int, ...], GaussianRational]] = {}
     for (t, e), c in num.terms.items():
-        blocks.setdefault(t, {})[e] = c
+        blocks.setdefault((sum(e[n:]), e[n:], t), {})[e] = c
 
     out: dict[TermKey, GaussianRational] = {}
-    for t, rem in blocks.items():
+    for (_, _, t), rem in sorted(blocks.items()):
         while rem:
             e = max(rem, key=_grlex_key)
             c = rem[e]
-            if any(a < b for a, b in zip(e, lead_e)):
+            q_e = tuple(map(sub, e, lead_e))
+            if min(q_e) < 0:
                 return None
-            q_e = tuple(a - b for a, b in zip(e, lead_e))
             q_c = c / lead_c
             out[(t, q_e)] = q_c
             for d_e, d_c in den_terms:
-                k = tuple(a + b for a, b in zip(q_e, d_e))
+                k = tuple(map(add, q_e, d_e))
                 s = rem.get(k, ZERO) - q_c * d_c
                 if s.is_zero:
                     rem.pop(k, None)
@@ -585,24 +587,24 @@ class RationalFunction:
 
     No factorization is attempted; equality is decided by
     cross-multiplication and the only simplification performed is exact
-    cancellation of the full denominator.
+    cancellation of the full denominator.  A denominator that stays takes
+    the numerator's truncation, so products never cut the numerator short.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: ThetaPoly, den: Optional[ThetaPoly] = None):
-        if den is None:
+        if den is not None:
+            if den.is_zero:
+                raise ZeroDivisionError("zero denominator")
+            if not (den.is_theta_free and den.is_coordinate_only):
+                raise UsageError("denominator must be grade-free and coordinate-only")
+        if den is None or num.is_zero or den == 1:
             den = ThetaPoly.one(num.n, num.trunc)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if not (den.is_theta_free and den.is_coordinate_only):
-            raise UsageError("denominator must be grade-free and coordinate-only")
-        if num.is_zero or den == 1:
-            den = ThetaPoly.one(num.n, num.trunc)
+        elif (q := divide_exact(num, den)) is not None:
+            num, den = q, ThetaPoly.one(num.n, num.trunc)
         else:
-            q = divide_exact(num, den)
-            if q is not None:
-                num, den = q, ThetaPoly.one(num.n, num.trunc)
+            den = den.with_trunc(num.trunc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -627,11 +629,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den == ThetaPoly.one(self.n, self.den.trunc)
 
-    def as_poly(self) -> ThetaPoly:
-        if not self.is_polynomial:
-            raise UsageError("rational function is not polynomial")
-        return self.num
-
     def __add__(self, other) -> "RationalFunction":
         other = RationalFunction.of(other)
         if self.den == other.den:
@@ -655,12 +652,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        other = RationalFunction.of(other)
-        if not (other.num.is_theta_free and other.num.is_coordinate_only):
-            raise UsageError("can only divide by coordinate-only quantities")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def diff_x(self, i: int) -> "RationalFunction":
         # quotient rule; keeps the denominator squared only when needed
         dnum = self.num.diff_x(i)
@@ -670,8 +661,14 @@ class RationalFunction:
         return RationalFunction(dnum * self.den - self.num * dden,
                                 self.den * self.den)
 
-    def conjugate(self) -> "RationalFunction":
-        return RationalFunction(self.num.conjugate(), self.den.conjugate())
+    def theta_shift(self, k: int) -> "RationalFunction":
+        return RationalFunction(self.num.theta_shift(k), self.den)
+
+    def theta_coefficient(self, k: int) -> "RationalFunction":
+        return RationalFunction(self.num.theta_coefficient(k), self.den)
+
+    def truncated(self, order: int) -> "RationalFunction":
+        return RationalFunction(self.num.truncated(order), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational, ThetaPoly)):
@@ -681,9 +678,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        raise TypeError("RationalFunction is unhashable")
 
     def text(self) -> str:
         if self.is_polynomial:

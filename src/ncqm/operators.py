@@ -1,22 +1,25 @@
-"""Polydifferential operator algebra.
+"""Differential operators stored as normal-ordered symbols.
 
-Operators are kept in normal form: rational-function coefficients stand to
-the left of coordinate derivatives.  Composition expands coefficients by
-the Leibniz rule exactly; everything is graded by the deformation
-parameter and truncated at a fixed order.
+An operator is one ``RationalFunction`` symbol: its numerator is a
+phase-space ``ThetaPoly`` whose term ``c th^t x^e p^a`` stands for
+``c th^t x^e d^a``, the coefficient to the left of the derivatives, and
+its denominator is a grade-free coordinate polynomial, 1 unless a
+coefficient is rational.  Sums, scalings and grade slices are the
+symbol's own arithmetic; composition is the normal-ordered product
+sum_gamma (1/gamma!) d_p^gamma a * d_x^gamma b.
 
 The coordinate operators xhat^i are built here, by ``build_xhat``, and
 nowhere else: ``StarProduct`` keeps the ones it derives its rules from as
-``product.xhat``.  They quantize momentum polynomials: the Darboux tower
-P^i_m, and at grade 3 P^i_3 - Q^i with the correction Q^i of
-``build_gamma1`` stored in the same form.
+``product.xhat``.  Each is the Darboux tower read as a symbol,
+x^i + sum_k th^k (-i)^k P^i_k with P^i_3 - Q^i at grade 3, the correction
+Q^i of ``build_gamma1`` stored in the same momentum-polynomial form: every
+canonical momentum p becomes -i d.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exact_algebra import (
     DimensionError,
@@ -27,143 +30,147 @@ from .exact_algebra import (
     RationalFunction,
     ThetaPoly,
     UsageError,
+    divide_exact,
     multi_index,
 )
 from .poisson import GammaTower, PoissonBivector, levi_civita
 
 MultiIndex = tuple[int, ...]
 Coefficient = Union[RationalFunction, ThetaPoly, GaussianRational, int, Fraction]
+MINUS_I = GaussianRational(0, -1)
 
 
-def _binomial_tuples(alpha: MultiIndex):
-    """All gamma <= alpha with the product of per-axis binomials."""
-    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
-        yield gamma, math.prod(map(math.comb, alpha, gamma))
+def _leibniz(a: ThetaPoly, b: ThetaPoly, d: ThetaPoly, c) -> tuple[ThetaPoly, int]:
+    """The normal-ordered product of the symbol a with the function
+    b d^(-c): sum_gamma (1/gamma!) d_p^gamma a * d_x^gamma(b d^(-c)).
+
+    Each d_x^gamma(b d^(-c)) is N_gamma d^(-c-|gamma|), with
+    N_(gamma+e_i) = d d_i N_gamma - (|gamma| + c) N_gamma d_i d; the sum is
+    returned as its numerator over d^(c+M), together with the top order M.
+    """
+    flat = d == 1
+    pieces = [] if a.is_zero or b.is_zero else [(a, b, 0, Fraction(1))]
+    for i in range(a.n):
+        grown = []
+        for da, nb, m, f in pieces:
+            for k in itertools.count(1):
+                grown.append((da, nb, m, f))
+                da = da.diff_p(i)
+                if da.is_zero:
+                    break
+                nb = nb.diff_x(i) if flat else \
+                    d * nb.diff_x(i) - d.diff_x(i) * nb.scale(m + c)
+                if nb.is_zero:
+                    break
+                m, f = m + 1, f / k
+        pieces = grown
+    top = max((m for _, _, m, _ in pieces), default=0)
+    powers = [] if flat else [d ** j for j in range(top + 1)]
+    total = ThetaPoly.zero(a.n, min(a.trunc, b.trunc))
+    for da, nb, m, f in pieces:
+        piece = da * nb if f == 1 else (da * nb).scale(f)
+        total = total + (piece if flat or m == top else piece * powers[top - m])
+    return total, top
 
 
 class DiffOperator:
-    """Grade-graded sum of coefficient * derivative-multi-index terms."""
+    """A differential operator, held as its normal-ordered symbol."""
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ("symbol",)
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, MultiIndex], RationalFunction],
-                 trunc: int):
-        # canonical form: all grading lives in the term key, coefficients
-        # are grade-free rational functions
-        clean: dict[tuple[int, MultiIndex], RationalFunction] = {}
-        for (t, midx), coeff in terms.items():
-            if t > trunc or coeff.is_zero:
-                continue
-            if len(midx) != n:
-                raise DimensionError("derivative multi-index length mismatch")
-            midx = tuple(midx)
-            for s in range(coeff.num.max_theta_power() + 1):
-                num_s = coeff.num.theta_coefficient(s)
-                if num_s.is_zero or t + s > trunc:
-                    continue
-                part = RationalFunction(num_s, coeff.den)
-                key = (t + s, midx)
-                clean[key] = clean[key] + part if key in clean else part
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms",
-                           {k: c for k, c in clean.items() if not c.is_zero})
+    def __init__(self, symbol: Union[ThetaPoly, RationalFunction]):
+        object.__setattr__(self, "symbol", RationalFunction.of(symbol))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("DiffOperator is immutable")
+
+    @property
+    def n(self) -> int:
+        return self.symbol.n
+
+    @property
+    def trunc(self) -> int:
+        return self.symbol.num.trunc
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(n: int, trunc: int = 3) -> "DiffOperator":
-        return DiffOperator(n, {}, trunc)
+        return DiffOperator(ThetaPoly.zero(n, trunc))
 
     @staticmethod
     def identity(n: int, trunc: int = 3) -> "DiffOperator":
-        one = RationalFunction(ThetaPoly.one(n, trunc))
-        return DiffOperator(n, {(0, (0,) * n): one}, trunc)
+        return DiffOperator(ThetaPoly.one(n, trunc))
 
     @staticmethod
     def multiplication(f: Union[ThetaPoly, RationalFunction],
                        trunc: Optional[int] = None) -> "DiffOperator":
         f = RationalFunction.of(f)
-        if trunc is None:
-            trunc = f.num.trunc
-        return DiffOperator(f.n, {(0, (0,) * f.n): f}, trunc)
+        if trunc is not None:
+            f = RationalFunction(f.num.with_trunc(trunc), f.den)
+        return DiffOperator(f)
 
     @staticmethod
     def derivative(n: int, i: int, trunc: int = 3) -> "DiffOperator":
-        one = RationalFunction(ThetaPoly.one(n, trunc))
-        return DiffOperator(n, {(0, multi_index(n, i)): one}, trunc)
+        return DiffOperator(ThetaPoly.momentum(n, i, trunc))
 
     @staticmethod
     def term(coeff: Coefficient, midx: MultiIndex, theta_power: int = 0,
              n: Optional[int] = None, trunc: int = 3) -> "DiffOperator":
         if isinstance(coeff, (int, Fraction, GaussianRational)):
-            if n is None:
-                n = len(midx)
-            coeff = RationalFunction(ThetaPoly.constant(n, coeff, trunc))
-        else:
-            coeff = RationalFunction.of(coeff)
-            n = coeff.n
-        return DiffOperator(n, {(theta_power, tuple(midx)): coeff}, trunc)
+            coeff = ThetaPoly.constant(len(midx) if n is None else n, coeff, trunc)
+        coeff = RationalFunction.of(coeff)
+        mono = ThetaPoly.monomial(coeff.n, p=tuple(midx), grade=theta_power, trunc=trunc)
+        return DiffOperator(RationalFunction(coeff.num.with_trunc(trunc) * mono, coeff.den))
 
     # -- linear structure ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.symbol.is_zero
+
+    @property
+    def terms(self) -> dict[tuple[int, MultiIndex], RationalFunction]:
+        """Read-only view of the symbol: (grade, derivative multi-index) ->
+        grade-free coefficient."""
+        slices = ((t, midx, block.theta_coefficient(t))
+                  for midx, block in self.symbol.num.momentum_blocks().items()
+                  for t in range(block.max_theta_power() + 1))
+        return {(t, midx): RationalFunction(c, self.symbol.den)
+                for t, midx, c in slices if not c.is_zero}
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if self.n != other.n:
-            raise DimensionError("operator dimension mismatch")
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return DiffOperator(self.n, out, trunc)
+        return DiffOperator(self.symbol + other.symbol)
 
     def __neg__(self) -> "DiffOperator":
-        return DiffOperator(self.n, {k: -c for k, c in self.terms.items()}, self.trunc)
+        return DiffOperator(-self.symbol)
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-other)
+        return DiffOperator(self.symbol - other.symbol)
 
     def scale(self, c: Coefficient) -> "DiffOperator":
-        return DiffOperator(self.n, {k: v * c for k, v in self.terms.items()},
-                            self.trunc)
+        return DiffOperator(self.symbol * c)
 
     def theta_shift(self, k: int) -> "DiffOperator":
-        return DiffOperator(self.n,
-                            {(t + k, m): c for (t, m), c in self.terms.items()
-                             if t + k <= self.trunc},
-                            self.trunc)
+        return DiffOperator(self.symbol.theta_shift(k))
 
     def theta_slice(self, k: int) -> "DiffOperator":
-        return DiffOperator(self.n,
-                            {(0, m): c for (t, m), c in self.terms.items() if t == k},
-                            self.trunc)
+        return DiffOperator(self.symbol.theta_coefficient(k))
 
     def truncated(self, order: int) -> "DiffOperator":
-        return DiffOperator(self.n,
-                            {k: c for k, c in self.terms.items() if k[0] <= order},
-                            self.trunc)
-
-    def max_theta_power(self) -> int:
-        return max((t for (t, _) in self.terms), default=0)
+        return DiffOperator(self.symbol.truncated(order))
 
     # -- action and composition ----------------------------------------------
 
     def apply_poly(self, f: ThetaPoly) -> RationalFunction:
         if f.n != self.n:
             raise DimensionError("operand dimension mismatch")
-        out = RationalFunction(ThetaPoly.zero(self.n, min(self.trunc, f.trunc)))
-        for (t, midx), coeff in self.terms.items():
+        out = ThetaPoly.zero(self.n, min(self.trunc, f.trunc))
+        for midx, block in self.symbol.num.momentum_blocks().items():
             d = f.diff_multi(midx)
-            if d.is_zero:
-                continue
-            out = out + coeff * RationalFunction.of(d.theta_shift(t))
-        return out
+            if not d.is_zero:
+                out = out + block * d
+        return RationalFunction(out, self.symbol.den)
 
     def apply(self, f):
         """Exact application; Gaussian-class operands need polynomial
@@ -171,45 +178,27 @@ class DiffOperator:
         if isinstance(f, ThetaPoly):
             return self.apply_poly(f)
         if isinstance(f, GaussianFunction):
+            if not self.symbol.is_polynomial:
+                raise UsageError("rational coefficients cannot act on the Gaussian class")
             out = GaussianFunction(ThetaPoly.zero(self.n, f.prefactor.trunc), f.weight)
-            for (t, midx), coeff in self.terms.items():
-                if not coeff.is_polynomial:
-                    raise UsageError("rational coefficients cannot act on the Gaussian class")
-                d = f.diff_multi(midx)
-                out = out + d * coeff.num.theta_shift(t)
+            for midx, block in self.symbol.num.momentum_blocks().items():
+                out = out + f.diff_multi(midx) * block
             return out
         raise UsageError(f"cannot apply operator to {type(f).__name__}")
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self after other, with the Leibniz expansion of coefficients."""
+        """self after other: the normal-ordered product of the symbols."""
         if self.n != other.n:
             raise DimensionError("operator dimension mismatch")
-        trunc = min(self.trunc, other.trunc)
-        out: dict[tuple[int, MultiIndex], RationalFunction] = {}
-        for (t1, alpha), c1 in self.terms.items():
-            for (t2, beta), c2 in other.terms.items():
-                t = t1 + t2
-                if t > trunc:
-                    continue
-                for gamma, binom in _binomial_tuples(alpha):
-                    # derivative surplus alpha-gamma hits the coefficient c2
-                    dcoeff = c2
-                    skip = False
-                    for axis, (a, g) in enumerate(zip(alpha, gamma)):
-                        for _ in range(a - g):
-                            dcoeff = dcoeff.diff_x(axis)
-                            if dcoeff.is_zero:
-                                skip = True
-                                break
-                        if skip:
-                            break
-                    if skip or dcoeff.is_zero:
-                        continue
-                    midx = tuple(g + b for g, b in zip(gamma, beta))
-                    val = c1 * dcoeff * binom
-                    key = (t, midx)
-                    out[key] = out[key] + val if key in out else val
-        return DiffOperator(self.n, out, trunc)
+        a, b = self.symbol, other.symbol
+        num, top = _leibniz(a.num, b.num, b.den, 1)
+        # the product is num / (a.den b.den^(top+1)); cancel the powers of
+        # b.den that divide out
+        power = top + 1
+        while power and not b.is_polynomial \
+                and (q := divide_exact(num, b.den)) is not None:
+            num, power = q, power - 1
+        return DiffOperator(RationalFunction(num, a.den * b.den ** power))
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
         return self.compose(other) - other.compose(self)
@@ -219,14 +208,9 @@ class DiffOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        zero = RationalFunction(ThetaPoly.zero(self.n, self.trunc))
-        for k in keys:
-            if self.terms.get(k, zero) != other.terms.get(k, zero):
-                return False
-        return True
+        # equal denominators compare numerators term by term, at every grade
+        a, b = self.symbol, other.symbol
+        return self.n == other.n and (a.num == b.num if a.den == b.den else a == b)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], sum(kv[0][1]), kv[0][1]))
@@ -295,107 +279,79 @@ def build_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
 def build_xhat(w: PoissonBivector, gamma: GammaTower,
                gamma1: Optional[Sequence[ThetaPoly]],
                trunc: int = 3) -> list[DiffOperator]:
-    """Coordinate operators xhat^i = x^i + sum_k th^k X^{ik}: the
-    normal-ordered quantization of the momentum expansion, each canonical
-    momentum becoming -i d, so the term p^e of P^i_k becomes (-i)^k d^e.
-    At grade 3 the quantized polynomial is P^i_3 - Q^i, with Q = ``gamma1``
-    the correction from ``build_gamma1`` (zeros give the bare operators);
-    it is read only when grade 3 is reached.
+    """Coordinate operators with symbols x^i + sum_k th^k (-i)^k P^i_k: the
+    momentum expansion read in normal order, each canonical momentum
+    becoming -i d.  At grade 3 the symbol carries P^i_3 - Q^i, with
+    Q = ``gamma1`` the correction from ``build_gamma1`` (zeros give the
+    bare operators); it is read only when grade 3 is reached.
     """
     n = w.n
     if gamma.max_order < min(trunc, 3):
         raise UsageError("tower must be built through the requested order")
     ops = []
     for i in range(n):
-        terms = {(0, (0,) * n): RationalFunction(ThetaPoly.coordinate(n, i, trunc))}
+        symbol = ThetaPoly.coordinate(n, i, trunc)
         for k in range(1, min(trunc, gamma.max_order) + 1):
             poly = gamma.momenta[k][i] - gamma1[i] if k == 3 else gamma.momenta[k][i]
-            factor = GaussianRational(0, -1) ** k
-            for midx, coeff in poly.momentum_blocks().items():
-                terms[k, midx] = RationalFunction(coeff.scale(factor).with_trunc(trunc))
-        ops.append(DiffOperator(n, terms, trunc))
+            symbol = symbol + poly.with_trunc(trunc).scale(MINUS_I ** k).theta_shift(k)
+        ops.append(DiffOperator(symbol))
     return ops
 
 
 def build_phat(mu: ThetaPoly, trunc: int = 3) -> list[DiffOperator]:
     """Momentum operators for a polynomial density: -i d_i - (i/2) d_i(log mu),
     the symmetric choice that keeps them self-adjoint for the induced
-    inner product and mutually commuting."""
+    inner product and mutually commuting; symbol -i (mu p_i + d_i mu / 2) / mu."""
     if mu.is_zero:
         raise UsageError("measure density must be nonzero")
     if not (mu.is_theta_free and mu.is_coordinate_only):
         raise UsageError("measure density must be a grade-free coordinate polynomial")
     n = mu.n
-    minus_i = GaussianRational(0, -1)
-    ops = []
-    for i in range(n):
-        op = DiffOperator.derivative(n, i, trunc).scale(minus_i)
-        grad = RationalFunction(mu.diff_x(i).with_trunc(trunc), mu.with_trunc(trunc))
-        if not grad.is_zero:
-            op = op + DiffOperator.multiplication(
-                grad * Fraction(1, 2), trunc).scale(minus_i)
-        ops.append(op)
-    return ops
+    mu = mu.with_trunc(trunc)
+    return [DiffOperator(RationalFunction(
+        (mu * ThetaPoly.momentum(n, i, trunc) + mu.diff_x(i).scale(Fraction(1, 2)))
+        .scale(MINUS_I), mu)) for i in range(n)]
 
 
-def subalgebra_defect(xhat: Sequence[DiffOperator], w: PoissonBivector,
-                      star, order: int = 3) -> dict[tuple[int, int], DiffOperator]:
-    """Commutator of the coordinate operators minus i th times left star
-    multiplication by the bivector entry, truncated at the given grade."""
+def subalgebra_defect(families: Sequence[Sequence[DiffOperator]], w: PoissonBivector,
+                      star, order: int = 3) -> list[dict[tuple[int, int], DiffOperator]]:
+    """For each family of coordinate operators, the commutators
+    [xhat^i, xhat^j] minus i th times left star multiplication by the
+    bivector entry, truncated at the given grade: one defect dict per
+    family.  Each target is built once and shared by the families."""
     n = w.n
-    out: dict[tuple[int, int], DiffOperator] = {}
+    out: list[dict[tuple[int, int], DiffOperator]] = [{} for _ in families]
     for i in range(n):
         for j in range(i + 1, n):
-            comm = xhat[i].commutator(xhat[j])
             target = star.left_multiplication_operator(w.entry(i, j)) \
                 .theta_shift(1).scale(I)
-            out[(i, j)] = (comm - target).truncated(order)
+            for xhat, defects in zip(families, out):
+                defects[i, j] = (xhat[i].commutator(xhat[j]) - target).truncated(order)
     return out
 
 
 def conjugate_by_measure_power(op: DiffOperator, mu: ThetaPoly,
                                s: Fraction) -> DiffOperator:
-    """Exact similarity transform mu^s . op . mu^(-s).
-
-    Multiplication operators are untouched; each bare derivative maps to
-    d_i - s (d_i mu)/mu.  The transformed first-order generators commute,
-    so the expansion order is immaterial.
-    """
-    n = op.n
-    trunc = op.trunc
-    gens = []
-    for i in range(n):
-        g = DiffOperator.derivative(n, i, trunc)
-        grad = RationalFunction(mu.diff_x(i).with_trunc(trunc), mu.with_trunc(trunc))
-        if not grad.is_zero:
-            g = g - DiffOperator.multiplication(grad * GaussianRational(s), trunc)
-        gens.append(g)
-    out = DiffOperator.zero(n, trunc)
-    for (t, midx), coeff in op.terms.items():
-        piece = DiffOperator.multiplication(coeff, trunc).theta_shift(t)
-        for i, e in enumerate(midx):
-            for _ in range(e):
-                piece = piece.compose(gens[i])
-        out = out + piece
-    return out
+    """Exact similarity transform mu^s . op . mu^(-s): the normal-ordered
+    product of the symbol with mu^(-s), multiplied back by mu^s, which
+    leaves a pure power of mu in the denominator."""
+    mu = mu.with_trunc(op.trunc)
+    num, top = _leibniz(op.symbol.num, ThetaPoly.one(op.n, op.trunc), mu, s)
+    return DiffOperator(RationalFunction(num, op.symbol.den * mu ** top))
 
 
 def plane_wave_symbol(op: DiffOperator) -> ThetaPoly:
     """Eigenvalue polynomial of a constant-coefficient operator on plane
-    waves exp(-i k.x): each derivative contributes -i k."""
+    waves exp(-i k.x): each derivative contributes -i k, so the term
+    c p^a of the symbol becomes c (-i)^|a| k^a."""
     n = op.n
+    if not op.symbol.is_polynomial:
+        raise UsageError("plane-wave symbol needs polynomial coefficients")
     out = ThetaPoly.zero(n, op.trunc)
-    minus_i = GaussianRational(0, -1)
-    for (t, midx), coeff in op.terms.items():
-        if not coeff.is_polynomial:
-            raise UsageError("plane-wave symbol needs polynomial coefficients")
-        poly = coeff.num
-        if poly != poly.constant_term():
+    for a, c in op.symbol.num.momentum_blocks().items():
+        if any(not c.diff_x(i).is_zero for i in range(n)):
             raise UsageError("plane-wave symbol needs constant coefficients")
-        factor = ThetaPoly.constant(n, minus_i ** sum(midx), op.trunc)
-        for i, e in enumerate(midx):
-            factor = factor * ThetaPoly.momentum(n, i, op.trunc) ** e
-        out = out + poly * factor.theta_shift(t)
+        out = out + c * ThetaPoly.monomial(n, MINUS_I ** sum(a), p=a, trunc=op.trunc)
     return out
 
 
@@ -403,17 +359,11 @@ def angular_momentum(n: int, i: int, trunc: int = 3) -> DiffOperator:
     """-i eps^{iab} x_a d_b, the rotation generator."""
     if n != 3:
         raise UsageError("rotation generators are three-dimensional")
-    minus_i = GaussianRational(0, -1)
-    op = DiffOperator.zero(n, trunc)
-    for a in range(3):
-        for b in range(3):
-            e = levi_civita(i, a, b)
-            if not e:
-                continue
-            coeff = RationalFunction(
-                ThetaPoly.coordinate(n, a, trunc).scale(minus_i * e))
-            op = op + DiffOperator.term(coeff, multi_index(3, b), trunc=trunc)
-    return op
+    return DiffOperator(sum(
+        (ThetaPoly.monomial(3, MINUS_I * levi_civita(i, a, b), x=multi_index(3, a),
+                            p=multi_index(3, b), trunc=trunc)
+         for a, b in itertools.product(range(3), repeat=2)),
+        ThetaPoly.zero(3, trunc)))
 
 
 def l_squared(trunc: int = 3) -> DiffOperator:
@@ -425,8 +375,6 @@ def l_squared(trunc: int = 3) -> DiffOperator:
 
 
 def laplacian(n: int, trunc: int = 3) -> DiffOperator:
-    out = DiffOperator.zero(n, trunc)
-    for i in range(n):
-        d = DiffOperator.derivative(n, i, trunc)
-        out = out + d.compose(d)
-    return out
+    """The flat Laplacian, symbol sum_i p_i^2."""
+    return DiffOperator(sum((ThetaPoly.momentum(n, i, trunc) ** 2 for i in range(n)),
+                            ThetaPoly.zero(n, trunc)))

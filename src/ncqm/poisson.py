@@ -316,28 +316,25 @@ def invert_phase_map(x_of: Sequence[ThetaPoly], p_of: Sequence[ThetaPoly],
 
 def reference_delta(w: PoissonBivector, i: int, j: int, trunc: int = 3) -> ThetaPoly:
     """Closed-form mixed bracket through second grade, in the original
-    variables.  (First-grade sign fixed by the bracket algebra; see the
-    acceptance suite.)"""
+    variables.  With V_k = sum_l w^{kl} p_l it is
+
+        delta_ij - (th/2) d_j V_i
+            + th^2 sum_k ((1/12) d_j V_k d_k V_i - (1/6) V_k d_j d_k V_i).
+
+    (First-grade sign fixed by the bracket algebra; see the acceptance
+    suite.)"""
     n = w.n
-    out = ThetaPoly.zero(n, trunc)
-    if i == j:
-        out = out + ThetaPoly.one(n, trunc)
-    th1 = ThetaPoly.theta(n, 1, trunc)
-    th2 = ThetaPoly.theta(n, 2, trunc)
-    for l in range(n):
-        p_l = ThetaPoly.momentum(n, l, trunc)
-        out = out - th1 * w.entry(i, l).diff_x(j) * p_l.scale(Fraction(1, 2))
-    for l in range(n):
-        for m in range(n):
-            p_lm = ThetaPoly.momentum(n, l, trunc) * ThetaPoly.momentum(n, m, trunc)
-            term1 = ThetaPoly.zero(n, trunc)
-            term2 = ThetaPoly.zero(n, trunc)
-            for k in range(n):
-                term1 = term1 + w.entry(k, l).diff_x(j) * w.entry(i, m).diff_x(k)
-                term2 = term2 + w.entry(l, k) * w.entry(i, m).diff_x(j).diff_x(k)
-            out = out + th2 * (term1.scale(Fraction(1, 12))
-                               + term2.scale(Fraction(1, 6))) * p_lm
-    return out
+    zero = ThetaPoly.zero(n, trunc)
+    ps = [ThetaPoly.momentum(n, l, trunc) for l in range(n)]
+    v = [sum((w.entry(k, l) * p for l, p in enumerate(ps)), zero) for k in range(n)]
+    grade2 = zero
+    for k in range(n):
+        dv = v[i].diff_x(k)
+        grade2 = grade2 + (v[k].diff_x(j) * dv).scale(Fraction(1, 12)) \
+            - (v[k] * dv.diff_x(j)).scale(Fraction(1, 6))
+    out = zero + ThetaPoly.one(n, trunc) if i == j else zero
+    return out - ThetaPoly.theta(n, 1, trunc) * v[i].diff_x(j).scale(Fraction(1, 2)) \
+        + ThetaPoly.theta(n, 2, trunc) * grade2
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ check: pass ``product.with_gauge(gauge)`` for the corrected one.
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -29,14 +31,13 @@ from .exact_algebra import (
     Fraction,
     GaussianFunction,
     GaussianIntegral,
-    RationalFunction,
     ThetaPoly,
     UsageError,
     divide_exact,
     gaussian_integrate,
     multi_index,
 )
-from .operators import DiffOperator, _binomial_tuples, build_gamma1, build_xhat
+from .operators import DiffOperator, build_gamma1, build_xhat
 from .poisson import PoissonBivector, build_gamma
 
 MultiIndex = tuple[int, ...]
@@ -53,6 +54,12 @@ def _minus(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 def _times(p: ThetaPoly, k: int) -> ThetaPoly:
     return p if k == 1 else p.scale(k)
+
+
+def _binomial_tuples(alpha: MultiIndex):
+    """All gamma <= alpha with the product of per-axis binomials."""
+    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+        yield gamma, math.prod(map(math.comb, alpha, gamma))
 
 
 class StarProduct:
@@ -111,10 +118,11 @@ class StarProduct:
             def tail(idx: MultiIndex) -> MultiIndex:
                 return (0,) * i + idx[i:]
 
-            for (j, m), x in self.xhat[i].terms.items():
-                if not 0 < j <= k:
+            blocks = self.xhat[i].symbol.num.momentum_blocks()
+            for j, (m, block) in itertools.product(range(1, k + 1), blocks.items()):
+                x = block.theta_coefficient(j)
+                if x.is_zero:
                     continue
-                x = x.num
                 for (a, b), c in self.slices[k - j].items():
                     if not any(a[:i]):
                         # X^{ij}(c d^a f d^b g): d^m splits over c, f and g
@@ -209,15 +217,16 @@ class StarProduct:
         """The operator g -> f * g."""
         if order is None:
             order = self.order
-        terms: dict[tuple[int, MultiIndex], ThetaPoly] = {}
+        blocks: dict[MultiIndex, ThetaPoly] = {}  # d^b -> its coefficient
         for k in range(order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = f.diff_multi(a)
                 if not df.is_zero:
-                    key = (k, b)
-                    terms[key] = terms[key] + coeff * df if key in terms else coeff * df
-        return DiffOperator(self.n, {key: RationalFunction(c.with_trunc(self.trunc))
-                                     for key, c in terms.items()}, self.trunc)
+                    piece = (coeff * df).with_trunc(self.trunc).theta_shift(k)
+                    blocks[b] = blocks[b] + piece if b in blocks else piece
+        return DiffOperator(sum(
+            (c * ThetaPoly.monomial(self.n, p=b, trunc=self.trunc) for b, c in blocks.items()),
+            ThetaPoly.zero(self.n, self.trunc)))
 
     def star_prime(self, f, g, gauge: "GaugeCorrection",
                    order: Optional[int] = None):

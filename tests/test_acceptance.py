@@ -144,19 +144,19 @@ def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
     for w in (fuzzy, quad2d, const3d):
         product = StarProduct(w, 2, trunc=3)
         tower = build_gamma(w, 3)
-        defects = subalgebra_defect(build_xhat(w, tower, build_gamma1(w)), w, product)
+        defects, bare = subalgebra_defect(
+            [build_xhat(w, tower, build_gamma1(w)),
+             build_xhat(w, tower, [ThetaPoly.zero(w.n)] * w.n)], w, product)
         assert all(op.is_zero for op in defects.values())
         # constant and fuzzy close with or without the correction tensor
         if w is not quad2d:
-            bare = subalgebra_defect(
-                build_xhat(w, tower, [ThetaPoly.zero(w.n)] * w.n), w, product)
             assert all(op.is_zero for op in bare.values())
     # with the correction zeroed the quadratic residual is exactly
     # (i/8) w^{nk} d_k w^{ml} d_n d_m w^{ij} d_l at grade 3
     product = StarProduct(quad2d, 2, trunc=3)
     tower = build_gamma(quad2d, 3)
     bare = build_xhat(quad2d, tower, [ThetaPoly.zero(2)] * 2)
-    residual = subalgebra_defect(bare, quad2d, product)[(0, 1)]
+    residual = subalgebra_defect([bare], quad2d, product)[0][(0, 1)]
     expect = DiffOperator.zero(2, 3)
     for l in range(2):
         A = ThetaPoly.zero(2)

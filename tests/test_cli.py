@@ -284,6 +284,52 @@ def test_golden_report(name, task, code, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# the same for every problem file and task at --order 2, recorded while
+# operators were still stored as (grade, multi-index) -> coefficient tables
+GOLDEN_ORDER2 = [
+    ("constant", "darboux-check", 0, "3fd22977d90833f6bd5666290d29cdcf4c7879f3f95c95f078041b99ef4e0d6e"),
+    ("constant", "free-particle", 0, "fe3c65353e9b78ffb1c6b1958f52c0b48b6f104dac0dc4866f8813332f41817b"),
+    ("constant", "gamma", 0, "0557c6754ceec4caee2ddbae3891a27deba0fef08605da9adf556347bc275cde"),
+    ("constant", "oscillator", 1, "9e93259ecfb7dbd51df6f48b8e9569afb2e4395cb013bd51a32e7910d05e4472"),
+    ("constant", "star-assoc", 0, "c2ffbaef7c1723fa0411387e4a6810d318bd13846adeeddcec19e307e3a8b3eb"),
+    ("constant", "subalgebra", 0, "03b3c8c6cff582cbdfdc82a256b77b74c3960191a997fe2c16998ca6a050b3aa"),
+    ("constant", "trace-check", 0, "3f0378f560aeac6e99be77ff5d1c73b73a8a6fd5c0fcc12feb855d1d081814ca"),
+    ("constant", "validate", 0, "ba2d0e6249b70f42e7448c5fac74a3a6c93bfa29de6811b882e771470febf5d5"),
+    ("fuzzy_sphere", "darboux-check", 0, "6c70d8c899b1599cc284fa6f9cf0c4259eed4762f010e8c5e9337706a6aa3f21"),
+    ("fuzzy_sphere", "free-particle", 0, "4b2cbaf914fe6958c86cb194bf70646bcbb7611e33862510c948020beaeec3a1"),
+    ("fuzzy_sphere", "gamma", 0, "f26f1bf9c77f84b0697d958a56600862ff55da2a5c8882a108c32ab4bf1c0b5c"),
+    ("fuzzy_sphere", "oscillator", 0, "02c67607afb5a54a6ebd900a7d7c1c56beb1adbaa41e1e191a110d224f6eebd0"),
+    ("fuzzy_sphere", "star-assoc", 0, "a66409674782c867aef6f8a388f3f291eee36c93f2f14608081cabbd21aa0da6"),
+    ("fuzzy_sphere", "subalgebra", 0, "ec831446f8a2cb3ce23a413916bce650b6f5ab28cc667e8e0301e7fa51e77f61"),
+    ("fuzzy_sphere", "trace-check", 0, "ff7426a4e658682b9a2dd1ea89b128219de51c1e196c4718e6db7f4bd06442f7"),
+    ("fuzzy_sphere", "validate", 0, "ab78f14fe2e165b396d415f544be39b4029d7d3e87552047a15abaae5fd6e43d"),
+    ("non_poisson", "darboux-check", 1, "70ae2ccecad84e578ee16ad6fbbc79af0c723a156fa7c04072866e09c3289f2e"),
+    ("non_poisson", "free-particle", 0, "83bbe9efe30af3cfc320c5c0598c6ebad59069867787ee1737a2d57e68be25a1"),
+    ("non_poisson", "gamma", 1, "24b3de503429358d1fc104724640794f4d08fe0bbf9c9582047cb936aa9a67dc"),
+    ("non_poisson", "oscillator", 1, "86ad07758d7e69f70765bef6f238f6a07ecbbf5b1d8c2485780ac8838b4c6a4a"),
+    ("non_poisson", "star-assoc", 1, "4ba517d4216b3b96685be32a848cf90918136a9eed6be22d7f7e875521005e7e"),
+    ("non_poisson", "subalgebra", 1, "9a825bde7fb833b624d9cf5e1bb4db4844c1a1ba7cb3658fd66fe09ccd9139ec"),
+    ("non_poisson", "trace-check", 1, "f063878335e1bd9bb877cd5d748feef9824b7979eb9e7847afc6c3f9864496bd"),
+    ("non_poisson", "validate", 1, "3918270b8a7ac17e17b93857ce0b9c2182b158f56b91899e1a46f9db567950be"),
+    ("quadratic2d", "darboux-check", 0, "abedad050b2e46a61cec6a52ddc10828a1bef4a9a616fd63f4097945075779f3"),
+    ("quadratic2d", "free-particle", 0, "e72a1abce5a6c0abbfcd686b027fdbb8052a322e84d79d10644ade08696b6c9d"),
+    ("quadratic2d", "gamma", 0, "dcc8a90d15b620f44156c89722ca8d87c473127b4061b41c9454d73023560f0f"),
+    ("quadratic2d", "oscillator", 1, "5043796b030437084ce9f2ead1990dfab0e220035b50d9ce3631c54f3a00dcd1"),
+    ("quadratic2d", "star-assoc", 0, "f7929c4691496c9e408d2cd2c475975fbb305e5a0aa1e1efb3c28b4c3a9b6070"),
+    ("quadratic2d", "subalgebra", 0, "6d90bcc9983314e0484df3b551581696d500732f28de926a0bc8e9ab547b8689"),
+    ("quadratic2d", "trace-check", 1, "9e06d670c62e42016418ea7eebec2d783a7903e223cdf963c197e9633c2b1c17"),
+    ("quadratic2d", "validate", 1, "ff8125b7bab6ee114a40226901baa76874c49634da25fd2b192a636f978d0161"),
+]
+
+
+@pytest.mark.parametrize("name,task,code,digest", GOLDEN_ORDER2,
+                         ids=[f"{n}-{t}" for n, t, _, _ in GOLDEN_ORDER2])
+def test_golden_report_order2(name, task, code, digest, capsys):
+    assert main([str(PROBLEMS / f"{name}.json"), "--task", task, "--order", "2"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # the Nambu bivector of C = x1*x2 at order 2; its gauge, (3,3) = -1/24, is
 # nonzero, so the gauge-corrected pairs run through a nontrivial product
 NAMBU_X1X2 = json.dumps({
@@ -313,6 +359,24 @@ def test_subalgebra_builds_one_tower(monkeypatch):
     rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
     assert rec["status"] == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,n", [("fuzzy_sphere", 3), ("quadratic2d", 2)])
+def test_subalgebra_builds_each_target_once(monkeypatch, name, n):
+    """One left star multiplication per bivector entry w^{ij}, i < j,
+    shared by the corrected and the bare coordinate operators."""
+    from ncqm.star import StarProduct
+    original = StarProduct.left_multiplication_operator
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StarProduct, "left_multiplication_operator", counted)
+    rec = run_task(ProblemFile.parse((PROBLEMS / f"{name}.json").read_text()), "subalgebra")
+    assert rec["status"] == "pass"
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_oscillator_reports_the_computed_coefficient(monkeypatch):

@@ -13,7 +13,10 @@ Darboux towers of those families and of kappa-Minkowski (n = 3, 4), with
 every tensor component and its truncation, were recorded while the tower
 was still stored as symmetric tensors.  The coordinate operators of the
 six families, each with its truncation, were recorded while the product
-still built its own copy of them as raw term lists.
+still built its own copy of them as raw term lists.  The momentum
+operators of two curved densities and their conjugated Hamiltonians, the
+first pinned operators with rational coefficients, were recorded while
+operators were still stored as (grade, multi-index) -> coefficient tables.
 """
 
 import hashlib
@@ -24,7 +27,13 @@ from fractions import Fraction
 import pytest
 
 from ncqm.exact_algebra import ThetaPoly, parse_polynomial
-from ncqm.operators import build_gamma1, build_xhat
+from ncqm.operators import (
+    DiffOperator,
+    build_gamma1,
+    build_phat,
+    build_xhat,
+    conjugate_by_measure_power,
+)
 from ncqm.poisson import (
     PoissonBivector,
     build_gamma,
@@ -227,3 +236,21 @@ def test_product_keeps_the_coordinate_operators(family):
     w = TABLE_FAMILIES[family]
     assert StarProduct(w, 2, trunc=3).xhat == \
         build_xhat(w, build_gamma(w, 3), build_gamma1(w))
+
+
+@pytest.mark.parametrize("mu_text,phat_digest", [
+    ("1+x1^2+x2^2+x3^2", "7195f605614cfa39893a07f319507c029480b600626f86e3711706f108c0d4eb"),
+    ("2+x1^2+x1*x2+x3^2", "152d57fdb092fbd6f3c3924c90d94ec35368b8b318f8f94ebfd0f827d5607159"),
+])
+def test_curved_momenta(mu_text, phat_digest):
+    """The momentum operators and the Hamiltonian sum_i phat_i^2 / 2
+    conjugated by the square root of the density: the flat -Laplacian/2."""
+    mu = parse_polynomial(mu_text, 3)
+    phat = build_phat(mu)
+    assert digest("\n".join(f"{op.text()} {op.trunc}" for op in phat)) == phat_digest
+    ham = DiffOperator.zero(3, 3)
+    for op in phat:
+        ham = ham + op.compose(op)
+    conj = conjugate_by_measure_power(ham.scale(Fraction(1, 2)), mu, Fraction(1, 2))
+    assert digest(f"{conj.text()} {conj.trunc}") == \
+        "7533d8ecd41a037f9018f925b6bd73a170893d26c0068159b5beefcce63c5d6b"

@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from ncqm import exact_algebra
 from ncqm.exact_algebra import (
@@ -14,6 +15,7 @@ from ncqm.exact_algebra import (
     RationalFunction,
     ThetaPoly,
     UsageError,
+    multi_index,
     parse_polynomial,
 )
 from ncqm.operators import (
@@ -31,7 +33,7 @@ from ncqm.operators import (
 from ncqm.poisson import build_gamma, fuzzy_sphere_bivector, levi_civita
 from ncqm.star import StarProduct
 
-from conftest import seeded_poly
+from conftest import poly_strategy, scalars, seeded_poly
 
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
@@ -45,6 +47,42 @@ def random_operator(rng, n=2, trunc=3):
         coeff = RationalFunction(seeded_poly(rng, n, degree=2, terms=2, trunc=trunc))
         op = op + DiffOperator.term(coeff, midx, theta_power=t, trunc=trunc)
     return op
+
+
+# a density for rational coefficients
+MU = parse_polynomial("1+x1^2", 2)
+
+
+def operator_strategy(n=2, order=2):
+    """Sums of one to three terms th^t (c / MU^k) d^a with c a grade-free
+    polynomial of degree at most 2 and each a_i at most ``order``."""
+    monomial = st.tuples(st.lists(st.integers(0, n - 1), max_size=2), scalars).map(
+        lambda sc: ThetaPoly.monomial(n, sc[1], x=multi_index(n, *sc[0])))
+    coeff = st.lists(monomial, min_size=1, max_size=2).map(
+        lambda ms: sum(ms, ThetaPoly.zero(n)))
+    term = st.tuples(coeff, st.tuples(*[st.integers(0, order)] * n),
+                     st.integers(0, 1), st.integers(0, 1))
+
+    def build(parts):
+        op = DiffOperator.zero(n)
+        for c, midx, t, k in parts:
+            op = op + DiffOperator.term(RationalFunction(c, MU ** k), midx, t)
+        return op
+
+    return st.lists(term, min_size=1, max_size=3).map(build)
+
+
+def apply_by_terms(op, f: RationalFunction) -> RationalFunction:
+    """op applied to a rational function through its term view and the
+    quotient rule, independently of ``compose``."""
+    out = RationalFunction(ThetaPoly.zero(op.n, op.trunc))
+    for (t, midx), coeff in op.terms.items():
+        d = f
+        for axis, k in enumerate(midx):
+            for _ in range(k):
+                d = d.diff_x(axis)
+        out = out + coeff * d * ThetaPoly.theta(op.n, t, op.trunc)
+    return out
 
 
 class TestAlgebra:
@@ -82,11 +120,26 @@ class TestAlgebra:
         for _ in range(3):
             a, b = random_operator(rng), random_operator(rng)
             f = seeded_poly(rng, 2, degree=2, terms=3)
-            direct = a.compose(b).apply(f)
-            chained = a.apply_poly(b.apply_poly(f).as_poly()) \
-                if b.apply_poly(f).is_polynomial else None
-            if chained is not None:
-                assert direct == chained
+            inner = b.apply_poly(f)
+            assert isinstance(inner, RationalFunction) and inner.den == 1
+            assert a.compose(b).apply(f) == a.apply_poly(inner.num)
+
+    @settings(max_examples=30, deadline=None)
+    @given(operator_strategy(), operator_strategy(), poly_strategy(2))
+    def test_composition_is_application_in_turn(self, a, b, f):
+        assert b.apply(f) == apply_by_terms(b, RationalFunction(f))
+        f = RationalFunction(f)
+        assert apply_by_terms(a.compose(b), f) == \
+            apply_by_terms(a, apply_by_terms(b, f))
+
+    # no shrinking: a wrong product stops cancelling its denominators, so
+    # each shrink step would be slow; the test above shrinks instead
+    @settings(max_examples=20, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(operator_strategy(order=1), operator_strategy(order=1),
+           operator_strategy(order=1))
+    def test_composition_associative_with_rational_coefficients(self, a, b, c):
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
     def test_gaussian_application(self):
         d = DiffOperator.derivative(1, 0)
@@ -191,7 +244,7 @@ class TestGamma1:
         w = request.getfixturevalue(which)
         product = StarProduct(w, 2, trunc=3)
         xhat = build_xhat(w, build_gamma(w, 3), build_gamma1(w))
-        defects = subalgebra_defect(xhat, w, product)
+        defects, = subalgebra_defect([xhat], w, product)
         assert all(op.is_zero for op in defects.values())
 
     def test_residual_without_correction(self, quad2d):
@@ -199,7 +252,7 @@ class TestGamma1:
         grade 3, with A the double-derivative obstruction tensor."""
         product = StarProduct(quad2d, 2, trunc=3)
         bare = build_xhat(quad2d, build_gamma(quad2d, 3), [ThetaPoly.zero(2)] * 2)
-        residual = subalgebra_defect(bare, quad2d, product)[(0, 1)]
+        residual = subalgebra_defect([bare], quad2d, product)[0][(0, 1)]
         expect = DiffOperator.zero(2, 3)
         for l in range(2):
             A = ThetaPoly.zero(2)
