@@ -97,7 +97,7 @@ def check_gauge():
         for _ in range(4):
             f = GaussianFunction(random_poly(rng, 3, 3, terms=6))
             g = GaussianFunction(random_poly(rng, 3, 3, terms=6))
-            fg = sp.star_prime(f, g, gauge, 2)
+            fg = sp.star_prime(f, g, gauge)
             cond = trace(fg, mu) - trace(f * g, mu)
             ok = ok and all(cond.theta_slice(k).is_zero for k in range(3))
         print(f"   mu = {mu_text}: trace condition exact = {ok}, "

@@ -36,10 +36,9 @@ def main() -> int:
            for i in range(3) for j in range(i + 1, 3)})
 
     tower = build_gamma(w, 3)
-    darboux = assemble_darboux(tower)
     print("curved coordinate 1 in canonical variables:")
-    print("   ", darboux.x_of[0].text())
-    report = verify_darboux(darboux, w, 3)
+    print("   ", assemble_darboux(tower)[0].text())
+    report = verify_darboux(tower, w)
     print("bracket defect zero:", report.xx_zero,
           "| momenta canonical:", report.pp_zero)
 

@@ -24,7 +24,6 @@ from .operators import (
     subalgebra_defect,
 )
 from .poisson import (
-    DarbouxMap,
     GammaTower,
     JacobiDefect,
     NotPoissonError,
@@ -46,7 +45,6 @@ from .qm_examples import (
 )
 from .star import (
     GaugeCorrection,
-    Measure,
     StarProduct,
     assoc_defect,
     cyclicity_defect,
@@ -71,7 +69,6 @@ __all__ = [
     "canonical_bracket",
     "GammaTower",
     "build_gamma",
-    "DarbouxMap",
     "assemble_darboux",
     "verify_darboux",
     "general_brackets",
@@ -83,7 +80,6 @@ __all__ = [
     "subalgebra_defect",
     "StarProduct",
     "assoc_defect",
-    "Measure",
     "measure_defect",
     "GaugeCorrection",
     "gauge_b",

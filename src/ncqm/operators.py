@@ -314,11 +314,11 @@ def build_phat(mu: ThetaPoly, trunc: int = 3) -> list[DiffOperator]:
 
 
 def subalgebra_defect(families: Sequence[Sequence[DiffOperator]], w: PoissonBivector,
-                      star, order: int = 3) -> list[dict[tuple[int, int], DiffOperator]]:
+                      star) -> list[dict[tuple[int, int], DiffOperator]]:
     """For each family of coordinate operators, the commutators
     [xhat^i, xhat^j] minus i th times left star multiplication by the
-    bivector entry, truncated at the given grade: one defect dict per
-    family.  Each target is built once and shared by the families."""
+    bivector entry: one defect dict per family.  Each target is built once
+    and shared by the families."""
     n = w.n
     out: list[dict[tuple[int, int], DiffOperator]] = [{} for _ in families]
     for i in range(n):
@@ -326,7 +326,7 @@ def subalgebra_defect(families: Sequence[Sequence[DiffOperator]], w: PoissonBive
             target = star.left_multiplication_operator(w.entry(i, j)) \
                 .theta_shift(1).scale(I)
             for xhat, defects in zip(families, out):
-                defects[i, j] = (xhat[i].commutator(xhat[j]) - target).truncated(order)
+                defects[i, j] = xhat[i].commutator(xhat[j]) - target
     return out
 
 

@@ -7,6 +7,12 @@ p; the tower stores the P^i_m themselves.  Each order is fixed (up to the
 hard-coded symmetric gauge) by requiring the canonical bracket of the
 expansion to reproduce the bivector exactly.  The symmetric tensors of
 the paper are read off the P^i_m only for reports.
+
+The map is its coordinate tuple; the momenta are canonical by
+construction.  One routine inverts a phase-space map and re-expresses
+its mixed and momentum brackets in the original variables: the defect
+report reads it with canonical momenta, ``general_brackets`` with
+gauge-shifted ones.
 """
 
 from __future__ import annotations
@@ -225,18 +231,6 @@ class GammaTower:
         return out
 
 
-@dataclass(frozen=True)
-class DarbouxMap:
-    """Curved coordinates and momenta expressed in canonical variables."""
-
-    x_of: tuple[ThetaPoly, ...]
-    p_of: tuple[ThetaPoly, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.x_of)
-
-
 def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> GammaTower:
     """Solve the momentum polynomials P^i_m order by order.
 
@@ -263,7 +257,7 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     momenta = [[ThetaPoly.coordinate(n, i, trunc) for i in range(n)]]
     for m in range(1, order + 1):
         # w^{ij}(x) is read only at grade m - 1, so substitute at that truncation
-        xs = assemble_darboux(GammaTower(n, momenta, m - 1)).x_of
+        xs = assemble_darboux(GammaTower(n, momenta, m - 1))
         images = {("x", i): x for i, x in enumerate(xs)}
         r = [[zero] * n for _ in range(n)]
         for i, j in itertools.combinations(range(n), 2):
@@ -277,64 +271,72 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     return GammaTower(n, momenta, trunc)
 
 
-def assemble_darboux(gamma: GammaTower) -> DarbouxMap:
-    """Curved coordinates x^i = sum_m th^m P^i_m from the tower; momenta
-    are left canonical."""
+def assemble_darboux(gamma: GammaTower) -> tuple[ThetaPoly, ...]:
+    """Curved coordinates x^i = sum_m th^m P^i_m from the tower; the
+    momenta are the canonical ones by construction."""
     n, trunc = gamma.n, gamma.trunc
-    xs = tuple(sum((ps[i].theta_shift(m) for m, ps in enumerate(gamma.momenta)),
-                   ThetaPoly.zero(n, trunc))
-               for i in range(n))
-    return DarbouxMap(xs, tuple(ThetaPoly.momentum(n, i, trunc) for i in range(n)))
+    return tuple(sum((ps[i].theta_shift(m) for m, ps in enumerate(gamma.momenta)),
+                     ThetaPoly.zero(n, trunc))
+                 for i in range(n))
 
 
 def invert_phase_map(x_of: Sequence[ThetaPoly], p_of: Sequence[ThetaPoly],
-                     order: int) -> tuple[list[ThetaPoly], list[ThetaPoly]]:
+                     order: int) -> dict[tuple[str, int], ThetaPoly]:
     """Series inversion of a phase-space map that is the identity at grade
-    zero; returns the canonical variables as functions of the images."""
+    zero: the substitution sending each canonical variable to its series
+    in the images.  Each round z <- z - (f(z) - z_0) fixes one more grade,
+    so ``order`` rounds give the series exactly through that grade."""
     n = x_of[0].n
-    trunc = order
-    xs = [x.with_trunc(trunc) for x in x_of]
-    ps = [p.with_trunc(trunc) for p in p_of]
-    ys = [ThetaPoly.coordinate(n, i, trunc) for i in range(n)]
-    pis = [ThetaPoly.momentum(n, i, trunc) for i in range(n)]
-    for _ in range(order + 1):
-        images = {("x", i): ys[i] for i in range(n)}
-        images.update({("p", i): pis[i] for i in range(n)})
-        new_ys = []
-        new_pis = []
-        for i in range(n):
-            # y = x - higher(x(y,pi)) evaluated on the current iterate
-            resid = xs[i].substitute(images) - ThetaPoly.coordinate(n, i, trunc)
-            new_ys.append(ys[i] - resid)
-            resid_p = ps[i].substitute(images) - ThetaPoly.momentum(n, i, trunc)
-            new_pis.append(pis[i] - resid_p)
-        if new_ys == ys and new_pis == pis:
-            break
-        ys, pis = new_ys, new_pis
-    return ys, pis
+    keys = [("x", i) for i in range(n)] + [("p", i) for i in range(n)]
+    images = [f.with_trunc(order) for f in (*x_of, *p_of)]
+    start = [ThetaPoly.coordinate(n, i, order) for i in range(n)] \
+        + [ThetaPoly.momentum(n, i, order) for i in range(n)]
+    current = start
+    for _ in range(order):
+        back = dict(zip(keys, current))
+        current = [z - (f.substitute(back) - z0)
+                   for f, z, z0 in zip(images, current, start)]
+    return dict(zip(keys, current))
 
 
-def reference_delta(w: PoissonBivector, i: int, j: int, trunc: int = 3) -> ThetaPoly:
-    """Closed-form mixed bracket through second grade, in the original
-    variables.  With V_k = sum_l w^{kl} p_l it is
+def _curved_brackets(xs: Sequence[ThetaPoly], ps: Sequence[ThetaPoly], order: int
+                     ) -> tuple[dict[tuple[int, int], ThetaPoly], dict[tuple[int, int], ThetaPoly]]:
+    """The mixed brackets {x^i, p_j}, every (i, j), and the momentum
+    brackets {p_i, p_j}, i < j, of the map (xs, ps), re-expressed in the
+    original variables by inverting the map."""
+    back = invert_phase_map(xs, ps, order)
+    mixed = {(i, j): canonical_bracket(x, p).substitute(back)
+             for i, x in enumerate(xs) for j, p in enumerate(ps)}
+    momenta = {(i, j): canonical_bracket(ps[i], ps[j]).substitute(back)
+               for i, j in itertools.combinations(range(len(ps)), 2)}
+    return mixed, momenta
+
+
+def reference_delta(w: PoissonBivector, trunc: int = 3) -> dict[tuple[int, int], ThetaPoly]:
+    """Closed-form mixed brackets {x^i, p_j} through second grade, in the
+    original variables, keyed by (i, j).  With V_k = sum_l w^{kl} p_l each is
 
         delta_ij - (th/2) d_j V_i
             + th^2 sum_k ((1/12) d_j V_k d_k V_i - (1/6) V_k d_j d_k V_i).
 
-    (First-grade sign fixed by the bracket algebra; see the acceptance
-    suite.)"""
+    It reads the bivector alone, never the tower, so it checks
+    ``verify_darboux`` independently.  (First-grade sign fixed by the
+    bracket algebra; see the acceptance suite.)"""
     n = w.n
     zero = ThetaPoly.zero(n, trunc)
     ps = [ThetaPoly.momentum(n, l, trunc) for l in range(n)]
     v = [sum((w.entry(k, l) * p for l, p in enumerate(ps)), zero) for k in range(n)]
-    grade2 = zero
-    for k in range(n):
-        dv = v[i].diff_x(k)
-        grade2 = grade2 + (v[k].diff_x(j) * dv).scale(Fraction(1, 12)) \
-            - (v[k] * dv.diff_x(j)).scale(Fraction(1, 6))
-    out = zero + ThetaPoly.one(n, trunc) if i == j else zero
-    return out - ThetaPoly.theta(n, 1, trunc) * v[i].diff_x(j).scale(Fraction(1, 2)) \
-        + ThetaPoly.theta(n, 2, trunc) * grade2
+    dv = [[vk.diff_x(j) for j in range(n)] for vk in v]  # dv[k][j] = d_j V_k
+    th, th2 = ThetaPoly.theta(n, 1, trunc), ThetaPoly.theta(n, 2, trunc)
+    out: dict[tuple[int, int], ThetaPoly] = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        grade2 = zero
+        for k in range(n):
+            grade2 = grade2 + (dv[k][j] * dv[i][k]).scale(Fraction(1, 12)) \
+                - (v[k] * dv[i][k].diff_x(j)).scale(Fraction(1, 6))
+        base = zero + ThetaPoly.one(n, trunc) if i == j else zero
+        out[(i, j)] = base - th * dv[i][j].scale(Fraction(1, 2)) + th2 * grade2
+    return out
 
 
 @dataclass(frozen=True)
@@ -374,41 +376,22 @@ class DarbouxReport:
         }
 
 
-def verify_darboux(darboux: DarbouxMap, w: PoissonBivector, order: int) -> DarbouxReport:
-    """Exact defect report for the defining properties of the map.
+def verify_darboux(gamma: GammaTower, w: PoissonBivector) -> DarbouxReport:
+    """Exact defect report for the defining properties of the map built
+    from the tower, through the order it was built at.
 
     A nonzero defect is data, not an exception.
     """
-    n = darboux.n
-    trunc = order
-    xs = [x.with_trunc(trunc) for x in darboux.x_of]
-    ps = [p.with_trunc(trunc) for p in darboux.p_of]
-    images = {("x", i): xs[i] for i in range(n)}
-    th = ThetaPoly.theta(n, 1, trunc)
-
-    xx: dict[tuple[int, int], ThetaPoly] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = canonical_bracket(xs[i], xs[j])
-            rhs = th * w.entry(i, j).with_trunc(trunc).substitute(images)
-            xx[(i, j)] = (lhs - rhs).truncated(order)
-
-    pp: dict[tuple[int, int], ThetaPoly] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pp[(i, j)] = canonical_bracket(ps[i], ps[j]).truncated(order)
-
-    # mixed bracket re-expressed in the original variables
-    ys, pis = invert_phase_map(xs, ps, order)
-    back = {("x", i): ys[i] for i in range(n)}
-    back.update({("p", i): pis[i] for i in range(n)})
-    delta: dict[tuple[int, int], ThetaPoly] = {}
-    ref: dict[tuple[int, int], ThetaPoly] = {}
-    for i in range(n):
-        for j in range(n):
-            d = canonical_bracket(xs[i], ps[j]).substitute(back).truncated(order)
-            delta[(i, j)] = d
-            ref[(i, j)] = reference_delta(w, i, j, trunc).truncated(min(order, 2))
+    n, order = gamma.n, gamma.max_order
+    xs = [x.with_trunc(order) for x in assemble_darboux(gamma)]
+    images = {("x", i): x for i, x in enumerate(xs)}
+    th = ThetaPoly.theta(n, 1, order)
+    xx = {(i, j): canonical_bracket(xs[i], xs[j])
+          - th * w.entry(i, j).with_trunc(order).substitute(images)
+          for i, j in itertools.combinations(range(n), 2)}
+    delta, pp = _curved_brackets(
+        xs, [ThetaPoly.momentum(n, i, order) for i in range(n)], order)
+    ref = {k: p.truncated(min(order, 2)) for k, p in reference_delta(w, order).items()}
     return DarbouxReport(xx, pp, delta, ref)
 
 
@@ -432,33 +415,16 @@ class GeneralBrackets:
 def general_brackets(w: PoissonBivector, j1: Sequence[ThetaPoly],
                      order: int = 2) -> GeneralBrackets:
     """Brackets of the curved variables when the momenta are shifted by a
-    first-order gauge vector (higher gauge orders fixed to zero)."""
+    first-order gauge vector, p_i = pi_i - th j_i (higher gauge orders
+    fixed to zero)."""
     n = w.n
     if len(j1) != n:
         raise UsageError("gauge vector needs one component per coordinate")
-    trunc = order
-    gamma = build_gamma(w, order, trunc)
-    base = assemble_darboux(gamma)
-    th = ThetaPoly.theta(n, 1, trunc)
-    xs = [x.with_trunc(trunc) for x in base.x_of]
-    ps = []
-    for i in range(n):
-        ji = j1[i].with_trunc(trunc)
-        ps.append(ThetaPoly.momentum(n, i, trunc) - th * ji)
-
-    ys, pis = invert_phase_map(xs, ps, order)
-    back = {("x", i): ys[i] for i in range(n)}
-    back.update({("p", i): pis[i] for i in range(n)})
-
-    delta: dict[tuple[int, int], ThetaPoly] = {}
-    varpi: dict[tuple[int, int], ThetaPoly] = {}
-    for i in range(n):
-        for j in range(n):
-            delta[(i, j)] = canonical_bracket(xs[i], ps[j]).substitute(back).truncated(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            varpi[(i, j)] = canonical_bracket(ps[i], ps[j]).substitute(back).truncated(order)
-    return GeneralBrackets(delta, varpi)
+    xs = assemble_darboux(build_gamma(w, order, order))
+    th = ThetaPoly.theta(n, 1, order)
+    ps = [ThetaPoly.momentum(n, i, order) - th * ji.with_trunc(order)
+          for i, ji in enumerate(j1)]
+    return GeneralBrackets(*_curved_brackets(xs, ps, order))
 
 
 def phase_space_jacobi_defect(

@@ -212,13 +212,10 @@ class StarProduct:
     def commutator(self, f, g):
         return self.star(f, g) - self.star(g, f)
 
-    def left_multiplication_operator(self, f: ThetaPoly,
-                                     order: Optional[int] = None) -> DiffOperator:
+    def left_multiplication_operator(self, f: ThetaPoly) -> DiffOperator:
         """The operator g -> f * g."""
-        if order is None:
-            order = self.order
         blocks: dict[MultiIndex, ThetaPoly] = {}  # d^b -> its coefficient
-        for k in range(order + 1):
+        for k in range(self.order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = f.diff_multi(a)
                 if not df.is_zero:
@@ -228,10 +225,9 @@ class StarProduct:
             (c * ThetaPoly.monomial(self.n, p=b, trunc=self.trunc) for b, c in blocks.items()),
             ThetaPoly.zero(self.n, self.trunc)))
 
-    def star_prime(self, f, g, gauge: "GaugeCorrection",
-                   order: Optional[int] = None):
+    def star_prime(self, f, g, gauge: "GaugeCorrection"):
         """Product conjugated by the grade-2 gauge operator."""
-        return self.with_gauge(gauge).star(f, g, order)
+        return self.with_gauge(gauge).star(f, g)
 
 
 def _weight(f) -> int:
@@ -286,27 +282,6 @@ def measure_defect(mu: ThetaPoly, w: PoissonBivector) -> list[ThetaPoly]:
             total = total + (mu * w.entry(i, j).with_trunc(mu.trunc)).diff_x(i)
         out.append(total)
     return out
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Validated trace density; the divergence defect is recorded at
-    construction."""
-
-    mu: ThetaPoly
-    defect: tuple[ThetaPoly, ...]
-
-    @staticmethod
-    def build(mu: ThetaPoly, w: PoissonBivector) -> "Measure":
-        if mu.is_zero:
-            raise UsageError("density must be nonzero")
-        if not (mu.is_theta_free and mu.is_coordinate_only):
-            raise UsageError("density must be a grade-free coordinate polynomial")
-        return Measure(mu, tuple(measure_defect(mu, w)))
-
-    @property
-    def is_valid(self) -> bool:
-        return all(d.is_zero for d in self.defect)
 
 
 class GaugeCorrection:

@@ -34,7 +34,6 @@ from ncqm.operators import (
 )
 from ncqm.poisson import (
     PoissonBivector,
-    assemble_darboux,
     build_gamma,
     constant_bivector,
     fuzzy_sphere_bivector,
@@ -106,7 +105,7 @@ def test_criterion_1_gamma_recursion(fuzzy, quad2d, const3d):
 
 
 def test_criterion_2_darboux_defining_property(fuzzy):
-    report = verify_darboux(assemble_darboux(build_gamma(fuzzy, 3)), fuzzy, 3)
+    report = verify_darboux(build_gamma(fuzzy, 3), fuzzy)
     assert report.xx_zero
     assert report.pp_zero
     _report(2, "coordinate brackets reproduce the bivector identically "

@@ -330,6 +330,38 @@ def test_golden_report_order2(name, task, code, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# darboux-check of every problem file at the orders the tables above leave
+# out, recorded while the map was still checked through a separate
+# coordinate-and-momentum map type
+GOLDEN_DARBOUX = [
+    ("constant", 0, 0, "445e8bb77f0ba2c3a88d0a66ec148a7ecb8da9789d3e80448e3a1e1372d1e4c9"),
+    ("constant", 1, 0, "fc84c025683d8001eb2a9e4b356555280a7f3ddfb8fff15bec753386a8dd97a5"),
+    ("constant", 4, 0, "f28238c812e3a72fa61194237036d0071d2954dca1a4b4dd7de03de6567418b8"),
+    ("constant", 5, 0, "12d37879ed3d228b5df83668d81d18e910f278fa390e64939df154f0e77f74fc"),
+    ("fuzzy_sphere", 0, 0, "a1a922624e4aa0530bf7e2e5e4be92562371d1dfafae99c9618eebca7e4c0f39"),
+    ("fuzzy_sphere", 1, 0, "6778fc52c7c03c1d7ced1acb65685735faeef02e3e9f1682e10dd8e160eb068e"),
+    ("fuzzy_sphere", 4, 0, "2ff88c828b4e948aceb725ed0f19ad40124d025de6b524a5fdfdf5cc91b6eb24"),
+    ("fuzzy_sphere", 5, 0, "316e9c2dc1ce6282ee72ad404bd2cd9d18eaf6fef143a546cc4c6460fef25322"),
+    ("non_poisson", 0, 1, "0a8d4eb5ecc16366fd16f2d00b39be27b09e8f6f3d04d6b6349fa79941932c80"),
+    ("non_poisson", 1, 1, "10f24792f5f6605b312afe6451a22cc53a7d99a27828cfc420d6b77b520c18d7"),
+    ("non_poisson", 4, 1, "15f43b2eb633bdc2b0ab19e4fa4f20a5ef2d5689449cae7f5db15230cae0a145"),
+    ("non_poisson", 5, 1, "f332248dbb99ba477edeeae8cac142215d046151cece018afcdd21494b58c459"),
+    ("quadratic2d", 0, 0, "bfcc42a5faa6392b25ab995f92ecb4e539e8b2ad882f1d218677e5fcdfbb8dbf"),
+    ("quadratic2d", 1, 0, "e60d5ed75acac9d1a9b2c8397998b78d2c341656ff550d0e2f149de94e20b2e8"),
+    ("quadratic2d", 4, 0, "73d32f9429f6c55fc185acebdeb9a3f9edc62705307f7cd63d3171fc25012daa"),
+    ("quadratic2d", 5, 0, "7d6ea69a0d608d648d72afba88c5a5f7adcff315791cbbc190ad4b77b6c3038b"),
+]
+
+
+@pytest.mark.parametrize("name,order,code,digest", GOLDEN_DARBOUX,
+                         ids=[f"{n}-{o}" for n, o, _, _ in GOLDEN_DARBOUX])
+def test_golden_darboux_orders(name, order, code, digest, capsys):
+    assert main([str(PROBLEMS / f"{name}.json"), "--task", "darboux-check",
+                 "--order", str(order)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # the Nambu bivector of C = x1*x2 at order 2; its gauge, (3,3) = -1/24, is
 # nonzero, so the gauge-corrected pairs run through a nontrivial product
 NAMBU_X1X2 = json.dumps({
