@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Check, with exact arithmetic, the derived star product and the two
-fixed coefficients it rests on: that of the grade-3 correction Q^i and
-that of the gauge matrix.
+"""Check, with exact arithmetic, the derived star product, the one fixed
+coefficient it rests on (that of the grade-3 correction Q^i), and the
+trace gauge read off the product.
 
 Run from the repository root:  python3 scripts/calibrate_star.py
 
@@ -10,7 +10,8 @@ Checks performed:
      is associative through grade 3 on sampled triples;
   2. the coordinate-operator closure at grade 3, which fixes the
      coefficient of the correction Q^i;
-  3. the exact trace condition, which fixes the gauge-matrix coefficient.
+  3. the exact trace condition for the product corrected by the gauge
+     that ``gauge_b`` reads off its grade-2 rules.
 
 The script prints what it finds and asserts a zero associator and a zero
 closure defect for every family, and an exact trace condition for the
@@ -83,14 +84,14 @@ def check_gauge():
     fuzzy = fuzzy_sphere_bivector()
     from ncqm.star import GaugeError
     exact = {}
+    sp = StarProduct(fuzzy, 2)
     for mu_text in ("1", "x1^2+x2^2+x3^2", "1+x1^2+x2^2+x3^2"):
         mu = parse_polynomial(mu_text, 3)
-        sp = StarProduct(fuzzy, 2)
         try:
-            gauge = gauge_b(mu, fuzzy)
+            gauge = gauge_b(mu, sp)
         except GaugeError as err:
-            # the divergence formula has a rational remainder for these
-            # radial densities; they are rejected, not approximated
+            # the gauge read off the product has a rational remainder for
+            # these radial densities; they are rejected, not approximated
             print(f"   mu = {mu_text}: rejected ({err})")
             continue
         ok = True

@@ -51,7 +51,7 @@ def main() -> int:
     print("operator closure defects zero:",
           all(op.is_zero for op in closure.values()))
 
-    gauge = gauge_b(ThetaPoly.one(3), w)
+    gauge = gauge_b(ThetaPoly.one(3), product)
     print("trace gauge matrix:", gauge.to_json())
 
     osc = build_fuzzy_oscillator()

@@ -239,7 +239,10 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
         return {"status": "fail",
                 "reason": "density fails the divergence condition",
                 "measure_defect": [d.text() for d in mdef]}
-    gauge = gauge_b(problem.mu, w)
+    # below order 2 the report still carries the gauge, read off a grade-2
+    # product at the same truncation
+    gauge = gauge_b(problem.mu, product if product.order == 2
+                    else StarProduct(w, 2, trunc=product.trunc))
     corrected = product.with_gauge(gauge)
     failures = []
     uncorrected = []

@@ -86,8 +86,8 @@ class PoissonBivector:
 
     def contraction(self, i: int, k: int, l: int) -> ThetaPoly:
         """W^{ikl} = sum_j w^{ij} d_j w^{kl}: the bivector contracted with
-        its own gradient.  The Jacobi defect, the trace gauge and the
-        grade-3 correction read it."""
+        its own gradient.  The Jacobi defect and the grade-3 correction
+        read it."""
         if self._contraction is None:
             n, rows = self.n, self._matrix
             zero = rows[0][0]  # a diagonal entry, at the entries' truncation

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exact_algebra import (
     GaussianRational,
@@ -33,35 +32,8 @@ from .operators import (
     laplacian,
     plane_wave_symbol,
 )
-from .poisson import (
-    PoissonBivector,
-    build_gamma,
-    fuzzy_sphere_bivector,
-    jacobi_defect,
-    levi_civita,
-)
-from .star import StarProduct, gauge_b, measure_defect
-
-
-@dataclass(frozen=True)
-class FuzzySphereModel:
-    """Linear rotation-invariant bivector with a radial density."""
-
-    bivector: PoissonBivector
-    mu: ThetaPoly
-    order: int = 3
-
-    @staticmethod
-    def build(mu: Optional[ThetaPoly] = None, order: int = 3) -> "FuzzySphereModel":
-        w = fuzzy_sphere_bivector(trunc=max(order, 3))
-        if mu is None:
-            mu = ThetaPoly.one(3, max(order, 3))
-        model = FuzzySphereModel(w, mu, order)
-        if not jacobi_defect(w).is_zero:
-            raise UsageError("model bivector failed validation")
-        if any(not d.is_zero for d in measure_defect(mu, w)):
-            raise UsageError("model density failed the divergence condition")
-        return model
+from .poisson import build_gamma, fuzzy_sphere_bivector, levi_civita
+from .star import StarProduct, gauge_b
 
 
 @dataclass(frozen=True)
@@ -151,7 +123,6 @@ class OscillatorReport:
     """
 
     frequency_symbol: str
-    kinetic: DiffOperator
     potential_slices: tuple[DiffOperator, ...]
     correction_coefficient: Fraction
     identity_holds: bool
@@ -173,11 +144,8 @@ def build_fuzzy_oscillator(max_l: int = 2, trunc: int = 3) -> OscillatorReport:
     operator identities, that the grade-1 slice of the potential vanishes
     and the grade-2 slice equals L^2/12 (so the Hamiltonian correction is
     th^2 w^2 L^2 / 24)."""
-    model = FuzzySphereModel.build(order=trunc)
-    w = model.bivector
-    mu = model.mu
-    product = StarProduct(w, 2, trunc=trunc)
-    gauge = gauge_b(mu, w)
+    product = StarProduct(fuzzy_sphere_bivector(trunc=trunc), 2, trunc=trunc)
+    gauge = gauge_b(ThetaPoly.one(3, trunc), product)
     r2 = ThetaPoly.zero(3, trunc)
     for i in range(3):
         r2 = r2 + ThetaPoly.coordinate(3, i, trunc) ** 2
@@ -186,11 +154,9 @@ def build_fuzzy_oscillator(max_l: int = 2, trunc: int = 3) -> OscillatorReport:
     first_ok = slices[1].is_zero
     target = l_squared(trunc).scale(Fraction(1, 12))
     identity_ok = slices[2] == target
-    kinetic = laplacian(3, trunc).scale(Fraction(-1, 2))
     corrections = tuple(energy_correction(max_l, l) for l in range(max_l + 1))
     return OscillatorReport(
         frequency_symbol="w_osc",
-        kinetic=kinetic,
         potential_slices=slices,
         correction_coefficient=Fraction(1, 24),
         identity_holds=identity_ok,

@@ -12,9 +12,13 @@ through grade min(trunc, 3), and keeps the tower and xhat as
 Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
 lower ones; ``StarProduct._derive_slice`` reads the rules off it.
 
-The gauge-corrected product is the same rule table with one grade-2 rule
-delta, (e_i, e_k) -> -2 b_ik, added by ``StarProduct.with_gauge``; its
-grade-3 slice is the uncorrected one.  The checks take the product they
+The trace condition Tr(f * g) = Tr(fg) is an operator identity:
+``trace_operator`` integrates the grade-k rules by parts into the operator
+D_k with Tr(f * g) - Tr(fg) = int f D(g).  The gauge-corrected product is
+the same rule table with one grade-2 rule delta, (e_i, e_k) -> -2 b_ik,
+added by ``StarProduct.with_gauge``; its grade-3 slice is the uncorrected
+one.  ``gauge_b`` reads b off the product it corrects, as the matrix that
+cancels the second-order part of D_2.  The checks take the product they
 check: pass ``product.with_gauge(gauge)`` for the corrected one.
 """
 
@@ -62,6 +66,15 @@ def _binomial_tuples(alpha: MultiIndex):
         yield gamma, math.prod(map(math.comb, alpha, gamma))
 
 
+def _add(table: dict, key, coeff: ThetaPoly):
+    """Add coeff at key, dropping the key when the sum vanishes."""
+    s = table[key] + coeff if key in table else coeff
+    if s.is_zero:
+        table.pop(key, None)
+    else:
+        table[key] = s
+
+
 class StarProduct:
     """Associative deformation of pointwise multiplication for one
     polynomial Poisson bivector, evaluated exactly slice by slice; keeps
@@ -90,14 +103,6 @@ class StarProduct:
             self.slices.append(self._derive_slice(k))
 
     # -- slice construction ---------------------------------------------------
-
-    def _add(self, rule: Rule, a: MultiIndex, b: MultiIndex, coeff: ThetaPoly):
-        key = (a, b)
-        s = rule[key] + coeff if key in rule else coeff
-        if s.is_zero:
-            rule.pop(key, None)
-        else:
-            rule[key] = s
 
     def _derive_slice(self, k: int) -> Rule:
         """The grade-k rules, read off associativity with the coordinate
@@ -132,14 +137,14 @@ class StarProduct:
                                 continue
                             xdc = x * dc
                             for df, binom_f in _binomial_tuples(tail(fg)):
-                                self._add(rhs, _plus(a, df), _plus(b, _minus(fg, df)),
-                                          _times(xdc, binom * binom_f))
+                                _add(rhs, (_plus(a, df), _plus(b, _minus(fg, df))),
+                                     _times(xdc, binom * binom_f))
                     if not any(m[:i]):
                         # -c d^a(X^{ij} f) d^b g: d^a splits over x and f
                         for df, binom in _binomial_tuples(tail(a)):
                             dx = x.diff_multi(_minus(a, df))
                             if not dx.is_zero:
-                                self._add(rhs, _plus(df, m), b, _times(c * dx, -binom))
+                                _add(rhs, (_plus(df, m), b), _times(c * dx, -binom))
             for (alpha, beta), coeff in rhs.items():
                 a = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
                 rule[(a, beta)] = coeff if a[i] == 1 else coeff.scale(Fraction(1, a[i]))
@@ -156,26 +161,23 @@ class StarProduct:
         out.slices[2] = rule = dict(self.slices[2])
         n = self.n
         for (i, k), b_ik in gauge.entries.items():
-            self._add(rule, multi_index(n, i), multi_index(n, k), b_ik.scale(-2))
+            _add(rule, (multi_index(n, i), multi_index(n, k)), b_ik.scale(-2))
         return out
 
     # -- evaluation -------------------------------------------------------------
 
-    def star(self, f, g, order: Optional[int] = None):
-        """Exact product of two polynomials or Gaussian-class functions.
+    def star(self, f, g):
+        """Exact product of two polynomials or Gaussian-class functions,
+        through the built grade.
 
         Every rule's piece is added term by term into one accumulator; for
         Gaussian-class operands the pieces are prefactors, all of weight
         wf + wg, wrapped once at the end."""
-        if order is None:
-            order = self.order
-        if order > self.order:
-            raise UsageError(f"product built only through grade {self.order}")
         acc: dict = {}
         top = None
         d_cache_f: dict[MultiIndex, ThetaPoly] = {}
         d_cache_g: dict[MultiIndex, ThetaPoly] = {}
-        for k in range(order + 1):
+        for k in range(self.order + 1):
             for (a, b), coeff in self.slices[k].items():
                 df = self._diff_cached(f, a, d_cache_f)
                 if df.is_zero:
@@ -313,30 +315,51 @@ class GaugeCorrection:
         return {f"({i+1},{k+1})": p.text() for (i, k), p in sorted(self.entries.items())}
 
 
-# Coefficient of the gauge matrix in terms of the divergence of the
-# once-differentiated bivector; fixed by the exact trace condition for the
-# derived product (scripts/calibrate_star.py checks it).
-GAUGE_COEFF = Fraction(1, 48)
+def trace_operator(product: StarProduct, mu: ThetaPoly, k: int) -> dict[MultiIndex, ThetaPoly]:
+    """The grade-k part D_k of Tr(f * g) - Tr(fg) = int f D(g), as
+    {derivative multi-index: coefficient}.
+
+    Integrating the grade-k rules by parts gives
+    D_k = sum_ab (-1)^|a| d^a o mu c_ab d^b, and each d^a o h splits as
+    sum_g C(a, g) (d^(a-g) h) d^g.  The product satisfies the trace
+    condition at grade k for every pair exactly when D_k is empty."""
+    out: dict[MultiIndex, ThetaPoly] = {}
+    for (a, b), c in product.slices[k].items():
+        h = mu * c
+        sign = -1 if sum(a) % 2 else 1
+        for g, binom in _binomial_tuples(a):
+            dh = h.diff_multi(_minus(a, g))
+            if not dh.is_zero:
+                _add(out, _plus(g, b), _times(dh, sign * binom))
+    return out
 
 
-def gauge_b(mu: ThetaPoly, w: PoissonBivector) -> GaugeCorrection:
-    """Gauge matrix restoring the trace condition at grade 2.
+def gauge_b(mu: ThetaPoly, product: StarProduct) -> GaugeCorrection:
+    """Gauge matrix restoring the trace condition at grade 2, read off the
+    product it corrects.
 
-    Requires a valid density.  The quotient by the density must be exact;
-    a rational remainder signals a density outside the polynomial scope
-    and is reported as an error.
+    The gauge rules (e_i, e_k) -> -2 b_ik add 2 d_i o mu b_ik d_k to D_2,
+    whose second-order part is 2 mu b_ii on d_i^2 and 4 mu b_ik on d_i d_k,
+    i < k.  So mu b_ik is -1/2 (diagonal) or -1/4 (off-diagonal) times the
+    d_i d_k coefficient of the uncorrected D_2.  Requires a valid density
+    and a product built through grade 2.  The quotient by the density must
+    be exact; a rational remainder signals a density outside the
+    polynomial scope and is reported as an error.
     """
-    defect = measure_defect(mu, w)
+    if product.order < 2:
+        raise UsageError("the gauge is read off a product built through grade 2")
+    defect = measure_defect(mu, product.w)
     if any(not d.is_zero for d in defect):
         raise MeasureError(defect)
-    n = w.n
+    n = product.n
+    d2 = trace_operator(product, mu, 2)
     entries: dict[tuple[int, int], ThetaPoly] = {}
     for i in range(n):
         for k in range(n):
-            total = sum(((mu * w.contraction(i, l, k)).diff_x(l) for l in range(n)),
-                        ThetaPoly.zero(n, mu.trunc)).scale(GAUGE_COEFF)
-            if total.is_zero:
+            coeff = d2.get(multi_index(n, i, k))
+            if coeff is None:
                 continue
+            total = coeff.scale(Fraction(-1, 2 if i == k else 4))
             quotient = divide_exact(total, mu)
             if quotient is None:
                 raise GaugeError(i, k, total, mu)

@@ -180,12 +180,12 @@ def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
 def test_criterion_6_trace_cyclicity(fuzzy):
     rng = random.Random(SEED + 2)
     mu = ThetaPoly.one(3)
-    gauge = gauge_b(mu, fuzzy)  # derived, not hard-coded
+    product = StarProduct(fuzzy, 2)
+    gauge = gauge_b(mu, product)  # read off the product, not hard-coded
     diag = ThetaPoly.constant(3, Fraction(1, 24))
     for i in range(3):
         for k in range(3):
             assert gauge.entry(i, k) == (diag if i == k else ThetaPoly.zero(3))
-    product = StarProduct(fuzzy, 2)
     for _ in range(N_SAMPLES):
         f = GaussianFunction(seeded_poly(rng, 3))
         g = GaussianFunction(seeded_poly(rng, 3))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ncqm import cli
-from ncqm.cli import ProblemError, ProblemFile, main, run, run_task
+from ncqm.cli import ProblemError, ProblemFile, main, run_task
 from ncqm.poisson import build_gamma
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -359,6 +359,57 @@ def test_golden_darboux_orders(name, order, code, digest, capsys):
     assert main([str(PROBLEMS / f"{name}.json"), "--task", "darboux-check",
                  "--order", str(order)]) == code
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# trace-check of every problem file at the orders below the grade-2 product,
+# whose reports still carry the gauge, recorded while the gauge came from a
+# closed form in the bivector instead of the product's grade-2 rules
+GOLDEN_TRACE_LOW_ORDER = [
+    ("constant", 0, 0, "6ae5dc1114c59572acfc0f87cf320ea64e6fe8c11095fb4e7c58ee719e854490"),
+    ("constant", 1, 0, "5c2b63a345b58600651dec66422c2996603585ae4500d6a7276b66470d967ba8"),
+    ("fuzzy_sphere", 0, 0, "6100558b86111c874c5f02ce757ea4840773ec60330e0b3db0f62d1c66aa8bfb"),
+    ("fuzzy_sphere", 1, 0, "6fd3f59e2f7fd27fd37023df0dc6237606d692cf02a8b042093d591b771916fe"),
+    ("non_poisson", 0, 1, "e4dffc1210bfabdab1218bdf31899ad517c148628cc6a29d9543e59d3e36819f"),
+    ("non_poisson", 1, 1, "e8be3aa17896d71d63e2375f8a699a07dfb6fdf1fb974d5c67e9c00c5202548c"),
+    ("quadratic2d", 0, 1, "6877061904554499946a052c770bede37db66003ef49790713dac1f8024a2acd"),
+    ("quadratic2d", 1, 1, "487dc8266459be30aec67acfc5b519ad40e8ac702f7b83083295983ea98b5c3e"),
+]
+
+
+@pytest.mark.parametrize("name,order,code,digest", GOLDEN_TRACE_LOW_ORDER,
+                         ids=[f"{n}-{o}" for n, o, _, _ in GOLDEN_TRACE_LOW_ORDER])
+def test_golden_trace_low_orders(name, order, code, digest, capsys):
+    assert main([str(PROBLEMS / f"{name}.json"), "--task", "trace-check",
+                 "--order", str(order)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the fuzzy sphere with the radial density r^2, recorded as above: the
+# gauge is not polynomial, so every order reports the same GaugeError reason
+GOLDEN_RADIAL = [
+    (0, "7f4727259955b08ec04f6ecd006ef3e6966dc73ad2aecfdc303ecd53410fd9b1"),
+    (1, "af88aa1e1fa923c53f11e83a2887000e4446bf13735a498fc08d716df126f49f"),
+    (2, "f769d81636cfd724d858c5d3b72fa4e2e085f72863d063a3369c586b7d4b6263"),
+    (3, "72d20e7d910e022ad47fdc1bcce1d54c2c7f207bd37cbb2d5a54137b70a441db"),
+]
+
+
+@pytest.mark.parametrize("order,digest", GOLDEN_RADIAL,
+                         ids=[str(o) for o, _ in GOLDEN_RADIAL])
+def test_golden_radial_gauge_error(order, digest, tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "fuzzy_sphere.json").read_text())
+    doc["measure"] = "x1^2+x2^2+x3^2"
+    path = tmp_path / "radial.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--task", "trace-check", "--order", str(order)]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["tasks"]["trace-check"] == {
+        "status": "error",
+        "reason": "gauge entry (1,1) is not polynomial: "
+                  "(1/12*x3^2 + 1/12*x2^2 + 1/24*x1^2) / "
+                  "(1/1*x3^2 + 1/1*x2^2 + 1/1*x1^2)"}
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

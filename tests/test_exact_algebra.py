@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ncqm.exact_algebra import (
     GaussianFunction,
-    GaussianIntegral,
     GaussianRational,
     MAX_NESTING,
     RationalFunction,

@@ -199,7 +199,7 @@ def test_nambu_gamma1():
 
 
 def test_nambu_gauge():
-    gauge = gauge_b(ThetaPoly.one(3), NAMBU)
+    gauge = gauge_b(ThetaPoly.one(3), StarProduct(NAMBU, 2))
     assert digest(json.dumps(gauge.to_json(), sort_keys=True)) == \
         "dbb32823f31936c8b906db2088170d3521f0ff727f6b6533c8aa0ab2bc0ae4ac"
 

@@ -1,7 +1,6 @@
 """Operator algebra: composition, commutators, coordinate and momentum
 operators, the closure correction, similarity transforms."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,7 @@ from ncqm.operators import (
     plane_wave_symbol,
     subalgebra_defect,
 )
-from ncqm.poisson import build_gamma, fuzzy_sphere_bivector, levi_civita
+from ncqm.poisson import build_gamma, levi_civita
 from ncqm.star import StarProduct
 
 from conftest import poly_strategy, scalars, seeded_poly

@@ -1,6 +1,5 @@
 """Bivector validation, canonical brackets, and the Darboux machinery."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 
 from ncqm.exact_algebra import (
     DEFAULT_TRUNC,
-    GaussianRational,
     ThetaPoly,
     UsageError,
     parse_polynomial,
@@ -21,17 +19,15 @@ from ncqm.poisson import (
     build_gamma,
     canonical_bracket,
     constant_bivector,
-    fuzzy_sphere_bivector,
     general_brackets,
     invert_phase_map,
     jacobi_defect,
-    levi_civita,
     phase_space_jacobi_defect,
     reference_delta,
     verify_darboux,
 )
 
-from conftest import poly_strategy, seeded_poly
+from conftest import poly_strategy
 
 
 class TestJacobi:

@@ -4,16 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncqm.exact_algebra import (
-    GaussianRational,
-    RationalFunction,
-    ThetaPoly,
-    UsageError,
-    parse_polynomial,
-)
+from ncqm.exact_algebra import ThetaPoly, UsageError, parse_polynomial
 from ncqm.operators import l_squared
 from ncqm.qm_examples import (
-    FuzzySphereModel,
     build_fuzzy_oscillator,
     energy_correction,
     free_particle_check,
@@ -21,6 +14,7 @@ from ncqm.qm_examples import (
     rotation_covariance_check,
     solid_harmonics,
 )
+from ncqm.star import MeasureError, StarProduct, gauge_b, measure_defect
 
 
 class TestFreeParticle:
@@ -106,13 +100,16 @@ class TestRotationCovariance:
 
 
 class TestModel:
-    def test_model_validation(self):
-        model = FuzzySphereModel.build()
-        assert model.bivector.n == 3
-        r2 = parse_polynomial("x1^2+x2^2+x3^2", 3)
-        model2 = FuzzySphereModel.build(mu=r2)
-        assert model2.mu == r2
+    """The fuzzy-sphere bivector and its densities; StarProduct redoes the
+    Jacobi check and gauge_b the density check."""
 
-    def test_invalid_measure_rejected(self):
-        with pytest.raises(UsageError):
-            FuzzySphereModel.build(mu=parse_polynomial("1+x1", 3))
+    def test_model_validation(self, fuzzy):
+        for mu_text in ("1", "x1^2+x2^2+x3^2"):
+            mu = parse_polynomial(mu_text, 3)
+            assert all(d.is_zero for d in measure_defect(mu, fuzzy))
+
+    def test_invalid_measure_rejected(self, fuzzy):
+        mu = parse_polynomial("1+x1", 3)
+        assert any(not d.is_zero for d in measure_defect(mu, fuzzy))
+        with pytest.raises(MeasureError):
+            gauge_b(mu, StarProduct(fuzzy, 2))

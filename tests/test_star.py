@@ -1,6 +1,6 @@
 """Star product, gauge correction, trace functional."""
 
-import random
+import copy
 from fractions import Fraction
 
 import pytest
@@ -21,7 +21,6 @@ from ncqm.poisson import (
     PoissonBivector,
     build_gamma,
     constant_bivector,
-    fuzzy_sphere_bivector,
 )
 from ncqm.operators import build_gamma1, build_phat, build_xhat
 from ncqm.star import (
@@ -35,6 +34,7 @@ from ncqm.star import (
     measure_defect,
     trace,
     trace_condition_oracle,
+    trace_operator,
 )
 
 from conftest import seeded_poly
@@ -69,9 +69,6 @@ class TestProductBasics:
     def test_order_cap(self, fuzzy):
         with pytest.raises(UsageError):
             StarProduct(fuzzy, 4)
-        sp = StarProduct(fuzzy, 2)
-        with pytest.raises(UsageError):
-            sp.star(ThetaPoly.one(3), ThetaPoly.one(3), order=3)
 
     def test_rejects_non_poisson(self):
         w = PoissonBivector(3, {
@@ -205,10 +202,10 @@ class TestGauge:
     def test_constant_bivector_gives_zero(self, planar):
         mu = parse_polynomial("1 + x3^2", 3)
         assert all(d.is_zero for d in measure_defect(mu, planar))
-        assert gauge_b(mu, planar).is_zero
+        assert gauge_b(mu, StarProduct(planar, 2)).is_zero
 
     def test_fuzzy_unit_density(self, fuzzy):
-        gauge = gauge_b(ThetaPoly.one(3), fuzzy)
+        gauge = gauge_b(ThetaPoly.one(3), StarProduct(fuzzy, 2))
         expect = ThetaPoly.constant(3, Fraction(1, 24))
         for i in range(3):
             for k in range(3):
@@ -221,32 +218,103 @@ class TestGauge:
     def test_invalid_measure_rejected(self):
         w = PoissonBivector(2, {(0, 1): parse_polynomial("x1", 2)})
         with pytest.raises(MeasureError) as err:
-            gauge_b(ThetaPoly.one(2), w)
+            gauge_b(ThetaPoly.one(2), StarProduct(w, 2))
         assert any(not d.is_zero for d in err.value.defect)
 
     def test_radial_density_rejected_with_remainder(self, fuzzy):
         r2 = parse_polynomial("x1^2+x2^2+x3^2", 3)
         with pytest.raises(GaugeError) as err:
-            gauge_b(r2, fuzzy)
+            gauge_b(r2, StarProduct(fuzzy, 2))
         assert not err.value.numerator.is_zero
 
     def test_symmetry_for_valid_measures(self, fuzzy, const3d, planar):
         for w, mu_text in ((fuzzy, "1"), (const3d, "1"), (planar, "2+x3^4")):
             mu = parse_polynomial(mu_text, 3)
-            assert gauge_b(mu, w).is_symmetric
+            assert gauge_b(mu, StarProduct(w, 2)).is_symmetric
+
+
+def _biv(n: int, rows: dict) -> PoissonBivector:
+    return PoissonBivector(n, {k: parse_polynomial(v, n) for k, v in rows.items()})
+
+
+# (bivector, density) pairs that satisfy the divergence condition and give a
+# polynomial gauge; the Nambu bivectors are w^{ij} = eps^{ijk} d_k C
+NAMBU_CUBIC = {(0, 1): "x3^2", (1, 2): "2*x1*x2", (2, 0): "x1^2+2*x2"}
+VALID_TRACE_CASES = {
+    "fuzzy": ({(0, 1): "x3", (1, 2): "x1", (2, 0): "x2"}, 3, "1"),
+    "planar": ({(0, 1): "1"}, 3, "1+x3^2"),
+    "constant-4": ({(0, 1): "1", (0, 2): "2"}, 4, "2+(x3-2*x2)^2+x4^2"),
+    "nambu-square": ({(0, 1): "3*x3"}, 3, "1"),  # C = 3 x3^2/2
+    "nambu-pair": ({(1, 2): "2*x2", (2, 0): "2*x1"}, 3, "1"),  # C = 2 x1 x2
+    # C = x1^2 + x1 x3 + 2 x2^2 + x2 x3
+    "nambu-quadratic": ({(0, 1): "x1+x2", (1, 2): "2*x1+x3", (2, 0): "4*x2+x3"}, 3, "1"),
+    "nambu-cubic": (NAMBU_CUBIC, 3, "1"),  # C = x3^3/3 + x1^2 x2 + x2^2
+}
+
+
+class TestTraceCertificate:
+    """The trace condition as an operator identity, for every pair: the
+    operator D with Tr(f * g) - Tr(fg) = int f D(g) is empty at grades 1
+    and 2 for the corrected product."""
+
+    @pytest.mark.parametrize("case", list(VALID_TRACE_CASES))
+    def test_corrected_product_is_certified(self, case):
+        rows, n, mu_text = VALID_TRACE_CASES[case]
+        sp = StarProduct(_biv(n, rows), 2)
+        mu = parse_polynomial(mu_text, n)
+        uncorrected = trace_operator(sp, mu, 2)
+        assert all(sum(key) == 2 for key in uncorrected)
+        corrected = sp.with_gauge(gauge_b(mu, sp))
+        for k in (1, 2):
+            assert trace_operator(corrected, mu, k) == {}
+
+    def test_operator_matches_the_oracle(self, fuzzy):
+        """int f D_2(g) is the moment oracle's grade-2 obstruction."""
+        for w in (fuzzy, _biv(3, NAMBU_CUBIC)):
+            mu = ThetaPoly.one(3)
+            d2 = trace_operator(StarProduct(w, 2), mu, 2)
+            f = GaussianFunction(ThetaPoly.coordinate(3, 0))
+            for g in (f, GaussianFunction(parse_polynomial("x1*x2^2+2*x3^2-x2", 3))):
+                dg = sum((g.diff_multi(key) * c for key, c in d2.items()),
+                         GaussianFunction(ThetaPoly.zero(3), 1))
+                got = gaussian_integrate(f * dg.theta_shift(2))
+                assert not got.is_zero
+                assert got == trace_condition_oracle(f, g, w, mu)
+
+    @pytest.mark.parametrize("case,rules", [
+        ("fuzzy", 45), ("nambu-pair", 18), ("nambu-cubic", 51)])
+    def test_doubled_rule_is_caught(self, case, rules):
+        """Doubling any one grade-2 rule leaves a nonzero certificate, or a
+        gauge that is not polynomial."""
+        rows, n, mu_text = VALID_TRACE_CASES[case]
+        sp = StarProduct(_biv(n, rows), 2)
+        mu = parse_polynomial(mu_text, n)
+        assert len(sp.slices[2]) == rules
+        for key, coeff in sp.slices[2].items():
+            mutated = copy.copy(sp)
+            mutated.slices = sp.slices[:2] + [{**sp.slices[2], key: coeff.scale(2)}]
+            try:
+                gauge = gauge_b(mu, mutated)
+            except GaugeError:
+                continue
+            assert trace_operator(mutated.with_gauge(gauge), mu, 2), key
+
+    def test_needs_the_grade2_rules(self, fuzzy):
+        with pytest.raises(UsageError):
+            gauge_b(ThetaPoly.one(3), StarProduct(fuzzy, 1))
 
 
 class TestPrimedProduct:
     def test_constant_bivector_unchanged(self, const3d, rng):
         mu = ThetaPoly.one(3)
         sp = StarProduct(const3d, 3)
-        gauge = gauge_b(mu, const3d)
+        gauge = gauge_b(mu, sp)
         f, g = seeded_poly(rng, 3), seeded_poly(rng, 3)
         assert sp.star_prime(f, g, gauge) == sp.star(f, g)
 
     def test_fuzzy_correction_value(self, fuzzy):
         sp = StarProduct(fuzzy, 2)
-        gauge = gauge_b(ThetaPoly.one(3), fuzzy)
+        gauge = gauge_b(ThetaPoly.one(3), sp)
         x1 = ThetaPoly.coordinate(3, 0)
         diff = sp.star_prime(x1, x1, gauge) - sp.star(x1, x1)
         # -2 th^2 b^{11} = -th^2/12 for the derived gauge
@@ -254,7 +322,7 @@ class TestPrimedProduct:
 
     def test_constant_argument_kills_correction(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 2)
-        gauge = gauge_b(ThetaPoly.one(3), fuzzy)
+        gauge = gauge_b(ThetaPoly.one(3), sp)
         c = ThetaPoly.constant(3, 5)
         g = seeded_poly(rng, 3)
         assert sp.star_prime(c, g, gauge) == sp.star(c, g)
@@ -262,7 +330,7 @@ class TestPrimedProduct:
     def test_with_gauge_is_a_grade2_rule_delta(self, fuzzy):
         sp = StarProduct(fuzzy, 3)
         before = [dict(rule) for rule in sp.slices]
-        corrected = sp.with_gauge(gauge_b(ThetaPoly.one(3), fuzzy))
+        corrected = sp.with_gauge(gauge_b(ThetaPoly.one(3), sp))
         assert sp.slices == before  # the uncorrected product is untouched
         assert corrected.slices[3] is sp.slices[3]
         delta = {key: rule for key, rule in corrected.slices[2].items()
@@ -273,7 +341,7 @@ class TestPrimedProduct:
 
     def test_grade3_slice_copies_uncorrected(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 3)
-        gauge = gauge_b(ThetaPoly.one(3), fuzzy)
+        gauge = gauge_b(ThetaPoly.one(3), sp)
         f, g = seeded_poly(rng, 3), seeded_poly(rng, 3)
         primed = sp.star_prime(f, g, gauge)
         plain = sp.star(f, g)
@@ -300,7 +368,7 @@ class TestCyclicity:
     def test_corrected_zero_through_grade2(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 2)
         mu = ThetaPoly.one(3)
-        gauge = gauge_b(mu, fuzzy)
+        gauge = gauge_b(mu, sp)
         for _ in range(4):
             f = GaussianFunction(seeded_poly(rng, 3))
             g = GaussianFunction(seeded_poly(rng, 3))
@@ -335,7 +403,7 @@ class TestCyclicity:
     def test_constant_bivector_nontrivial_measure(self, planar, rng):
         mu = parse_polynomial("1 + x3^2", 3)
         sp = StarProduct(planar, 2)
-        gauge = gauge_b(mu, planar)
+        gauge = gauge_b(mu, sp)
         f = GaussianFunction(seeded_poly(rng, 3))
         g = GaussianFunction(seeded_poly(rng, 3))
         rep = cyclicity_defect(f, g, sp.with_gauge(gauge), mu)
@@ -346,7 +414,7 @@ class TestHermiticity:
     def test_real_coordinate_self_adjoint(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 2)
         mu = ThetaPoly.one(3)
-        gauge = gauge_b(mu, fuzzy)
+        gauge = gauge_b(mu, sp)
         f = ThetaPoly.coordinate(3, 0)
         for _ in range(3):
             phi = GaussianFunction(seeded_poly(rng, 3))
@@ -358,7 +426,7 @@ class TestHermiticity:
     def test_grade_zero_trivial(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 2)
         mu = ThetaPoly.one(3)
-        gauge = gauge_b(mu, fuzzy)
+        gauge = gauge_b(mu, sp)
         f = seeded_poly(rng, 3).truncated(0)
         f = (f + f.conjugate()).scale(Fraction(1, 2))  # real part
         phi = GaussianFunction(seeded_poly(rng, 3))
@@ -369,7 +437,7 @@ class TestHermiticity:
     def test_equal_real_states_purely_imaginary(self, fuzzy, rng):
         sp = StarProduct(fuzzy, 2)
         mu = ThetaPoly.one(3)
-        gauge = gauge_b(mu, fuzzy)
+        gauge = gauge_b(mu, sp)
         f = ThetaPoly.coordinate(3, 2)
         raw = seeded_poly(rng, 3)
         real_pre = (raw + raw.conjugate()).scale(Fraction(1, 2))
