@@ -11,16 +11,23 @@ Scalar layout: a ``GaussianRational`` is one reduced int triple
 are ``Fraction`` views derived from it, used by the text form and the
 parser's size caps.
 
-Term layout: a polynomial term is keyed by ``(grade, exponents)``, where
+Term layout: a polynomial term is given as ``(grade, exponents)``, where
 ``exponents`` holds the n coordinate exponents followed by the n momentum
-exponents.  There is one format for coordinate and phase-space values: a
-coordinate polynomial is one whose momentum exponents are all zero
-(``is_coordinate_only``).  Only this module reads or builds those keys;
-other modules go through ``ThetaPoly.monomial``, ``momentum_blocks`` and
-the arithmetic.
-The ``ThetaPoly`` and ``GaussianIntegral`` constructors are the only
-places that drop zero terms (and grades above the truncation); the
-arithmetic only accumulates.
+exponents, and stored under one packed int key: exponent slot s sits in
+the 8-bit field at bit 8s and the grade above all 2n fields, at bit 16n.
+A product's key is the sum of its factors' keys, and a grade test is one
+compare against ``(trunc + 1) << 16n`` (the packed-monomial layout of
+Monagan and Pearce).  There is one format for coordinate and phase-space
+values: a coordinate polynomial is one whose momentum exponents are all
+zero (``is_coordinate_only``).  Only this module reads or builds the
+keys; other modules go through ``ThetaPoly.monomial``, ``momentum_blocks``,
+``sorted_terms``, ``graded_sum`` and the arithmetic.  An exponent past
+``MAX_EXPONENT`` (255) raises ``OverflowError`` instead of wrapping into
+the next field; the parser's ``MAX_DEGREE`` of 8 keeps every parsed input
+far below it.
+The public ``ThetaPoly`` constructor packs and checks its terms; the
+arithmetic builds results through ``_poly``, dropping a cancelled term in
+the loop that makes it.
 
 The deformation parameter is a formal grading variable (written ``th`` in
 the text form); it is never assigned a numeric value.  Series are kept
@@ -31,9 +38,9 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from operator import add, sub
+from functools import lru_cache, reduce
+from math import gcd, perm
+from operator import or_
 from typing import Mapping, Optional, Union
 
 DEFAULT_TRUNC = 3
@@ -165,7 +172,10 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __str__(self) -> str:
         # canonical text form: "p/q" or "p/q+r/s*i", explicit sign, reduced
@@ -196,7 +206,7 @@ class GaussianRational:
         return GaussianRational(re_part, im_part)
 
 
-_new_scalar = object.__new__
+_new = object.__new__
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
@@ -207,7 +217,7 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
             a //= g
             b //= g
             d //= g
-    out = _new_scalar(GaussianRational)
+    out = _new(GaussianRational)
     out.a = a
     out.b = b
     out.d = d
@@ -225,6 +235,9 @@ I = GaussianRational(0, 1)
 
 TermKey = tuple[int, tuple[int, ...]]
 
+# Largest exponent a term may carry: each one lives in an 8-bit field.
+MAX_EXPONENT = 255
+
 
 def multi_index(n: int, *axes: int) -> tuple[int, ...]:
     """Exponent vector of length n with one unit per listed axis; repeated
@@ -235,15 +248,48 @@ def multi_index(n: int, *axes: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _top_bits(n: int) -> int:
+    """The top bit of each of the 2n exponent fields."""
+    return int.from_bytes(b"\x80" * (2 * n), "little")
+
+
+def _pack(n: int, t: int, e) -> int:
+    """The key of the term th^t x^e, checked against the field cap."""
+    if t < 0 or min(e, default=0) < 0:
+        raise UsageError("grades and exponents must be nonnegative")
+    if max(e, default=0) > MAX_EXPONENT:
+        raise OverflowError(f"exponent exceeds the cap of {MAX_EXPONENT}")
+    return int.from_bytes(bytes(e), "little") | t << (n << 4)
+
+
+def _unpack(n: int, key: int) -> TermKey:
+    """(grade, exponents) of a packed key."""
+    shift = n << 4
+    return key >> shift, tuple((key & ((1 << shift) - 1)).to_bytes(2 * n, "little"))
+
+
+def _poly(n: int, terms: dict, trunc: int) -> "ThetaPoly":
+    """Wrap packed terms that are already normal: nonzero, grades <= trunc."""
+    out = _new(ThetaPoly)
+    out.n = n
+    out.trunc = trunc
+    out.terms = terms
+    return out
+
+
 class ThetaPoly:
     """Multivariate polynomial over GaussianRational, graded by powers of
     the deformation parameter.
 
-    Keys are ``(grade, exponents)``; ``exponents`` holds the n coordinate
-    exponents followed by the n momentum exponents, which stay zero for
-    coordinate-only values.  The same type serves coordinate and
-    phase-space values; checks that need a coordinate polynomial read
-    ``is_coordinate_only``.
+    ``terms`` maps packed keys to nonzero coefficients (see "Term layout"
+    in the module docstring); the constructor takes ``(grade, exponents)``
+    keys, whose ``exponents`` hold the n coordinate exponents followed by
+    the n momentum exponents, which stay zero for coordinate-only values.
+    The same type serves coordinate and phase-space values; checks that
+    need a coordinate polynomial read ``is_coordinate_only``.  Values are
+    immutable by convention: nothing assigns to n, trunc or terms, or
+    changes terms, after construction.
     """
 
     __slots__ = ("n", "trunc", "terms")
@@ -252,19 +298,16 @@ class ThetaPoly:
                  trunc: int = DEFAULT_TRUNC):
         if n <= 0:
             raise DimensionError("need at least one coordinate")
-        clean: dict[TermKey, GaussianRational] = {}
+        clean: dict[int, GaussianRational] = {}
         for (t, e), c in terms.items():
             if t > trunc or c.is_zero:
                 continue
             if len(e) != 2 * n:
                 raise DimensionError("exponent vector length mismatch")
-            clean[(t, tuple(e))] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ThetaPoly is immutable")
+            clean[_pack(n, t, e)] = c
+        self.n = n
+        self.trunc = trunc
+        self.terms = clean
 
     # -- constructors -------------------------------------------------------
 
@@ -312,48 +355,54 @@ class ThetaPoly:
 
     @property
     def is_theta_free(self) -> bool:
-        return all(t == 0 for (t, _) in self.terms)
+        return max(self.terms, default=0) >> (self.n << 4) == 0
 
     @property
     def is_coordinate_only(self) -> bool:
-        n = self.n
-        return not any(any(e[n:]) for (_, e) in self.terms)
+        low = 8 * self.n
+        return not reduce(or_, self.terms, 0) >> low & ((1 << low) - 1)
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0, (0,) * (2 * self.n)), ZERO)
+        return self.terms.get(0, ZERO)
 
     def momentum_blocks(self) -> dict[tuple[int, ...], "ThetaPoly"]:
         """Map each momentum exponent vector to the coordinate polynomial
         (grades kept) that multiplies it."""
         n = self.n
-        blocks: dict[tuple[int, ...], dict[TermKey, GaussianRational]] = {}
-        for (t, e), c in self.terms.items():
-            blocks.setdefault(e[n:], {})[(t, e[:n] + (0,) * n)] = c
-        return {me: ThetaPoly(n, terms, self.trunc) for me, terms in blocks.items()}
+        low = 8 * n
+        fields = (1 << low) - 1
+        blocks: dict[int, dict[int, GaussianRational]] = {}
+        for k, c in self.terms.items():
+            m = k >> low & fields
+            blocks.setdefault(m, {})[k - (m << low)] = c
+        return {tuple(m.to_bytes(n, "little")): _poly(n, terms, self.trunc)
+                for m, terms in blocks.items()}
 
     def with_trunc(self, trunc: int) -> "ThetaPoly":
-        return ThetaPoly(self.n, self.terms, trunc)
+        terms = self.terms if trunc >= self.trunc else self.truncated(trunc).terms
+        return _poly(self.n, terms, trunc)
 
     def _merge_trunc(self, other: "ThetaPoly") -> int:
         if self.n != other.n:
             raise DimensionError(f"dimension mismatch: {self.n} vs {other.n}")
-        return min(self.trunc, other.trunc)
+        return self.trunc if self.trunc < other.trunc else other.trunc
 
     # -- ring arithmetic -----------------------------------------------------
 
     def __add__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
-        if not isinstance(other, ThetaPoly):
+        if type(other) is not ThetaPoly:
             other = ThetaPoly.constant(self.n, other, self.trunc)
         trunc = self._merge_trunc(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return ThetaPoly(self.n, out, trunc)
+        out = dict(self.truncated(trunc).terms if self.trunc > trunc else self.terms)
+        b = other.truncated(trunc).terms if other.trunc > trunc else other.terms
+        for k, c in b.items():
+            _put(out, k, c)
+        return _poly(self.n, out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ThetaPoly":
-        return ThetaPoly(self.n, {k: -c for k, c in self.terms.items()}, self.trunc)
+        return _poly(self.n, {k: -c for k, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
         if not isinstance(other, ThetaPoly):
@@ -367,24 +416,36 @@ class ThetaPoly:
         c = GaussianRational.of(c)
         if c.is_zero:
             return ThetaPoly.zero(self.n, self.trunc)
-        return ThetaPoly(self.n, {k: v * c for k, v in self.terms.items()}, self.trunc)
+        return _poly(self.n, {k: v * c for k, v in self.terms.items()}, self.trunc)
 
     def __mul__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        if not isinstance(other, ThetaPoly):
+        if type(other) is not ThetaPoly:
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                return self.scale(other)
             return NotImplemented
         trunc = self._merge_trunc(other)
-        out: dict[TermKey, GaussianRational] = {}
-        for (t1, e1), c1 in self.terms.items():
-            for (t2, e2), c2 in other.terms.items():
-                t = t1 + t2
-                if t > trunc:
-                    continue
-                k = (t, tuple(a + b for a, b in zip(e1, e2)))
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return ThetaPoly(self.n, out, trunc)
+        n, a, b = self.n, self.terms, other.terms
+        # a term's key is the sum of its factors' keys, unless a field passes
+        # the cap; fields below their top bit cannot
+        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _top_bits(n):
+            _check_fields(n, a, b, trunc)
+        limit = (trunc + 1) << (n << 4)
+        out: dict[int, GaussianRational] = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                if k < limit:
+                    c = c1 * c2
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = c
+                    else:
+                        s = s + c
+                        if s.a or s.b:
+                            out[k] = s
+                        else:
+                            del out[k]
+        return _poly(n, out, trunc)
 
     __rmul__ = __mul__
 
@@ -408,17 +469,23 @@ class ThetaPoly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        # a constant hashes like the scalar it equals
+        terms = self.terms
+        if not terms.keys() - {0}:
+            return hash(terms.get(0, 0))
+        return hash((self.n, frozenset(terms.items())))
 
     # -- calculus ------------------------------------------------------------
 
     def _diff(self, slot: int) -> "ThetaPoly":
         # lowering one exponent never merges two monomials
-        return ThetaPoly(
-            self.n,
-            {(t, e[:slot] + (e[slot] - 1,) + e[slot + 1:]): c * e[slot]
-             for (t, e), c in self.terms.items() if e[slot]},
-            self.trunc)
+        shift = 8 * slot
+        out = {}
+        for k, c in self.terms.items():
+            e = k >> shift & 255
+            if e:
+                out[k - (1 << shift)] = c if e == 1 else _make(c.a * e, c.b * e, c.d)
+        return _poly(self.n, out, self.trunc)
 
     def diff_x(self, i: int) -> "ThetaPoly":
         if not 0 <= i < self.n:
@@ -431,35 +498,52 @@ class ThetaPoly:
         return self._diff(self.n + i)
 
     def diff_multi(self, midx: tuple[int, ...]) -> "ThetaPoly":
-        """Apply the coordinate derivative with multiplicities ``midx``."""
-        out = self
-        for i, k in enumerate(midx):
-            for _ in range(k):
-                out = out.diff_x(i)
-                if out.is_zero:
-                    return out
-        return out
+        """Apply the coordinate derivative with multiplicities ``midx``, in
+        one pass: each term takes the falling factorials of its exponents."""
+        orders = [(8 * i, k) for i, k in enumerate(midx) if k > 0]
+        if not orders:
+            return self
+        if orders[-1][0] >= 8 * self.n:
+            i = orders[-1][0] // 8
+            raise IndexError(f"coordinate index {i} out of range for n={self.n}")
+        drop = sum(k << shift for shift, k in orders)
+        out = {}
+        for key, c in self.terms.items():
+            f = 1
+            for shift, k in orders:
+                f *= perm(key >> shift & 255, k)
+            if f:
+                out[key - drop] = c if f == 1 else _make(c.a * f, c.b * f, c.d)
+        return _poly(self.n, out, self.trunc)
 
     def conjugate(self) -> "ThetaPoly":
         # the grading variable is treated as real
-        return ThetaPoly(self.n, {k: c.conjugate() for k, c in self.terms.items()},
-                         self.trunc)
+        return _poly(self.n, {k: c.conjugate() for k, c in self.terms.items()},
+                     self.trunc)
 
     def theta_coefficient(self, k: int) -> "ThetaPoly":
         """Coordinate/momentum polynomial multiplying the k-th grade."""
-        out = {(0, e): c for (t, e), c in self.terms.items() if t == k}
-        return ThetaPoly(self.n, out, self.trunc)
+        shift = self.n << 4
+        return _poly(self.n, {key - (k << shift): c for key, c in self.terms.items()
+                              if key >> shift == k}, self.trunc)
 
     def theta_shift(self, k: int) -> "ThetaPoly":
-        out = {(t + k, e): c for (t, e), c in self.terms.items()}
-        return ThetaPoly(self.n, out, self.trunc)
+        if k < 0:
+            raise UsageError("grades and exponents must be nonnegative")
+        shift = self.n << 4
+        step, limit = k << shift, (self.trunc + 1) << shift
+        return _poly(self.n, {key + step: c for key, c in self.terms.items()
+                              if key + step < limit}, self.trunc)
 
     def truncated(self, order: int) -> "ThetaPoly":
-        out = {k: c for k, c in self.terms.items() if k[0] <= order}
-        return ThetaPoly(self.n, out, self.trunc)
+        limit = (order + 1) << (self.n << 4)
+        if max(self.terms, default=-1) < limit:
+            return self
+        return _poly(self.n, {k: c for k, c in self.terms.items() if k < limit},
+                     self.trunc)
 
     def max_theta_power(self) -> int:
-        return max((t for (t, _) in self.terms), default=0)
+        return max(self.terms, default=0) >> (self.n << 4)
 
     def substitute(self, images: Mapping[tuple[str, int], "ThetaPoly"]) -> "ThetaPoly":
         """Exact composition; keys are ('x', i) or ('p', i).
@@ -481,14 +565,17 @@ class ThetaPoly:
                 return got
             base = images.get(("x", slot) if slot < n else ("p", slot - n))
             if base is None:
-                base = ThetaPoly(n, {(0, multi_index(2 * n, slot)): ONE}, trunc)
+                base = _poly(n, {1 << (8 * slot): ONE}, trunc)
             val = base.with_trunc(trunc) ** e
             cache[(slot, e)] = val
             return val
 
         out = ThetaPoly.zero(n, trunc)
-        for (t, exps), c in self.terms.items():
-            term = ThetaPoly(n, {(t, (0,) * (2 * n)): c}, trunc)
+        for key, c in self.terms.items():
+            t, exps = _unpack(n, key)
+            if t > trunc:
+                continue
+            term = _poly(n, {t << (n << 4): c}, trunc)
             for slot, e in enumerate(exps):
                 if e:
                     term = term * image_power(slot, e)
@@ -499,7 +586,8 @@ class ThetaPoly:
 
     def sorted_terms(self) -> list[tuple[TermKey, GaussianRational]]:
         # (grade, total degree, coordinate exponents, momentum exponents)
-        return sorted(self.terms.items(),
+        n = self.n
+        return sorted(((_unpack(n, k), c) for k, c in self.terms.items()),
                       key=lambda item: (item[0][0], sum(item[0][1]), item[0][1]))
 
     def text(self) -> str:
@@ -531,6 +619,55 @@ class ThetaPoly:
         return f"ThetaPoly({self.text()!r})"
 
 
+def _check_fields(n: int, a: dict, b: dict, trunc: int) -> None:
+    """Raise if a product term of a and b would carry out of an exponent
+    field; a carry shows as a bit where the sum differs from the xor."""
+    shift, carry = n << 4, _top_bits(n) << 1
+    for k1 in a:
+        for k2 in b:
+            if (k1 >> shift) + (k2 >> shift) <= trunc and (k1 + k2 ^ k1 ^ k2) & carry:
+                raise OverflowError(f"exponent exceeds the cap of {MAX_EXPONENT}")
+
+
+def _put(out: dict, key: int, c: GaussianRational) -> None:
+    """Add c into out[key], dropping the key when the sum cancels."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    elif (s := s + c).a or s.b:
+        out[key] = s
+    else:
+        del out[key]
+
+
+def graded_sum(n: int, pieces) -> Optional[ThetaPoly]:
+    """Sum of th^k * piece over the (k, piece) pairs, truncated at the
+    lowest truncation among the pieces; None when there are no pieces."""
+    acc: dict[int, GaussianRational] = {}
+    top = None
+    shift = n << 4
+    for k, piece in pieces:
+        if top is None or piece.trunc < top:
+            top = piece.trunc
+            limit = (top + 1) << shift
+        step = k << shift
+        for key, c in piece.terms.items():
+            key += step
+            if key < limit:
+                s = acc.get(key)
+                if s is None:
+                    acc[key] = c
+                else:
+                    s = s + c
+                    if s.a or s.b:
+                        acc[key] = s
+                    else:
+                        del acc[key]
+    if top is None:
+        return None
+    return _poly(n, acc, top).truncated(top)
+
+
 # ---------------------------------------------------------------------------
 # exact division and rational functions
 # ---------------------------------------------------------------------------
@@ -553,13 +690,13 @@ def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
         raise ZeroDivisionError("polynomial division by zero")
     if not (den.is_theta_free and den.is_coordinate_only):
         raise UsageError("divisor must be grade-free and coordinate-only")
-    den_terms = sorted(((e, c) for (_, e), c in den.terms.items()),
+    n = num.n
+    den_terms = sorted(((_unpack(n, k)[1], c) for k, c in den.terms.items()),
                        key=lambda item: _grlex_key(item[0]), reverse=True)
     lead_e, lead_c = den_terms[0]
-
-    n = num.n
     blocks: dict[tuple, dict[tuple[int, ...], GaussianRational]] = {}
-    for (t, e), c in num.terms.items():
+    for k, c in num.terms.items():
+        t, e = _unpack(n, k)
         blocks.setdefault((sum(e[n:]), e[n:], t), {})[e] = c
 
     out: dict[TermKey, GaussianRational] = {}
@@ -567,13 +704,13 @@ def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
         while rem:
             e = max(rem, key=_grlex_key)
             c = rem[e]
-            q_e = tuple(map(sub, e, lead_e))
+            q_e = tuple(a - b for a, b in zip(e, lead_e))
             if min(q_e) < 0:
                 return None
             q_c = c / lead_c
             out[(t, q_e)] = q_c
             for d_e, d_c in den_terms:
-                k = tuple(map(add, q_e, d_e))
+                k = tuple(a + b for a, b in zip(q_e, d_e))
                 s = rem.get(k, ZERO) - q_c * d_c
                 if s.is_zero:
                     rem.pop(k, None)
@@ -726,9 +863,21 @@ class GaussianFunction:
         return self.prefactor.is_zero
 
     def diff_x(self, i: int) -> "GaussianFunction":
-        x_i = ThetaPoly.coordinate(self.n, i, self.prefactor.trunc)
-        pre = self.prefactor.diff_x(i) - self.prefactor * x_i * (2 * self.weight)
-        return GaussianFunction(pre, self.weight)
+        """d_i (P exp(-w|x|^2)) = (d_i P - 2w x_i P) exp(-w|x|^2), formed
+        term by term."""
+        p = self.prefactor
+        if not 0 <= i < p.n:
+            raise IndexError(f"coordinate index {i} out of range for n={p.n}")
+        shift, w2 = 8 * i, -2 * self.weight
+        out: dict[int, GaussianRational] = {}
+        for k, c in p.terms.items():
+            e = k >> shift & 255
+            if e == MAX_EXPONENT:
+                raise OverflowError(f"exponent exceeds the cap of {MAX_EXPONENT}")
+            _put(out, k + (1 << shift), _make(c.a * w2, c.b * w2, c.d))
+            if e:
+                _put(out, k - (1 << shift), _make(c.a * e, c.b * e, c.d))
+        return GaussianFunction(_poly(p.n, out, p.trunc), self.weight)
 
     def diff_multi(self, midx: tuple[int, ...]) -> "GaussianFunction":
         out = self
@@ -787,13 +936,14 @@ MOMENT_TABLE_SIZE = 4096
 
 
 @lru_cache(maxsize=MOMENT_TABLE_SIZE)
-def _moment_product(exps: tuple[int, ...], weight: int) -> Optional[GaussianRational]:
-    """Integral over all space of prod_i x_i^exps[i] exp(-weight |x|^2), in
-    units of (pi/weight)^(n/2); None when an odd exponent makes it zero.
+def _moment_product(fields: int, weight: int) -> Optional[GaussianRational]:
+    """Integral over all space of prod_i x_i^e_i exp(-weight |x|^2), in
+    units of (pi/weight)^(n/2), for the exponents e_i packed in the fields
+    of a term key; None when an odd exponent makes it zero.
 
     Each axis contributes (e-1)!! / (2 weight)^(e/2)."""
     num, half = 1, 0
-    for e in exps:
+    for e in fields.to_bytes((fields.bit_length() + 7) // 8, "little"):
         if e & 1:
             return None
         for k in range(e - 1, 1, -2):
@@ -885,13 +1035,13 @@ class GaussianIntegral:
 def gaussian_integrate(f: GaussianFunction) -> GaussianIntegral:
     """Closed-form integral over all space, one moment-table lookup per term
     (the prefactor's momentum exponents are zero)."""
-    weight = f.weight
+    weight, shift = f.weight, f.n << 4
     parts: dict[tuple[int, int], GaussianRational] = {}
-    for (t, e), c in f.prefactor.terms.items():
-        m = _moment_product(e, weight)
+    for k, c in f.prefactor.terms.items():
+        m = _moment_product(k & ((1 << shift) - 1), weight)
         if m is None:
             continue
-        key = (t, weight)
+        key = (k >> shift, weight)
         c = c * m
         parts[key] = parts[key] + c if key in parts else c
     return GaussianIntegral(f.n, parts)
@@ -906,6 +1056,9 @@ _TOKEN = _re.compile(r"\s*(\d+|[ip]\d*|x\d+|th|[()+\-*/^])")
 # Caps on parsed polynomials, checked before each literal, product,
 # quotient and power is built.  Degrees and bit lengths are estimated as
 # they add for monomials, so a power p^e counts e*deg(p) and e*bits(p).
+# MAX_DEGREE keeps every parsed exponent far below the engine's own cap,
+# MAX_EXPONENT (255, one 8-bit field of a packed term key), past which
+# the arithmetic raises OverflowError instead of wrapping.
 MAX_DEGREE = 8
 MAX_COEFF_BITS = 256
 # The parser recurses once per parenthesis level; runs of signs are a loop.
@@ -914,7 +1067,7 @@ MAX_NESTING = 64
 
 def _size(p: ThetaPoly) -> tuple[int, int]:
     """Total degree and largest numerator or denominator bit length."""
-    degree = max((sum(e) for _, e in p.terms), default=0)
+    degree = max((sum(e) for (_, e), _ in p.sorted_terms()), default=0)
     bits = max((max(q.numerator.bit_length(), q.denominator.bit_length())
                 for c in p.terms.values() for q in (c.re, c.im)), default=0)
     return degree, bits

@@ -39,6 +39,7 @@ from .exact_algebra import (
     UsageError,
     divide_exact,
     gaussian_integrate,
+    graded_sum,
     multi_index,
 )
 from .operators import DiffOperator, build_gamma1, build_xhat
@@ -170,32 +171,25 @@ class StarProduct:
         """Exact product of two polynomials or Gaussian-class functions,
         through the built grade.
 
-        Every rule's piece is added term by term into one accumulator; for
-        Gaussian-class operands the pieces are prefactors, all of weight
-        wf + wg, wrapped once at the end."""
-        acc: dict = {}
-        top = None
+        Every rule's piece is added term by term into one accumulator
+        (``graded_sum``); for Gaussian-class operands the pieces are
+        prefactors, all of weight wf + wg, wrapped once at the end."""
         d_cache_f: dict[MultiIndex, ThetaPoly] = {}
         d_cache_g: dict[MultiIndex, ThetaPoly] = {}
-        for k in range(self.order + 1):
-            for (a, b), coeff in self.slices[k].items():
-                df = self._diff_cached(f, a, d_cache_f)
-                if df.is_zero:
-                    continue
-                dg = self._diff_cached(g, b, d_cache_g)
-                if dg.is_zero:
-                    continue
-                piece = coeff * df * dg
-                if top is None or piece.trunc < top:
-                    top = piece.trunc
-                for (t, e), c in piece.terms.items():
-                    t += k
-                    if t <= top:
-                        key = (t, e)
-                        acc[key] = acc[key] + c if key in acc else c
-        if top is None:
+
+        def pieces():
+            for k in range(self.order + 1):
+                for (a, b), coeff in self.slices[k].items():
+                    df = self._diff_cached(f, a, d_cache_f)
+                    if df.is_zero:
+                        continue
+                    dg = self._diff_cached(g, b, d_cache_g)
+                    if not dg.is_zero:
+                        yield k, coeff * df * dg
+
+        out = graded_sum(self.n, pieces())
+        if out is None:
             return _zero_like(f, g, self.n, self.trunc)
-        out = ThetaPoly(self.n, acc, top)
         if isinstance(f, GaussianFunction) or isinstance(g, GaussianFunction):
             return GaussianFunction(out, _weight(f) + _weight(g))
         return out

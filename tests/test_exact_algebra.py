@@ -19,7 +19,7 @@ from ncqm.exact_algebra import (
     gaussian_integrate,
     parse_polynomial,
 )
-from ncqm.exact_algebra import _moment_product
+from ncqm.exact_algebra import _moment_product, _pack
 
 from conftest import poly_strategy, scalars
 
@@ -414,11 +414,15 @@ class TestGaussianClass:
             GaussianRational(Fraction(1, 2))
 
     def test_moment_table_entries(self):
+        # the table is keyed by the exponent fields of a packed term key
+        def fields(*e):
+            return _pack(len(e) // 2, 0, e)
+
         # (3!! / 6^2) * (1 / 6) for x1^4 x2^2 under exp(-3|x|^2)
-        assert _moment_product((4, 2, 0, 0), 3) == GaussianRational(Fraction(1, 72))
-        assert _moment_product((0, 0), 5) == GaussianRational(1)
-        assert _moment_product((2, 1), 1) is None
-        assert _moment_product((4, 2, 0, 0), 3) is _moment_product((4, 2, 0, 0), 3)
+        assert _moment_product(fields(4, 2, 0, 0), 3) == GaussianRational(Fraction(1, 72))
+        assert _moment_product(fields(0, 0), 5) == GaussianRational(1)
+        assert _moment_product(fields(2, 1), 1) is None
+        assert _moment_product(fields(4, 2, 0, 0), 3) is _moment_product(fields(4, 2, 0, 0), 3)
 
     def test_integral_arithmetic(self):
         a = gaussian_integrate(GaussianFunction(ThetaPoly.one(2)))
