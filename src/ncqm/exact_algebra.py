@@ -21,13 +21,21 @@ Monagan and Pearce).  There is one format for coordinate and phase-space
 values: a coordinate polynomial is one whose momentum exponents are all
 zero (``is_coordinate_only``).  Only this module reads or builds the
 keys; other modules go through ``ThetaPoly.monomial``, ``momentum_blocks``,
-``sorted_terms``, ``graded_sum`` and the arithmetic.  An exponent past
+``sorted_terms``, ``star_sum`` and the arithmetic.  An exponent past
 ``MAX_EXPONENT`` (255) raises ``OverflowError`` instead of wrapping into
 the next field; the parser's ``MAX_DEGREE`` of 8 keeps every parsed input
 far below it.
 The public ``ThetaPoly`` constructor packs and checks its terms; the
 arithmetic builds results through ``_poly``, dropping a cancelled term in
 the loop that makes it.
+
+Star-product sums: ``star_sum`` evaluates sum th^k c d^a f d^b g over a
+rule table on integer numerators.  Each operand and each rule coefficient
+is held as one denominator, the lcm of its coefficients' denominators, over
+Gaussian-integer numerators; a derivative is one step on the numerators
+from the derivative below it and keeps the denominator.  The terms are
+added as Python ints over one common denominator, and each output
+coefficient is reduced once, by ``_make``.
 
 The deformation parameter is a formal grading variable (written ``th`` in
 the text form); it is never assigned a numeric value.  Series are kept
@@ -39,7 +47,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, perm
+from math import gcd, lcm, perm
 from operator import or_
 from typing import Mapping, Optional, Union
 
@@ -640,32 +648,157 @@ def _put(out: dict, key: int, c: GaussianRational) -> None:
         del out[key]
 
 
-def graded_sum(n: int, pieces) -> Optional[ThetaPoly]:
-    """Sum of th^k * piece over the (k, piece) pairs, truncated at the
-    lowest truncation among the pieces; None when there are no pieces."""
-    acc: dict[int, GaussianRational] = {}
-    top = None
-    shift = n << 4
-    for k, piece in pieces:
-        if top is None or piece.trunc < top:
-            top = piece.trunc
-            limit = (top + 1) << shift
-        step = k << shift
-        for key, c in piece.terms.items():
-            key += step
+# ---------------------------------------------------------------------------
+# the bilinear sum of a star product, on integer numerators
+# ---------------------------------------------------------------------------
+#
+# A numerator form (d, terms, high) stands for the polynomial
+# sum (a + b*i)/d * x^key over the (key, a, b) in ``terms``, with d the lcm
+# of the coefficients' denominators.  ``high`` is False only when every
+# exponent field is below 64, so that no product of three such factors can
+# carry out of a field.
+
+
+@lru_cache(maxsize=None)
+def _high_bits(n: int) -> int:
+    """The top two bits of each of the 2n exponent fields."""
+    return _top_bits(n) | _top_bits(n) >> 1
+
+
+def _numerators(p: ThetaPoly) -> tuple[int, list, bool]:
+    """The numerator form of p."""
+    d = lcm(*(c.d for c in p.terms.values()))
+    if d == 1:
+        terms = [(k, c.a, c.b) for k, c in p.terms.items()]
+    else:
+        terms = [(k, c.a * (m := d // c.d), c.b * m) for k, c in p.terms.items()]
+    return d, terms, bool(reduce(or_, p.terms, 0) & _high_bits(p.n))
+
+
+def _from_numerators(n: int, d: int, terms: list, trunc: int) -> ThetaPoly:
+    """The polynomial of nonzero numerator terms over d."""
+    return _poly(n, {k: _make(a, b, d) for k, a, b in terms}, trunc)
+
+
+def _gaussian_step(terms: list, i: int, weight: int) -> list:
+    """d_i P - 2w x_i P for the numerator terms of the prefactor P of a
+    Gaussian of weight w; the denominator stays and cancelled terms are
+    dropped."""
+    shift = 8 * i
+    unit, w2 = 1 << shift, -2 * weight
+    out: dict[int, list] = {}
+    for k, a, b in terms:
+        e = k >> shift & 255
+        if e == MAX_EXPONENT:
+            raise OverflowError(f"exponent exceeds the cap of {MAX_EXPONENT}")
+        for key, m in ((k + unit, w2), (k - unit, e)) if e else ((k + unit, w2),):
+            s = out.get(key)
+            if s is None:
+                out[key] = [a * m, b * m]
+            else:
+                s[0] += a * m
+                s[1] += b * m
+    return [(k, a, b) for k, (a, b) in out.items() if a or b]
+
+
+def _derivative(cache: dict, midx: tuple[int, ...], weight: int) -> tuple:
+    """The numerator form of d^midx, one coordinate derivative of the form
+    below it along the last axis of midx: d_i P for a polynomial, the
+    Gaussian step for the prefactor P of a Gaussian of weight w > 0.  The
+    denominator stays.  ``cache`` holds the forms made so far, the
+    operand's own under the zero index."""
+    i = len(midx) - 1
+    while not midx[i]:
+        i -= 1
+    below = midx[:i] + (midx[i] - 1,) + midx[i + 1:]
+    d, terms, high = cache.get(below) or _derivative(cache, below, weight)
+    if terms and not weight:
+        # lowering one exponent never merges two monomials, nor raises a field
+        shift = 8 * i
+        terms = [(k - (1 << shift), a * e, b * e) for k, a, b in terms
+                 if (e := k >> shift & 255)]
+    elif terms:
+        terms = _gaussian_step(terms, i, weight)
+        high = bool(reduce(or_, (t[0] for t in terms), 0) & _high_bits(len(midx)))
+    got = cache[midx] = (d, terms, high)
+    return got
+
+
+def _mul_into(out: dict, a, b: list, step: int, limit: int) -> None:
+    """Add the products of the numerator terms a and b into out, as
+    {key: [re, im]}, each key raised by step and kept below limit."""
+    for k1, a1, b1 in a:
+        k1 += step
+        for k2, a2, b2 in b:
+            key = k1 + k2
             if key < limit:
-                s = acc.get(key)
-                if s is None:
-                    acc[key] = c
+                v = out.get(key)
+                if v is None:
+                    out[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
                 else:
-                    s = s + c
-                    if s.a or s.b:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-    if top is None:
+                    v[0] += a1 * a2 - b1 * b2
+                    v[1] += a1 * b2 + b1 * a2
+
+
+def star_sum(n: int, slices, f, g, forms: dict) -> Optional[ThetaPoly]:
+    """sum th^k c d^a f d^b g over the rules {(a, b): c} of each slice k,
+    for polynomials or Gaussian-class f and g (their prefactors are
+    multiplied); None when no rule has both derivatives nonzero.
+
+    The result is truncated at the lowest truncation among f, g and the
+    coefficients of those rules, and an exponent past the field cap raises
+    ``OverflowError`` exactly where ``(c * d^a f) * d^b g`` would.  The sum
+    runs on numerators over one common denominator, so each output
+    coefficient is reduced once.  ``forms`` keeps each coefficient's
+    numerator form, keyed by the coefficient object, across calls."""
+    wf, pf = (f.weight, f.prefactor) if isinstance(f, GaussianFunction) else (0, f)
+    wg, pg = (g.weight, g.prefactor) if isinstance(g, GaussianFunction) else (0, g)
+    for p in (pf, pg):
+        if p.n != n:
+            raise DimensionError(f"dimension mismatch: {n} vs {p.n}")
+    zero = (0,) * n
+    cache_f, cache_g = {zero: _numerators(pf)}, {zero: _numerators(pg)}
+    top = min(pf.trunc, pg.trunc)
+    active = []
+    for k, rules in enumerate(slices):
+        for (a, b), c in rules.items():
+            df = cache_f.get(a) or _derivative(cache_f, a, wf)
+            if not df[1]:
+                continue
+            dg = cache_g.get(b) or _derivative(cache_g, b, wg)
+            if not dg[1]:
+                continue
+            form = forms.get(id(c))
+            if form is None:
+                # the entry holds c, so no other object takes its id
+                form = forms[id(c)] = (c, *_numerators(c))
+            if c.trunc < top:
+                top = c.trunc
+            active.append((k, form, df, dg))
+    if not active:
         return None
-    return _poly(n, acc, top).truncated(top)
+
+    shift = n << 4
+    limit = (top + 1) << shift
+    common = lcm(*(form[1] for _, form, _, _ in active))
+    acc: dict[int, list] = {}
+    for k, (c, cd, cterms, chigh), (fd, fterms, fhigh), (gd, gterms, ghigh) in active:
+        if chigh or fhigh or ghigh:
+            # a field at 64 or more: run the polynomial product for its
+            # OverflowError, which it raises where a field would carry
+            cf_poly = c * _from_numerators(n, fd, fterms, pf.trunc)
+            cf_poly * _from_numerators(n, gd, gterms, pg.trunc)
+        # c d^a f first, over the common denominator and cut at grade
+        # top - k, then times d^b g, shifted to grade k
+        step, s = k << shift, common // cd
+        if s != 1:
+            cterms = [(key, a * s, b * s) for key, a, b in cterms]
+        cf: dict[int, list] = {}
+        _mul_into(cf, cterms, fterms, 0, limit - step)
+        _mul_into(acc, [(key, a, b) for key, (a, b) in cf.items() if a or b],
+                  gterms, step, limit)
+    d = common * cache_f[zero][0] * cache_g[zero][0]
+    return _poly(n, {key: _make(a, b, d) for key, (a, b) in acc.items() if a or b}, top)
 
 
 # ---------------------------------------------------------------------------
@@ -864,20 +997,14 @@ class GaussianFunction:
 
     def diff_x(self, i: int) -> "GaussianFunction":
         """d_i (P exp(-w|x|^2)) = (d_i P - 2w x_i P) exp(-w|x|^2), formed
-        term by term."""
+        in one pass over the numerators of P."""
         p = self.prefactor
         if not 0 <= i < p.n:
             raise IndexError(f"coordinate index {i} out of range for n={p.n}")
-        shift, w2 = 8 * i, -2 * self.weight
-        out: dict[int, GaussianRational] = {}
-        for k, c in p.terms.items():
-            e = k >> shift & 255
-            if e == MAX_EXPONENT:
-                raise OverflowError(f"exponent exceeds the cap of {MAX_EXPONENT}")
-            _put(out, k + (1 << shift), _make(c.a * w2, c.b * w2, c.d))
-            if e:
-                _put(out, k - (1 << shift), _make(c.a * e, c.b * e, c.d))
-        return GaussianFunction(_poly(p.n, out, p.trunc), self.weight)
+        d, terms, _ = _numerators(p)
+        return GaussianFunction(
+            _from_numerators(p.n, d, _gaussian_step(terms, i, self.weight), p.trunc),
+            self.weight)
 
     def diff_multi(self, midx: tuple[int, ...]) -> "GaussianFunction":
         out = self

@@ -11,6 +11,10 @@ through grade min(trunc, 3), and keeps the tower and xhat as
 ``product.gamma`` and ``product.xhat``.
 Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
 lower ones; ``StarProduct._derive_slice`` reads the rules off it.
+``StarProduct.star`` hands the rule table to ``exact_algebra.star_sum``,
+which evaluates sum th^k c d^a f d^b g on integer numerators and keeps
+each coefficient's numerator form in the product's ``_forms``, keyed by
+the coefficient object.
 
 The trace condition Tr(f * g) = Tr(fg) is an operator identity:
 ``trace_operator`` integrates the grade-k rules by parts into the operator
@@ -39,8 +43,8 @@ from .exact_algebra import (
     UsageError,
     divide_exact,
     gaussian_integrate,
-    graded_sum,
     multi_index,
+    star_sum,
 )
 from .operators import DiffOperator, build_gamma1, build_xhat
 from .poisson import PoissonBivector, build_gamma
@@ -102,6 +106,8 @@ class StarProduct:
         self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
         for k in range(1, order + 1):
             self.slices.append(self._derive_slice(k))
+        # each rule coefficient's numerator form, keyed by the coefficient (see star_sum)
+        self._forms: dict = {}
 
     # -- slice construction ---------------------------------------------------
 
@@ -171,39 +177,15 @@ class StarProduct:
         """Exact product of two polynomials or Gaussian-class functions,
         through the built grade.
 
-        Every rule's piece is added term by term into one accumulator
-        (``graded_sum``); for Gaussian-class operands the pieces are
-        prefactors, all of weight wf + wg, wrapped once at the end."""
-        d_cache_f: dict[MultiIndex, ThetaPoly] = {}
-        d_cache_g: dict[MultiIndex, ThetaPoly] = {}
-
-        def pieces():
-            for k in range(self.order + 1):
-                for (a, b), coeff in self.slices[k].items():
-                    df = self._diff_cached(f, a, d_cache_f)
-                    if df.is_zero:
-                        continue
-                    dg = self._diff_cached(g, b, d_cache_g)
-                    if not dg.is_zero:
-                        yield k, coeff * df * dg
-
-        out = graded_sum(self.n, pieces())
+        ``star_sum`` adds every rule's term into one accumulator on integer
+        numerators; for Gaussian-class operands the sum is of prefactors,
+        all of weight wf + wg, wrapped once at the end."""
+        out = star_sum(self.n, self.slices[:self.order + 1], f, g, self._forms)
         if out is None:
             return _zero_like(f, g, self.n, self.trunc)
         if isinstance(f, GaussianFunction) or isinstance(g, GaussianFunction):
             return GaussianFunction(out, _weight(f) + _weight(g))
         return out
-
-    @staticmethod
-    def _diff_cached(f, midx: MultiIndex, cache: dict) -> ThetaPoly:
-        """The midx derivative of f, or of its prefactor for a Gaussian-class f."""
-        got = cache.get(midx)
-        if got is None:
-            got = f.diff_multi(midx)
-            if isinstance(got, GaussianFunction):
-                got = got.prefactor
-            cache[midx] = got
-        return got
 
     def commutator(self, f, g):
         return self.star(f, g) - self.star(g, f)

@@ -17,7 +17,7 @@ from ncqm.exact_algebra import (
     GaussianRational,
     ThetaPoly,
     UsageError,
-    graded_sum,
+    star_sum,
 )
 
 from conftest import small_fractions
@@ -230,14 +230,36 @@ class TestPackedAgainstReference:
             ref_x = RefPoly(n, {(0, unit): GaussianRational(-2 * weight)}, ref.trunc)
             assert same(got.prefactor, ref.diff(i) + ref * ref_x)
 
-    @given(poly_pair(), st.integers(0, 2))
+    @given(poly_pair(), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_graded_sum(self, case, k):
+    def test_star_sum(self, case, data):
         n, a, ra, b, rb = case
-        # -a cancels a term by term; the lower of the two truncations holds
-        got = graded_sum(n, [(k, a), (0, b), (k, -a), (k, a)])
-        assert same(got, rb + ra.theta_shift(k))
-        assert graded_sum(n, []) is None
+        # f = g = a, and each drawn pair (x, y) puts b on (x, y), -b on
+        # (y, x) and a on (x, x): the first two cancel term by term
+        midx = st.tuples(*[st.integers(0, 2)] * n)
+        slices, pieces = [], []
+        for k in range(3):
+            rules = {}
+            for x, y in data.draw(st.lists(st.tuples(midx, midx), max_size=3)):
+                rules[(x, y)] = b, rb
+                rules[(y, x)] = -b, rb.scale(GaussianRational(-1))
+                rules[(x, x)] = a, ra
+            slices.append({key: c for key, (c, _) in rules.items()})
+            pieces += [(k, x, y, rc) for (x, y), (_, rc) in rules.items()]
+        got = star_sum(n, slices, a, a, {})
+        # the lowest truncation among a and the coefficients of the rules
+        # whose derivatives are both nonzero holds
+        ref, top = None, a.trunc
+        for k, x, y, rc in pieces:
+            dx, dy = ra.diff_multi(x), ra.diff_multi(y)
+            if dx.terms and dy.terms:
+                top = min(top, rc.trunc)
+                piece = (rc * dx * dy).theta_shift(k)
+                ref = piece if ref is None else ref + piece
+        if ref is None:
+            assert got is None
+        else:
+            assert same(got, ref.with_trunc(top))
 
     def test_gaussian_derivative_cancels_in_place(self):
         # d(x^2 + 1) - 2 x (x^2 + 1) = -2 x^3: the two x terms cancel
