@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Check, with exact arithmetic, the derived star product, the one fixed
-coefficient it rests on (that of the grade-3 correction Q^i), and the
-trace gauge read off the product.
+"""Check, with exact arithmetic, the derived star product, the closure of
+its coordinate operators and the trace gauge read off the product.  No
+coefficient is fixed by hand: the grade-3 correction Q^i is solved from
+the closure and the gauge is read off the grade-2 rules.
 
 Run from the repository root:  python3 scripts/calibrate_star.py
 
 Checks performed:
   1. the product, derived grade by grade from the coordinate operators,
      is associative through grade 3 on sampled triples;
-  2. the coordinate-operator closure at grade 3, which fixes the
-     coefficient of the correction Q^i;
+  2. the coordinate-operator closure [xhat^i, xhat^j] = i th w^{ij}(xhat)
+     through grade 3, formed by operator composition and left star
+     multiplication, independently of the symbol residual that Q is
+     solved from;
   3. the exact trace condition for the product corrected by the gauge
      that ``gauge_b`` reads off its grade-2 rules.
 

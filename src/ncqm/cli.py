@@ -268,7 +268,7 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
 def _subalgebra(problem: ProblemFile, rng: random.Random) -> dict:
     w = problem.bivector
     product = StarProduct(w, 2, trunc=3)
-    bare = build_xhat(w, product.gamma, [ThetaPoly.zero(problem.dim)] * problem.dim)
+    bare = build_xhat(w, product.gamma)
     defects, residuals = subalgebra_defect([product.xhat, bare], w, product)
     ok = all(op.is_zero for op in defects.values())
     return {

@@ -1007,11 +1007,15 @@ class GaussianFunction:
             self.weight)
 
     def diff_multi(self, midx: tuple[int, ...]) -> "GaussianFunction":
-        out = self
-        for i, k in enumerate(midx):
-            for _ in range(k):
-                out = out.diff_x(i)
-        return out
+        """The derivative with multiplicities ``midx``: one chain of Gaussian
+        steps on the numerators of the prefactor."""
+        p = self.prefactor
+        if any(midx[p.n:]):
+            raise IndexError(f"coordinate index out of range for n={p.n}")
+        if p.is_zero or not any(midx):
+            return self
+        d, terms, _ = _derivative({(0,) * len(midx): _numerators(p)}, tuple(midx), self.weight)
+        return GaussianFunction(_from_numerators(p.n, d, terms, p.trunc), self.weight)
 
     def conjugate(self) -> "GaussianFunction":
         return GaussianFunction(self.prefactor.conjugate(), self.weight)

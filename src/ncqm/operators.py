@@ -11,9 +11,12 @@ sum_gamma (1/gamma!) d_p^gamma a * d_x^gamma b.
 The coordinate operators xhat^i are built here, by ``build_xhat``, and
 nowhere else: ``StarProduct`` keeps the ones it derives its rules from as
 ``product.xhat``.  Each is the Darboux tower read as a symbol,
-x^i + sum_k th^k (-i)^k P^i_k with P^i_3 - Q^i at grade 3, the correction
-Q^i of ``build_gamma1`` stored in the same momentum-polynomial form: every
-canonical momentum p becomes -i d.
+x^i + sum_k th^k (-i)^k P^i_k with P^i_3 - Q^i at grade 3: every canonical
+momentum p becomes -i d.  The correction Q^i, stored in the same
+momentum-polynomial form, is solved by ``build_gamma1`` from the closure
+[xhat^i, xhat^j] = i th w^{ij}(xhat) at grade 3, on the symbols of the bare
+operators and the product's grade-2 rules, by the Euler homotopy that
+``build_gamma`` solves the tower with.
 """
 
 from __future__ import annotations
@@ -246,44 +249,55 @@ class DiffOperator:
 # ---------------------------------------------------------------------------
 
 
-def build_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
-    """The grade-3 correction as one momentum polynomial per coordinate,
+def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
+                 trunc: int = 3) -> list[ThetaPoly]:
+    """The grade-3 correction Q^i, one momentum polynomial per coordinate,
+    solved from the closure [xhat^i, xhat^j] = i th w^{ij}(xhat) at grade 3
+    on the bare operators ``xhat`` and the grade-2 ``rules`` {(a, b): c}
+    of their product, whose left multiplication is L_f = sum c d^a f d^b.
 
-        Q^i = (1/24) sum_{j,k,a,m} W^{amk} d_a d_m w^{ij} p_j p_k,
-
-    stored like the tower orders; ``build_xhat`` quantizes P^i_3 - Q^i.
-    It cancels the grade-3 obstruction left by the bare quantized tower;
-    both carry second derivatives of the bivector, so Q vanishes for
-    constant and linear bivectors.  The coefficient is fixed by the exact
-    closure requirement (see the acceptance suite).
+    [x^i, G d^a] has the symbol -d_{p_i}(G p^a), so adding C to the grade-3
+    symbols cancels the grade-3 symbol R^{ij} of [xhat^i, xhat^j] - i th L_w
+    when d_{p_i} C^j - d_{p_j} C^i = R^{ij}.  The Euler homotopy solves it
+    per momentum degree d, C^j = sum_i p_i R^{ij} / (d + 2), as
+    ``build_gamma`` solves the tower; the grade-3 symbol is i (P_3 - Q),
+    so Q = i C.
     """
     n = w.n
-    w = w.with_trunc(trunc)
-    zero = ThetaPoly.zero(n, trunc)
-    ps = [ThetaPoly.momentum(n, k, trunc) for k in range(n)]
-    wp: dict[tuple[int, int], ThetaPoly] = {}  # sum_k W^{amk} p_k, on first use
-    out = []
-    for i in range(n):
-        total = zero
-        for j, a, m in itertools.product(range(n), repeat=3):
-            dd = w.entry(i, j).diff_x(a).diff_x(m)
-            if dd.is_zero:
-                continue
-            if (a, m) not in wp:
-                wp[a, m] = sum((w.contraction(a, m, k) * p for k, p in enumerate(ps)), zero)
-            total = total + dd * ps[j] * wp[a, m]
-        out.append(total.scale(Fraction(1, 24)))
-    return out
+    one, zero = ThetaPoly.one(n, trunc), ThetaPoly.zero(n, trunc)
+    ps = [ThetaPoly.momentum(n, i, trunc) for i in range(n)]
+    x1, x2, x3 = ([op.symbol.num.theta_coefficient(k) for op in xhat] for k in (1, 2, 3))
+    lw_rules: dict[MultiIndex, list] = {}  # d^b -> its rules (a, c_ab)
+    for (a, b), c in rules.items():
+        lw_rules.setdefault(b, []).append((a, c))
+    orders = {a for a, _ in rules}
+
+    def bracket(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
+        return _leibniz(a, b, one, 0)[0] - _leibniz(b, a, one, 0)[0]
+
+    out = [zero] * n
+    for i, j in itertools.combinations(range(n), 2):
+        dw = {a: d for a in orders if not (d := w.entry(i, j).diff_multi(a)).is_zero}
+        r = x3[i].diff_p(j) - x3[j].diff_p(i) + bracket(x1[i], x2[j]) + bracket(x2[i], x1[j])
+        for b, pairs in lw_rules.items():
+            coeff = sum((c * dw[a] for a, c in pairs if a in dw), zero)
+            if not coeff.is_zero:
+                r = r - coeff * ThetaPoly.monomial(n, I, p=b, trunc=trunc)
+        homotopy = sum((block * ThetaPoly.monomial(n, Fraction(1, sum(e) + 2), p=e, trunc=trunc)
+                        for e, block in r.momentum_blocks().items()), zero)
+        out[j] = out[j] + ps[i] * homotopy
+        out[i] = out[i] - ps[j] * homotopy
+    return [c.scale(I) for c in out]
 
 
 def build_xhat(w: PoissonBivector, gamma: GammaTower,
-               gamma1: Optional[Sequence[ThetaPoly]],
+               gamma1: Optional[Sequence[ThetaPoly]] = None,
                trunc: int = 3) -> list[DiffOperator]:
     """Coordinate operators with symbols x^i + sum_k th^k (-i)^k P^i_k: the
     momentum expansion read in normal order, each canonical momentum
     becoming -i d.  At grade 3 the symbol carries P^i_3 - Q^i, with
-    Q = ``gamma1`` the correction from ``build_gamma1`` (zeros give the
-    bare operators); it is read only when grade 3 is reached.
+    Q = ``gamma1`` the correction from ``build_gamma1``; ``None`` gives
+    the bare operators.
     """
     n = w.n
     if gamma.max_order < min(trunc, 3):
@@ -292,7 +306,7 @@ def build_xhat(w: PoissonBivector, gamma: GammaTower,
     for i in range(n):
         symbol = ThetaPoly.coordinate(n, i, trunc)
         for k in range(1, min(trunc, gamma.max_order) + 1):
-            poly = gamma.momenta[k][i] - gamma1[i] if k == 3 else gamma.momenta[k][i]
+            poly = gamma.momenta[k][i] - gamma1[i] if k == 3 and gamma1 else gamma.momenta[k][i]
             symbol = symbol + poly.with_trunc(trunc).scale(MINUS_I ** k).theta_shift(k)
         ops.append(DiffOperator(symbol))
     return ops

@@ -1,6 +1,10 @@
 """Poisson-bivector validation and the direct construction of Darboux
 coordinates by an order-by-order algebraic recursion.
 
+A bivector is Poisson when its Jacobi defect, the cyclic sum of the
+contraction W^{ikl} = sum_j w^{ij} d_j w^{kl} of the bivector with its own
+gradient, vanishes; ``jacobi_defect`` forms only the contractions it sums.
+
 The curved coordinates are a series in the canonical momenta,
 x^i = y^i + sum_m th^m P^i_m(y, p), with P^i_m homogeneous of degree m in
 p; the tower stores the P^i_m themselves.  Each order is fixed (up to the
@@ -48,11 +52,10 @@ class PoissonBivector:
     """Antisymmetric matrix of grade-free coordinate polynomials.
 
     ``entry`` reads the full matrix, built once at construction, its zeros
-    at the entries' truncation; ``contraction`` reads the table of
-    W^{ikl} = sum_j w^{ij} d_j w^{kl}, built on first use.
+    at the entries' truncation.
     """
 
-    __slots__ = ("n", "upper", "_matrix", "_contraction")
+    __slots__ = ("n", "upper", "_matrix")
 
     def __init__(self, n: int, upper: Mapping[tuple[int, int], ThetaPoly]):
         store: dict[tuple[int, int], ThetaPoly] = {}
@@ -76,26 +79,12 @@ class PoissonBivector:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "upper", store)
         object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_contraction", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PoissonBivector is immutable")
 
     def entry(self, i: int, j: int) -> ThetaPoly:
         return self._matrix[i][j]
-
-    def contraction(self, i: int, k: int, l: int) -> ThetaPoly:
-        """W^{ikl} = sum_j w^{ij} d_j w^{kl}: the bivector contracted with
-        its own gradient.  The Jacobi defect and the grade-3 correction
-        read it."""
-        if self._contraction is None:
-            n, rows = self.n, self._matrix
-            zero = rows[0][0]  # a diagonal entry, at the entries' truncation
-            grads = [[[p.diff_x(j) for j in range(n)] for p in row] for row in rows]
-            object.__setattr__(self, "_contraction", [
-                [[sum(map(operator.mul, row, grads[k][l]), zero)
-                  for l in range(n)] for k in range(n)] for row in rows])
-        return self._contraction[i][k][l]
 
     def with_trunc(self, trunc: int) -> "PoissonBivector":
         return PoissonBivector(
@@ -150,12 +139,20 @@ def _permutation_sign(idx: Sequence[int]) -> int:
 
 
 def jacobi_defect(w: PoissonBivector) -> JacobiDefect:
-    """Cyclic contraction of the bivector with its own gradient; the zero
-    tensor exactly characterizes Poisson bivectors."""
-    W = w.contraction
-    comps = {(i, j, k): W(i, j, k) + W(k, i, j) + W(j, k, i)
-             for i, j, k in itertools.combinations(range(w.n), 3)}
-    return JacobiDefect(w.n, comps)
+    """The cyclic sum W^{ijk} + W^{kij} + W^{jki} of the contraction
+    W^{ikl} = sum_m w^{im} d_m w^{kl} of the bivector with its own
+    gradient, for i < j < k; the zero tensor exactly characterizes Poisson
+    bivectors."""
+    n = w.n
+    zero = w.entry(0, 0)  # a diagonal entry, at the entries' truncation
+
+    def contraction(i: int, k: int, l: int) -> ThetaPoly:
+        grad = (w.entry(k, l).diff_x(m) for m in range(n))
+        return sum(map(operator.mul, (w.entry(i, m) for m in range(n)), grad), zero)
+
+    comps = {(i, j, k): contraction(i, j, k) + contraction(k, i, j) + contraction(j, k, i)
+             for i, j, k in itertools.combinations(range(n), 3)}
+    return JacobiDefect(n, comps)
 
 
 def canonical_bracket(f: ThetaPoly, g: ThetaPoly) -> ThetaPoly:

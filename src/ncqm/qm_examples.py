@@ -24,15 +24,13 @@ from .exact_algebra import (
 from .operators import (
     DiffOperator,
     angular_momentum,
-    build_gamma1,
     build_phat,
-    build_xhat,
     conjugate_by_measure_power,
     l_squared,
     laplacian,
     plane_wave_symbol,
 )
-from .poisson import build_gamma, fuzzy_sphere_bivector, levi_civita
+from .poisson import fuzzy_sphere_bivector, levi_civita
 from .star import StarProduct, gauge_b
 
 
@@ -241,8 +239,7 @@ def rotation_covariance_check(trunc: int = 3) -> RotationReport:
     L = [angular_momentum(3, i, trunc) for i in range(3)]
     xmul = [DiffOperator.multiplication(ThetaPoly.coordinate(3, k, trunc), trunc)
             for k in range(3)]
-    gamma = build_gamma(w, min(trunc, 3), trunc)
-    xhat = build_xhat(w, gamma, build_gamma1(w, trunc), trunc)
+    xhat = StarProduct(w, 2, trunc=trunc).xhat
 
     r2 = ThetaPoly.zero(3, trunc)
     for i in range(3):

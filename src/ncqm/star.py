@@ -5,9 +5,11 @@ The product is stored slice by slice as bilinear rules: pairs of
 derivative multi-indices with coordinate-polynomial coefficients.  No rule
 is written out by hand.  The product is f * g = f(xhat) g, so the rules
 follow from the coordinate operators xhat^i = x^i + sum_j th^j X^{ij}: the
-quantized Darboux tower, with P^i_3 - Q^i quantized at grade 3 (Q from
-``build_gamma1``).  ``StarProduct`` builds the tower, Q and xhat once,
-through grade min(trunc, 3), and keeps the tower and xhat as
+quantized Darboux tower, with P^i_3 - Q^i quantized at grade 3.
+``StarProduct`` builds the tower and the bare operators (Q = 0), derives
+slices 1-2 from them, which read xhat through grade 2 only, solves Q from
+the closure at grade 3 with ``build_gamma1``, rebuilds xhat, and only then
+derives slice 3; it keeps the tower and xhat, the same at every order, as
 ``product.gamma`` and ``product.xhat``.
 Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
 lower ones; ``StarProduct._derive_slice`` reads the rules off it.
@@ -20,10 +22,12 @@ The trace condition Tr(f * g) = Tr(fg) is an operator identity:
 ``trace_operator`` integrates the grade-k rules by parts into the operator
 D_k with Tr(f * g) - Tr(fg) = int f D(g).  The gauge-corrected product is
 the same rule table with one grade-2 rule delta, (e_i, e_k) -> -2 b_ik,
-added by ``StarProduct.with_gauge``; its grade-3 slice is the uncorrected
-one.  ``gauge_b`` reads b off the product it corrects, as the matrix that
-cancels the second-order part of D_2.  The checks take the product they
-check: pass ``product.with_gauge(gauge)`` for the corrected one.
+added by ``StarProduct.with_gauge``.  That delta is the gauge transform
+through grade 2 only, so ``with_gauge`` refuses a nonzero gauge on a
+product built through grade 3.  ``gauge_b`` reads b off the product it
+corrects, as the matrix that cancels the second-order part of D_2.  The
+checks take the product they check: pass ``product.with_gauge(gauge)``
+for the corrected one.
 """
 
 from __future__ import annotations
@@ -100,12 +104,18 @@ class StarProduct:
         top = min(trunc, 3)
         # build_gamma raises NotPoissonError, at order 0 too
         self.gamma = build_gamma(w, top, trunc)
-        gamma1 = build_gamma1(w, trunc) if top == 3 else None
-        self.xhat = build_xhat(w, self.gamma, gamma1, trunc)
+        self.xhat = build_xhat(w, self.gamma, trunc=trunc)
         zero_idx = (0,) * self.n
         self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
-        for k in range(1, order + 1):
-            self.slices.append(self._derive_slice(k))
+        # the bare operators give slices 1-2; slice 2 fixes Q, which slice 3 reads
+        if top == 3:
+            while len(self.slices) < 3:
+                self.slices.append(self._derive_slice(len(self.slices)))
+            gamma1 = build_gamma1(self.w, self.xhat, self.slices[2], trunc)
+            self.xhat = build_xhat(w, self.gamma, gamma1, trunc)
+        while len(self.slices) <= order:
+            self.slices.append(self._derive_slice(len(self.slices)))
+        del self.slices[order + 1:]
         # each rule coefficient's numerator form, keyed by the coefficient (see star_sum)
         self._forms: dict = {}
 
@@ -159,11 +169,15 @@ class StarProduct:
 
     def with_gauge(self, gauge: "GaugeCorrection") -> "StarProduct":
         """The gauge-corrected product: a shallow copy whose grade-2 slice
-        also holds the rules (e_i, e_k) -> -2 b_ik.  The grade-3 slice is
-        shared with the uncorrected product."""
+        also holds the rules (e_i, e_k) -> -2 b_ik.  That rule delta is the
+        gauge transform through grade 2 only; at grade 3 it would leave the
+        product non-associative, so a product built through grade 3 takes
+        only a zero gauge."""
         out = copy.copy(self)
         if self.order < 2:
             return out
+        if self.order > 2 and not gauge.is_zero:
+            raise UsageError("a nonzero gauge corrects a product built through grade 2 only")
         out.slices = list(self.slices)
         out.slices[2] = rule = dict(self.slices[2])
         n = self.n
@@ -375,38 +389,6 @@ def cyclicity_defect(f: GaussianFunction, g: GaussianFunction,
     anti = tr_fg - trace(product.star(g, f), mu)
     cond = tr_fg - trace(f * g, mu)
     return CyclicityReport(anti, cond)
-
-
-def trace_condition_oracle(f: GaussianFunction, g: GaussianFunction,
-                           w: PoissonBivector, mu: ThetaPoly) -> GaussianIntegral:
-    """Independent moment-oracle evaluation of the grade-2 obstruction to
-    the trace condition for the uncorrected product.
-
-    Evaluates the two reduced integrals directly from the bivector (no
-    star-product code is involved): with W^{ikl} the once-differentiated
-    bivector contraction, the obstruction is
-    (1/12) Int d_k f d_i(mu W^{ikl}) d_l g + (1/24) Int mu W^{ikl} d_k f d_i d_l g.
-    """
-    n = w.n
-    total = GaussianIntegral.zero(n)
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                W = ThetaPoly.zero(n, mu.trunc)
-                for j in range(n):
-                    W = W + w.entry(i, j) * w.entry(k, l).diff_x(j)
-                if W.is_zero:
-                    continue
-                df = f.diff_x(k)
-                first = (mu * W).diff_x(i)
-                if not first.is_zero:
-                    integrand = df * g.diff_x(l) * first
-                    total = total + gaussian_integrate(integrand).scale(Fraction(1, 12))
-                ddg = g.diff_x(i).diff_x(l)
-                integrand2 = df * ddg * (mu * W)
-                total = total + gaussian_integrate(integrand2).scale(Fraction(1, 24))
-    return GaussianIntegral(n, {(2, wgt): c for (t, wgt), c in total.parts.items()
-                                if t == 0})
 
 
 def hermiticity_defect(fpoly: ThetaPoly, phi: GaussianFunction,

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from ncqm.exact_algebra import GaussianRational, ThetaPoly, multi_index, parse_polynomial
+from ncqm.operators import build_gamma1, build_xhat
 from ncqm.poisson import PoissonBivector, constant_bivector, fuzzy_sphere_bivector
+from ncqm.star import StarProduct
 
 
 def seeded_poly(rng: random.Random, n: int, degree: int = 3, terms: int = 5,
@@ -25,6 +27,32 @@ def seeded_poly(rng: random.Random, n: int, degree: int = 3, terms: int = 5,
 def _slot_monomial(n: int, c, slots, grade: int, trunc: int) -> ThetaPoly:
     e = multi_index(2 * n, *slots)
     return ThetaPoly.monomial(n, c, x=e[:n], p=e[n:], grade=grade, trunc=trunc)
+
+
+def _bivector(n: int, rows: dict) -> PoissonBivector:
+    return PoissonBivector(n, {k: parse_polynomial(v, n) for k, v in rows.items()})
+
+
+# bivectors whose grade-3 correction is pinned and checked against the
+# closed form; the Nambu ones are w^{12} = d_3 C, w^{23} = d_1 C, w^{31} = d_2 C
+GRADE3_FAMILIES = {
+    "kappa-5": _bivector(5, {(0, 1): "x2", (0, 2): "x3", (0, 3): "x4", (0, 4): "x5"}),
+    # C = x1^3 + x1*x2*x3 + x3^2
+    "nambu-cubic": _bivector(3, {(0, 1): "x1*x2+2*x3", (1, 2): "3*x1^2+x2*x3",
+                                 (2, 0): "x1*x3"}),
+    # C = x1*x2*x3 + x3^2
+    "nambu-construct": _bivector(3, {(0, 1): "x1*x2+2*x3", (1, 2): "x2*x3",
+                                     (2, 0): "x1*x3"}),
+    "planar-quadratic": _bivector(2, {(0, 1): "1+x2^2"}),
+}
+
+
+def solved_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
+    """The grade-3 correction Q, solved from the bare coordinate operators
+    and the grade-2 rules of the product they give."""
+    product = StarProduct(w, 2, trunc=trunc)
+    bare = build_xhat(w, product.gamma, trunc=trunc)
+    return build_gamma1(product.w, bare, product.slices[2], trunc)
 
 
 @pytest.fixture

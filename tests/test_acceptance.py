@@ -27,7 +27,6 @@ from ncqm.exact_algebra import (
 from ncqm.moyal import moyal_product
 from ncqm.operators import (
     DiffOperator,
-    build_gamma1,
     build_xhat,
     l_squared,
     subalgebra_defect,
@@ -50,10 +49,10 @@ from ncqm.star import (
     cyclicity_defect,
     gauge_b,
     measure_defect,
-    trace_condition_oracle,
 )
 
 from conftest import seeded_poly
+from oracles import trace_condition_oracle
 
 I = GaussianRational(0, 1)
 SEED = 1081
@@ -142,10 +141,8 @@ def test_criterion_4_moyal_oracle(const3d):
 def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
     for w in (fuzzy, quad2d, const3d):
         product = StarProduct(w, 2, trunc=3)
-        tower = build_gamma(w, 3)
         defects, bare = subalgebra_defect(
-            [build_xhat(w, tower, build_gamma1(w)),
-             build_xhat(w, tower, [ThetaPoly.zero(w.n)] * w.n)], w, product)
+            [product.xhat, build_xhat(w, product.gamma)], w, product)
         assert all(op.is_zero for op in defects.values())
         # constant and fuzzy close with or without the correction tensor
         if w is not quad2d:
@@ -154,7 +151,7 @@ def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
     # (i/8) w^{nk} d_k w^{ml} d_n d_m w^{ij} d_l at grade 3
     product = StarProduct(quad2d, 2, trunc=3)
     tower = build_gamma(quad2d, 3)
-    bare = build_xhat(quad2d, tower, [ThetaPoly.zero(2)] * 2)
+    bare = build_xhat(quad2d, tower)
     residual = subalgebra_defect([bare], quad2d, product)[0][(0, 1)]
     expect = DiffOperator.zero(2, 3)
     for l in range(2):

@@ -27,9 +27,9 @@ from fractions import Fraction
 import pytest
 
 from ncqm.exact_algebra import ThetaPoly, parse_polynomial
+from ncqm.cli import ProblemFile, run_task
 from ncqm.operators import (
     DiffOperator,
-    build_gamma1,
     build_phat,
     build_xhat,
     conjugate_by_measure_power,
@@ -42,6 +42,9 @@ from ncqm.poisson import (
     jacobi_defect,
 )
 from ncqm.star import StarProduct, gauge_b
+
+from conftest import GRADE3_FAMILIES, solved_gamma1
+from oracles import gamma1_closed_form
 
 
 def kappa(n: int) -> PoissonBivector:
@@ -166,10 +169,9 @@ def xhat_text(w: PoissonBivector) -> str:
     and the bare operators (Q = 0) at trunc 3."""
     lines = []
     for trunc in (2, 3, 4):
-        ops = build_xhat(w, build_gamma(w, min(trunc, 3), trunc), build_gamma1(w, trunc),
-                         trunc)
+        ops = StarProduct(w, 2, trunc=trunc).xhat
         lines += [f"{trunc} {i} {op.text()} {op.trunc}" for i, op in enumerate(ops)]
-    bare = build_xhat(w, build_gamma(w, 3), [ThetaPoly.zero(w.n)] * w.n)
+    bare = build_xhat(w, build_gamma(w, 3))
     lines += [f"bare {i} {op.text()} {op.trunc}" for i, op in enumerate(bare)]
     return "\n".join(lines)
 
@@ -188,7 +190,7 @@ def test_nambu_gamma1():
     """The correction tensor G1^{ijk} (j <= k), read off Q^i: the
     coefficient of p_j p_k, halved off the diagonal."""
     components = []
-    for i, q in enumerate(build_gamma1(NAMBU)):
+    for i, q in enumerate(solved_gamma1(NAMBU)):
         for exps, coeff in q.momentum_blocks().items():
             j, k = (a for a, e in enumerate(exps) for _ in range(e))
             g1 = coeff if j == k else coeff.scale(Fraction(1, 2))
@@ -214,15 +216,20 @@ def test_non_poisson_jacobi():
 @pytest.mark.parametrize("w", [NAMBU, NON_POISSON, kappa(4)],
                          ids=["nambu", "non-poisson", "kappa4"])
 def test_contraction_is_the_gradient_sum(w):
-    """The shared table against its definition, term by term."""
+    """The Jacobi defect against its definition, term by term: the cyclic
+    sum of the contraction W^{ikl} = sum_j w^{ij} d_j w^{kl}."""
     n = w.n
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                direct = ThetaPoly.zero(n)
-                for j in range(n):
-                    direct = direct + w.entry(i, j) * w.entry(k, l).diff_x(j)
-                assert w.contraction(i, k, l) == direct
+
+    def contraction(i, k, l):
+        direct = ThetaPoly.zero(n)
+        for j in range(n):
+            direct = direct + w.entry(i, j) * w.entry(k, l).diff_x(j)
+        return direct
+
+    defect = jacobi_defect(w)
+    for i, j, k in itertools.combinations(range(n), 3):
+        assert defect.component(i, j, k) == \
+            contraction(i, j, k) + contraction(k, i, j) + contraction(j, k, i)
 
 
 def test_entries_are_stored():
@@ -233,9 +240,47 @@ def test_entries_are_stored():
 
 @pytest.mark.parametrize("family", list(TABLE_FAMILIES))
 def test_product_keeps_the_coordinate_operators(family):
+    """At every order the product keeps the tower quantized with the
+    closed-form correction."""
     w = TABLE_FAMILIES[family]
-    assert StarProduct(w, 2, trunc=3).xhat == \
-        build_xhat(w, build_gamma(w, 3), build_gamma1(w))
+    expect = build_xhat(w, build_gamma(w, 3), gamma1_closed_form(w))
+    for order in range(4):
+        assert StarProduct(w, order, trunc=3).xhat == expect
+
+
+# recorded while Q was the closed form: the coordinate operators of the
+# products of orders 0-3 at trunc 3, Q, and the subalgebra report
+GRADE3_DIGESTS = {
+    "kappa-5": (
+        "18fa406e5011050aedcecb9127aea2ce0f0a4837fc5bf6161bcf29034245d73b",
+        "ded39a5ee4b1fa9cfce11c0357a15b9bfbc9b4ae1dc67cd995ca4b32b31f7f08",
+        "772dbec777bc643b9472c49ffd4483bc29fbc05f9c5f4746b7086d442fe9e530"),
+    "nambu-cubic": (
+        "fe908f539020500d5905d8f0eabfed890a728d84116c0374e35c62000dfd4f1d",
+        "4815adcbd5c9c012e3fe6599ba880b42af62458f5c4f3c2231decb8795b61e7e",
+        "595922cdc9a7ad4907ea265df69fb4d5383e7218076b8628c41c18316ba30b37"),
+    "nambu-construct": (
+        "17e1a624ae169e1f3fd52daa1f1fd1b62a162c1d8e49a436ba51796d3a506e4e",
+        "20560c51deae1ee3ff8ee48017b7904f3dee2190ee753a5b161780002e82c313",
+        "46aac870ad9b2c77c437c0ac6ba0d14c9e8c8c58e0ae2671f02dba15021dfe23"),
+    "planar-quadratic": (
+        "f6482a8996bf9b8eced8de81b8964a586156bf5929f54abe995a3b2ceebd219e",
+        "af2300ca5073d8b992bb1423c0e17d891dac16854380a9236d29884b0504a03f",
+        "ab486f1b7247a01e740aa34dc7e174c51af4a7aafea39da1ffc66fea2a38e4d1"),
+}
+
+
+@pytest.mark.parametrize("family", list(GRADE3_DIGESTS))
+def test_grade3_correction(family):
+    w = GRADE3_FAMILIES[family]
+    xhat = "\n".join(f"{k} {i} {op.text()} {op.trunc}" for k in range(4)
+                     for i, op in enumerate(StarProduct(w, k, trunc=3).xhat))
+    q = "\n".join(f"{i} {p.text()} {p.trunc}" for i, p in enumerate(solved_gamma1(w)))
+    doc = {"dim": w.n, "bivector": [{"i": i + 1, "j": j + 1, "poly": p.text()}
+                                    for (i, j), p in sorted(w.upper.items())]}
+    report = json.dumps(run_task(ProblemFile.parse(json.dumps(doc)), "subalgebra"),
+                        sort_keys=True, separators=(",", ":"))
+    assert (digest(xhat), digest(q), digest(report)) == GRADE3_DIGESTS[family]
 
 
 @pytest.mark.parametrize("mu_text,phat_digest", [

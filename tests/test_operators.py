@@ -29,10 +29,11 @@ from ncqm.operators import (
     plane_wave_symbol,
     subalgebra_defect,
 )
-from ncqm.poisson import build_gamma, levi_civita
+from ncqm.poisson import PoissonBivector, build_gamma, levi_civita
 from ncqm.star import StarProduct
 
-from conftest import poly_strategy, scalars, seeded_poly
+from conftest import GRADE3_FAMILIES, poly_strategy, scalars, seeded_poly, solved_gamma1
+from oracles import gamma1_closed_form
 
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
@@ -153,7 +154,7 @@ class TestAlgebra:
 
 class TestCoordinateOperators:
     def test_grade_slices(self, fuzzy):
-        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3), build_gamma1(fuzzy))
+        xhat = StarProduct(fuzzy, 2, trunc=3).xhat
         for i in range(3):
             # grade 0 is multiplication by the coordinate
             assert xhat[i].theta_slice(0) == DiffOperator.multiplication(
@@ -167,8 +168,8 @@ class TestCoordinateOperators:
             assert xhat[i].theta_slice(1) == expect
 
     def test_grade2_is_minus_tower_tensor(self, fuzzy):
-        tower = build_gamma(fuzzy, 3)
-        xhat = build_xhat(fuzzy, tower, build_gamma1(fuzzy))
+        product = StarProduct(fuzzy, 2, trunc=3)
+        tower, xhat = product.gamma, product.xhat
         for i in range(3):
             expect = DiffOperator.zero(3)
             for l in range(3):
@@ -185,14 +186,14 @@ class TestCoordinateOperators:
             assert xhat[i].theta_slice(2) == expect
 
     def test_applied_to_one_returns_coordinate(self, fuzzy):
-        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3), build_gamma1(fuzzy))
+        xhat = StarProduct(fuzzy, 2, trunc=3).xhat
         one = ThetaPoly.one(3)
         for i in range(3):
             assert xhat[i].apply(one) == RationalFunction.of(
                 ThetaPoly.coordinate(3, i))
 
     def test_constant_bivector_commutator(self, const3d):
-        xhat = build_xhat(const3d, build_gamma(const3d, 3), build_gamma1(const3d))
+        xhat = StarProduct(const3d, 2, trunc=3).xhat
         th = ThetaPoly.theta(3)
         for i in range(3):
             for j in range(3):
@@ -203,7 +204,7 @@ class TestCoordinateOperators:
 
     def test_requires_enough_orders(self, fuzzy):
         with pytest.raises(UsageError):
-            build_xhat(fuzzy, build_gamma(fuzzy, 2), build_gamma1(fuzzy))
+            build_xhat(fuzzy, build_gamma(fuzzy, 2))
 
     def test_polynomial_coefficients_skip_division(self, quad2d, monkeypatch):
         """A unit denominator is kept as it is: building operators with
@@ -217,7 +218,7 @@ class TestCoordinateOperators:
 
         tower = build_gamma(quad2d, 3)
         monkeypatch.setattr(exact_algebra, "divide_exact", counting)
-        build_xhat(quad2d, tower, build_gamma1(quad2d))
+        build_xhat(quad2d, tower)
         x1 = parse_polynomial("x1", 2)
         StarProduct(quad2d, 2, trunc=3).left_multiplication_operator(x1 * x1)
         assert calls == []
@@ -225,13 +226,64 @@ class TestCoordinateOperators:
         assert calls
 
 
+def _mutated_gamma1(w):
+    """The product the correction is solved on, and the correction as three
+    broken solvers would give it: the homotopy weight 1/(d+1) in place of
+    1/(d+2) (C has momentum degree d + 1), the grade-3 part of i th L_w
+    dropped (no grade-2 rules), and the cross terms [X_1^i, X_2^j] +
+    [X_2^i, X_1^j] dropped (bare operators without their grade-2 part)."""
+    product = StarProduct(w, 2, trunc=3)
+    bare = build_xhat(w, product.gamma)
+    rules = product.slices[2]
+    n = w.n
+
+    def reweighted(q):
+        return sum((block * ThetaPoly.monomial(n, Fraction(sum(e) + 1, sum(e)), p=e)
+                    for e, block in q.momentum_blocks().items()), ThetaPoly.zero(n))
+
+    no_grade2 = [op - op.theta_slice(2).theta_shift(2) for op in bare]
+    return product, {
+        "weight": [reweighted(q) for q in build_gamma1(product.w, bare, rules, 3)],
+        "no-lw": build_gamma1(product.w, bare, {}, 3),
+        "no-cross": build_gamma1(product.w, no_grade2, rules, 3),
+    }
+
+
+ORACLE_FAMILIES = {
+    **GRADE3_FAMILIES,
+    "quadratic": PoissonBivector(2, {(0, 1): parse_polynomial("x1*x2", 2)}),
+    "planar-cubic": PoissonBivector(2, {(0, 1): parse_polynomial("x1*x2^2+x1^3", 2)}),
+    # C = x3^3/3 + x1^2*x2 + x2^2
+    "nambu-mixed": PoissonBivector(3, {(0, 1): parse_polynomial("x3^2", 3),
+                                       (1, 2): parse_polynomial("2*x1*x2", 3),
+                                       (2, 0): parse_polynomial("x1^2+2*x2", 3)}),
+}
+
+
 class TestGamma1:
+    @pytest.mark.parametrize("family", list(ORACLE_FAMILIES))
+    def test_solve_equals_the_closed_form(self, family):
+        w = ORACLE_FAMILIES[family]
+        assert solved_gamma1(w) == gamma1_closed_form(w)
+
+    @pytest.mark.parametrize("mutant", ["weight", "no-lw", "no-cross"])
+    @pytest.mark.parametrize("family", ["nambu-cubic", "nambu-construct"])
+    def test_broken_solver_is_caught(self, family, mutant):
+        """Each broken solve differs from the closed form and leaves a
+        nonzero closure defect."""
+        w = GRADE3_FAMILIES[family]
+        product, mutants = _mutated_gamma1(w)
+        q = mutants[mutant]
+        assert q != gamma1_closed_form(w)
+        defects, = subalgebra_defect([build_xhat(w, product.gamma, q)], w, product)
+        assert any(not op.is_zero for op in defects.values())
+
     def test_vanishes_for_constant_and_linear(self, fuzzy, const3d):
-        assert all(q.is_zero for q in build_gamma1(fuzzy))
-        assert all(q.is_zero for q in build_gamma1(const3d))
+        assert all(q.is_zero for q in solved_gamma1(fuzzy))
+        assert all(q.is_zero for q in solved_gamma1(const3d))
 
     def test_nonzero_for_quadratic(self, quad2d):
-        g1 = build_gamma1(quad2d)
+        g1 = solved_gamma1(quad2d)
         assert not all(q.is_zero for q in g1)
         # each Q^i is a grade-free quadratic form in the momenta
         for q in g1:
@@ -242,15 +294,14 @@ class TestGamma1:
     def test_closure(self, which, request):
         w = request.getfixturevalue(which)
         product = StarProduct(w, 2, trunc=3)
-        xhat = build_xhat(w, build_gamma(w, 3), build_gamma1(w))
-        defects, = subalgebra_defect([xhat], w, product)
+        defects, = subalgebra_defect([product.xhat], w, product)
         assert all(op.is_zero for op in defects.values())
 
     def test_residual_without_correction(self, quad2d):
         """Dropping the correction leaves exactly (i/8) A^{ij,l} d_l at
         grade 3, with A the double-derivative obstruction tensor."""
         product = StarProduct(quad2d, 2, trunc=3)
-        bare = build_xhat(quad2d, build_gamma(quad2d, 3), [ThetaPoly.zero(2)] * 2)
+        bare = build_xhat(quad2d, build_gamma(quad2d, 3))
         residual = subalgebra_defect([bare], quad2d, product)[0][(0, 1)]
         expect = DiffOperator.zero(2, 3)
         for l in range(2):
@@ -288,7 +339,7 @@ class TestMomentumOperators:
     def test_mixed_commutator_first_grade(self, fuzzy):
         """[xhat, phat] = i delta - (i th/2) d_j w^{il} phat_l  exactly
         through first grade for the unit density."""
-        xhat = build_xhat(fuzzy, build_gamma(fuzzy, 3), build_gamma1(fuzzy))
+        xhat = StarProduct(fuzzy, 2, trunc=3).xhat
         phat = build_phat(ThetaPoly.one(3))
         for i in range(3):
             for j in range(3):

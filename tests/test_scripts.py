@@ -1,6 +1,6 @@
 """The two scripts run to the end; the calibration script asserts that the
-derived product is associative, that its fixed coefficient holds and that
-the gauge read off it gives the exact trace condition."""
+derived product is associative, that its coordinate operators close and
+that the gauge read off it gives the exact trace condition."""
 
 import runpy
 import sys

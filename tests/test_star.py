@@ -33,11 +33,11 @@ from ncqm.star import (
     hermiticity_defect,
     measure_defect,
     trace,
-    trace_condition_oracle,
     trace_operator,
 )
 
 from conftest import seeded_poly
+from oracles import gamma1_closed_form, trace_condition_oracle
 
 I = GaussianRational(0, 1)
 
@@ -136,8 +136,8 @@ class TestAssociativity:
         f, g, h = (seeded_poly(rng, 3) for _ in range(3))
         assert assoc_defect(f, g, h, StarProduct(w, 3)).is_zero
 
-        def doubled(w, trunc=3):
-            return [q.scale(2) for q in build_gamma1(w, trunc)]
+        def doubled(*args):
+            return [q.scale(2) for q in build_gamma1(*args)]
 
         monkeypatch.setattr(ncqm.star, "build_gamma1", doubled)
         defect = assoc_defect(f, g, h, StarProduct(w, 3))
@@ -155,7 +155,7 @@ class TestAssociativity:
         coordinate operator, term by term through grade 3."""
         for w in (fuzzy, quad2d):
             sp = StarProduct(w, 3)
-            xhat = build_xhat(w, build_gamma(w, 3), build_gamma1(w))
+            xhat = build_xhat(w, build_gamma(w, 3), gamma1_closed_form(w))
             for i in range(w.n):
                 got = sp.left_multiplication_operator(
                     ThetaPoly.coordinate(w.n, i, sp.trunc))
@@ -328,24 +328,27 @@ class TestPrimedProduct:
         assert sp.star_prime(c, g, gauge) == sp.star(c, g)
 
     def test_with_gauge_is_a_grade2_rule_delta(self, fuzzy):
-        sp = StarProduct(fuzzy, 3)
+        sp = StarProduct(fuzzy, 2)
         before = [dict(rule) for rule in sp.slices]
         corrected = sp.with_gauge(gauge_b(ThetaPoly.one(3), sp))
         assert sp.slices == before  # the uncorrected product is untouched
-        assert corrected.slices[3] is sp.slices[3]
         delta = {key: rule for key, rule in corrected.slices[2].items()
                  if key not in sp.slices[2]}
         units = [tuple(int(k == i) for k in range(3)) for i in range(3)]
         assert delta == {(u, u): ThetaPoly.constant(3, Fraction(-1, 12))
                          for u in units}
 
-    def test_grade3_slice_copies_uncorrected(self, fuzzy, rng):
+    def test_grade3_product_refuses_a_gauge(self, fuzzy, rng):
+        """The gauge is a grade-2 rule delta, which would leave a product
+        built through grade 3 non-associative there."""
         sp = StarProduct(fuzzy, 3)
         gauge = gauge_b(ThetaPoly.one(3), sp)
+        assert not gauge.is_zero
         f, g = seeded_poly(rng, 3), seeded_poly(rng, 3)
-        primed = sp.star_prime(f, g, gauge)
-        plain = sp.star(f, g)
-        assert primed.theta_coefficient(3) == plain.theta_coefficient(3)
+        with pytest.raises(UsageError):
+            sp.with_gauge(gauge)
+        with pytest.raises(UsageError):
+            sp.star_prime(f, g, gauge)
 
 
 class TestTrace:

@@ -232,6 +232,24 @@ class TestPackedAgainstReference:
 
     @given(poly_pair(), st.data())
     @settings(max_examples=40, deadline=None)
+    def test_gaussian_multi_derivative_is_the_chain_of_steps(self, case, data):
+        n, a, _, _, _ = case
+        pre = a.momentum_blocks().get((0,) * n, ThetaPoly.zero(n, a.trunc)) \
+            + ThetaPoly.coordinate(n, 0, a.trunc)
+        midx = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=n))
+        for weight in (1, 2, 3):
+            f = GaussianFunction(pre, weight)
+            chain = f
+            for i, k in enumerate(midx):
+                for _ in range(k):
+                    chain = chain.diff_x(i)
+            got = f.diff_multi(tuple(midx))
+            assert got.weight == weight and got.prefactor == chain.prefactor
+            with pytest.raises(IndexError):
+                f.diff_multi((0,) * n + (1,))
+
+    @given(poly_pair(), st.data())
+    @settings(max_examples=40, deadline=None)
     def test_star_sum(self, case, data):
         n, a, ra, b, rb = case
         # f = g = a, and each drawn pair (x, y) puts b on (x, y), -b on
