@@ -47,7 +47,7 @@ def main() -> int:
     x2 = ThetaPoly.coordinate(3, 1)
     print("x1 * x2 =", product.star(x1, x2).text())
 
-    closure, = subalgebra_defect([product.xhat], w, StarProduct(w, 2, trunc=3))
+    closure = subalgebra_defect(product.xhat, product)
     print("operator closure defects zero:",
           all(op.is_zero for op in closure.values()))
 

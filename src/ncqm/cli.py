@@ -29,7 +29,7 @@ from .exact_algebra import (
     multi_index,
     parse_polynomial,
 )
-from .operators import build_xhat, subalgebra_defect
+from .operators import residual_without_correction, subalgebra_defect
 from .poisson import (
     NotPoissonError,
     PoissonBivector,
@@ -266,10 +266,9 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
 
 
 def _subalgebra(problem: ProblemFile, rng: random.Random) -> dict:
-    w = problem.bivector
-    product = StarProduct(w, 2, trunc=3)
-    bare = build_xhat(w, product.gamma)
-    defects, residuals = subalgebra_defect([product.xhat, bare], w, product)
+    product = StarProduct(problem.bivector, 2, trunc=3)
+    defects = subalgebra_defect(product.xhat, product)
+    residuals = residual_without_correction(defects, product.gamma1)
     ok = all(op.is_zero for op in defects.values())
     return {
         "status": "pass" if ok else "fail",

@@ -16,7 +16,9 @@ momentum p becomes -i d.  The correction Q^i, stored in the same
 momentum-polynomial form, is solved by ``build_gamma1`` from the closure
 [xhat^i, xhat^j] = i th w^{ij}(xhat) at grade 3, on the symbols of the bare
 operators and the product's grade-2 rules, by the Euler homotopy that
-``build_gamma`` solves the tower with.
+``build_gamma`` solves the tower with.  ``subalgebra_defect`` forms that
+closure for one family; ``residual_without_correction`` reads the bare
+operators' defects off the corrected ones and Q, composing no other.
 """
 
 from __future__ import annotations
@@ -290,16 +292,15 @@ def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
     return [c.scale(I) for c in out]
 
 
-def build_xhat(w: PoissonBivector, gamma: GammaTower,
-               gamma1: Optional[Sequence[ThetaPoly]] = None,
+def build_xhat(gamma: GammaTower, gamma1: Optional[Sequence[ThetaPoly]] = None,
                trunc: int = 3) -> list[DiffOperator]:
     """Coordinate operators with symbols x^i + sum_k th^k (-i)^k P^i_k: the
     momentum expansion read in normal order, each canonical momentum
-    becoming -i d.  At grade 3 the symbol carries P^i_3 - Q^i, with
+    becoming -i d.  At grade 3 the symbol carries i (P^i_3 - Q^i), with
     Q = ``gamma1`` the correction from ``build_gamma1``; ``None`` gives
     the bare operators.
     """
-    n = w.n
+    n = gamma.n
     if gamma.max_order < min(trunc, 3):
         raise UsageError("tower must be built through the requested order")
     ops = []
@@ -310,6 +311,23 @@ def build_xhat(w: PoissonBivector, gamma: GammaTower,
             symbol = symbol + poly.with_trunc(trunc).scale(MINUS_I ** k).theta_shift(k)
         ops.append(DiffOperator(symbol))
     return ops
+
+
+def residual_without_correction(defects: dict[tuple[int, int], DiffOperator],
+                                gamma1: Optional[Sequence[ThetaPoly]]
+                                ) -> dict[tuple[int, int], DiffOperator]:
+    """The closure defects of the bare operators (Q = 0) through grade 3,
+    read off the ``defects`` of the operators that ``build_xhat`` corrects
+    by Q = ``gamma1``.
+
+    Q enters xhat^j only as th^3 C^j with C = -i Q, and [x^i, G d^a] has
+    the symbol -d_{p_i}(G p^a); every other term Q adds to [xhat^i, xhat^j]
+    is of grade 4 or more.  So D_bare^{ij} = D^{ij} + th^3 (d_{p_i} C^j -
+    d_{p_j} C^i) for any Q; the sum is truncated at grade 3.
+    """
+    c = [q.with_trunc(3).scale(MINUS_I).theta_shift(3) for q in gamma1 or ()]
+    return {(i, j): d + DiffOperator(c[j].diff_p(i) - c[i].diff_p(j)) if c else d
+            for (i, j), d in defects.items()}
 
 
 def build_phat(mu: ThetaPoly, trunc: int = 3) -> list[DiffOperator]:
@@ -327,21 +345,14 @@ def build_phat(mu: ThetaPoly, trunc: int = 3) -> list[DiffOperator]:
         .scale(MINUS_I), mu)) for i in range(n)]
 
 
-def subalgebra_defect(families: Sequence[Sequence[DiffOperator]], w: PoissonBivector,
-                      star) -> list[dict[tuple[int, int], DiffOperator]]:
-    """For each family of coordinate operators, the commutators
-    [xhat^i, xhat^j] minus i th times left star multiplication by the
-    bivector entry: one defect dict per family.  Each target is built once
-    and shared by the families."""
-    n = w.n
-    out: list[dict[tuple[int, int], DiffOperator]] = [{} for _ in families]
-    for i in range(n):
-        for j in range(i + 1, n):
-            target = star.left_multiplication_operator(w.entry(i, j)) \
-                .theta_shift(1).scale(I)
-            for xhat, defects in zip(families, out):
-                defects[i, j] = xhat[i].commutator(xhat[j]) - target
-    return out
+def subalgebra_defect(xhat: Sequence[DiffOperator], star
+                      ) -> dict[tuple[int, int], DiffOperator]:
+    """The commutators [xhat^i, xhat^j], i < j, minus i th times left
+    multiplication by the bivector entry w^{ij} of ``star``."""
+    w = star.w
+    return {(i, j): xhat[i].commutator(xhat[j])
+            - star.left_multiplication_operator(w.entry(i, j)).theta_shift(1).scale(I)
+            for i, j in itertools.combinations(range(w.n), 2)}
 
 
 def conjugate_by_measure_power(op: DiffOperator, mu: ThetaPoly,

@@ -14,9 +14,9 @@ the paper are read off the P^i_m only for reports.
 
 The map is its coordinate tuple; the momenta are canonical by
 construction.  One routine inverts a phase-space map and re-expresses
-its mixed and momentum brackets in the original variables: the defect
-report reads it with canonical momenta, ``general_brackets`` with
-gauge-shifted ones.
+its mixed and momentum brackets in the original variables, with the
+inverse taken one grade short of the truncation: the defect report reads
+it with canonical momenta, ``general_brackets`` with gauge-shifted ones.
 """
 
 from __future__ import annotations
@@ -129,13 +129,7 @@ class JacobiDefect:
 
 
 def _permutation_sign(idx: Sequence[int]) -> int:
-    sign = 1
-    lst = list(idx)
-    for a in range(len(lst)):
-        for b in range(a + 1, len(lst)):
-            if lst[a] > lst[b]:
-                sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in itertools.combinations(idx, 2)) % 2 else 1
 
 
 def jacobi_defect(w: PoissonBivector) -> JacobiDefect:
@@ -170,20 +164,6 @@ def canonical_bracket(f: ThetaPoly, g: ThetaPoly) -> ThetaPoly:
 # ---------------------------------------------------------------------------
 
 
-def _multinomial(total: int, exps: Sequence[int]) -> int:
-    out = math.factorial(total)
-    for e in exps:
-        out //= math.factorial(e)
-    return out
-
-
-def _exps_to_tuple(exps: Sequence[int]) -> tuple[int, ...]:
-    idx: list[int] = []
-    for i, e in enumerate(exps):
-        idx.extend([i] * e)
-    return tuple(idx)
-
-
 class GammaTower:
     """The momentum expansion of the curved coordinates,
     x^i = y^i + sum_m th^m P^i_m(y, p), stored as the polynomials it is
@@ -207,7 +187,8 @@ class GammaTower:
 
     def _tensor(self, order: int, lead: int) -> dict[tuple[int, ...], ThetaPoly]:
         """The symmetric tensor of P^lead_order, keyed by momentum exponents."""
-        return {exps: coeff.scale(Fraction(1, _multinomial(order, exps)))
+        return {exps: coeff.scale(Fraction(math.prod(map(math.factorial, exps)),
+                                           math.factorial(order)))
                 for exps, coeff in self.momenta[order][lead].momentum_blocks().items()}
 
     def component(self, order: int, lead: int, trailing: Sequence[int]) -> ThetaPoly:
@@ -219,7 +200,7 @@ class GammaTower:
     def to_json(self) -> dict:
         out: dict[str, dict[str, str]] = {}
         for order in range(1, self.max_order + 1):
-            comps = sorted((lead, _exps_to_tuple(exps), coeff)
+            comps = sorted((lead, tuple(a for a, e in enumerate(exps) for _ in range(e)), coeff)
                            for lead in range(self.n)
                            for exps, coeff in self._tensor(order, lead).items())
             out[str(order)] = {
@@ -300,8 +281,11 @@ def _curved_brackets(xs: Sequence[ThetaPoly], ps: Sequence[ThetaPoly], order: in
                      ) -> tuple[dict[tuple[int, int], ThetaPoly], dict[tuple[int, int], ThetaPoly]]:
     """The mixed brackets {x^i, p_j}, every (i, j), and the momentum
     brackets {p_i, p_j}, i < j, of the map (xs, ps), re-expressed in the
-    original variables by inverting the map."""
-    back = invert_phase_map(xs, ps, order)
+    original variables by inverting the map.  Each bracket is a constant
+    plus th times a series, so the inverse is needed through one grade
+    less than ``order``."""
+    back = {k: z.with_trunc(order)
+            for k, z in invert_phase_map(xs, ps, max(order - 1, 0)).items()}
     mixed = {(i, j): canonical_bracket(x, p).substitute(back)
              for i, x in enumerate(xs) for j, p in enumerate(ps)}
     momenta = {(i, j): canonical_bracket(ps[i], ps[j]).substitute(back)

@@ -9,8 +9,9 @@ quantized Darboux tower, with P^i_3 - Q^i quantized at grade 3.
 ``StarProduct`` builds the tower and the bare operators (Q = 0), derives
 slices 1-2 from them, which read xhat through grade 2 only, solves Q from
 the closure at grade 3 with ``build_gamma1``, rebuilds xhat, and only then
-derives slice 3; it keeps the tower and xhat, the same at every order, as
-``product.gamma`` and ``product.xhat``.
+derives slice 3; it keeps the tower, Q and xhat, the same at every order,
+as ``product.gamma``, ``product.gamma1`` (``None`` below trunc 3) and
+``product.xhat``.
 Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
 lower ones; ``StarProduct._derive_slice`` reads the rules off it.
 ``StarProduct.star`` hands the rule table to ``exact_algebra.star_sum``,
@@ -87,7 +88,8 @@ def _add(table: dict, key, coeff: ThetaPoly):
 class StarProduct:
     """Associative deformation of pointwise multiplication for one
     polynomial Poisson bivector, evaluated exactly slice by slice; keeps
-    the Darboux tower ``gamma`` and the coordinate operators ``xhat``."""
+    the Darboux tower ``gamma``, the grade-3 correction ``gamma1`` and the
+    coordinate operators ``xhat``."""
 
     def __init__(self, w: PoissonBivector, order: int = 3,
                  trunc: Optional[int] = None):
@@ -104,15 +106,16 @@ class StarProduct:
         top = min(trunc, 3)
         # build_gamma raises NotPoissonError, at order 0 too
         self.gamma = build_gamma(w, top, trunc)
-        self.xhat = build_xhat(w, self.gamma, trunc=trunc)
+        self.gamma1: Optional[list[ThetaPoly]] = None
+        self.xhat = build_xhat(self.gamma, trunc=trunc)
         zero_idx = (0,) * self.n
         self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
         # the bare operators give slices 1-2; slice 2 fixes Q, which slice 3 reads
         if top == 3:
             while len(self.slices) < 3:
                 self.slices.append(self._derive_slice(len(self.slices)))
-            gamma1 = build_gamma1(self.w, self.xhat, self.slices[2], trunc)
-            self.xhat = build_xhat(w, self.gamma, gamma1, trunc)
+            self.gamma1 = build_gamma1(self.w, self.xhat, self.slices[2], trunc)
+            self.xhat = build_xhat(self.gamma, self.gamma1, trunc)
         while len(self.slices) <= order:
             self.slices.append(self._derive_slice(len(self.slices)))
         del self.slices[order + 1:]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from ncqm.exact_algebra import GaussianRational, ThetaPoly, multi_index, parse_polynomial
-from ncqm.operators import build_gamma1, build_xhat
 from ncqm.poisson import PoissonBivector, constant_bivector, fuzzy_sphere_bivector
 from ncqm.star import StarProduct
 
@@ -48,11 +47,9 @@ GRADE3_FAMILIES = {
 
 
 def solved_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
-    """The grade-3 correction Q, solved from the bare coordinate operators
-    and the grade-2 rules of the product they give."""
-    product = StarProduct(w, 2, trunc=trunc)
-    bare = build_xhat(w, product.gamma, trunc=trunc)
-    return build_gamma1(product.w, bare, product.slices[2], trunc)
+    """The grade-3 correction Q that the product solves from the bare
+    coordinate operators and its grade-2 rules."""
+    return StarProduct(w, 2, trunc=trunc).gamma1
 
 
 @pytest.fixture

@@ -171,7 +171,7 @@ def xhat_text(w: PoissonBivector) -> str:
     for trunc in (2, 3, 4):
         ops = StarProduct(w, 2, trunc=trunc).xhat
         lines += [f"{trunc} {i} {op.text()} {op.trunc}" for i, op in enumerate(ops)]
-    bare = build_xhat(w, build_gamma(w, 3))
+    bare = build_xhat(build_gamma(w, 3))
     lines += [f"bare {i} {op.text()} {op.trunc}" for i, op in enumerate(bare)]
     return "\n".join(lines)
 
@@ -243,7 +243,7 @@ def test_product_keeps_the_coordinate_operators(family):
     """At every order the product keeps the tower quantized with the
     closed-form correction."""
     w = TABLE_FAMILIES[family]
-    expect = build_xhat(w, build_gamma(w, 3), gamma1_closed_form(w))
+    expect = build_xhat(build_gamma(w, 3), gamma1_closed_form(w))
     for order in range(4):
         assert StarProduct(w, order, trunc=3).xhat == expect
 

@@ -1,6 +1,8 @@
 """Operator algebra: composition, commutators, coordinate and momentum
 operators, the closure correction, similarity transforms."""
 
+import copy
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ncqm import exact_algebra
+from ncqm.cli import ProblemFile, run_task
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
@@ -27,6 +30,7 @@ from ncqm.operators import (
     l_squared,
     laplacian,
     plane_wave_symbol,
+    residual_without_correction,
     subalgebra_defect,
 )
 from ncqm.poisson import PoissonBivector, build_gamma, levi_civita
@@ -204,7 +208,7 @@ class TestCoordinateOperators:
 
     def test_requires_enough_orders(self, fuzzy):
         with pytest.raises(UsageError):
-            build_xhat(fuzzy, build_gamma(fuzzy, 2))
+            build_xhat(build_gamma(fuzzy, 2))
 
     def test_polynomial_coefficients_skip_division(self, quad2d, monkeypatch):
         """A unit denominator is kept as it is: building operators with
@@ -218,7 +222,7 @@ class TestCoordinateOperators:
 
         tower = build_gamma(quad2d, 3)
         monkeypatch.setattr(exact_algebra, "divide_exact", counting)
-        build_xhat(quad2d, tower)
+        build_xhat(tower)
         x1 = parse_polynomial("x1", 2)
         StarProduct(quad2d, 2, trunc=3).left_multiplication_operator(x1 * x1)
         assert calls == []
@@ -233,7 +237,7 @@ def _mutated_gamma1(w):
     dropped (no grade-2 rules), and the cross terms [X_1^i, X_2^j] +
     [X_2^i, X_1^j] dropped (bare operators without their grade-2 part)."""
     product = StarProduct(w, 2, trunc=3)
-    bare = build_xhat(w, product.gamma)
+    bare = build_xhat(product.gamma)
     rules = product.slices[2]
     n = w.n
 
@@ -275,7 +279,7 @@ class TestGamma1:
         product, mutants = _mutated_gamma1(w)
         q = mutants[mutant]
         assert q != gamma1_closed_form(w)
-        defects, = subalgebra_defect([build_xhat(w, product.gamma, q)], w, product)
+        defects = subalgebra_defect(build_xhat(product.gamma, q), product)
         assert any(not op.is_zero for op in defects.values())
 
     def test_vanishes_for_constant_and_linear(self, fuzzy, const3d):
@@ -294,15 +298,15 @@ class TestGamma1:
     def test_closure(self, which, request):
         w = request.getfixturevalue(which)
         product = StarProduct(w, 2, trunc=3)
-        defects, = subalgebra_defect([product.xhat], w, product)
+        defects = subalgebra_defect(product.xhat, product)
         assert all(op.is_zero for op in defects.values())
 
     def test_residual_without_correction(self, quad2d):
         """Dropping the correction leaves exactly (i/8) A^{ij,l} d_l at
         grade 3, with A the double-derivative obstruction tensor."""
         product = StarProduct(quad2d, 2, trunc=3)
-        bare = build_xhat(quad2d, build_gamma(quad2d, 3))
-        residual = subalgebra_defect([bare], quad2d, product)[0][(0, 1)]
+        residual = residual_without_correction(
+            subalgebra_defect(product.xhat, product), product.gamma1)[(0, 1)]
         expect = DiffOperator.zero(2, 3)
         for l in range(2):
             A = ThetaPoly.zero(2)
@@ -319,6 +323,60 @@ class TestGamma1:
                 tuple(1 if a == l else 0 for a in range(2)),
                 theta_power=3, trunc=3)
         assert residual == expect
+
+
+def _subalgebra_report(w: PoissonBivector) -> dict:
+    doc = {"dim": w.n, "bivector": [{"i": i + 1, "j": j + 1, "poly": p.text()}
+                                    for (i, j), p in sorted(w.upper.items())]}
+    return run_task(ProblemFile.parse(json.dumps(doc)), "subalgebra")
+
+
+class TestResidualWithoutCorrection:
+    """The bare operators' defects, read off the corrected ones and Q,
+    against the bare family composed out."""
+
+    @pytest.mark.parametrize("family", [*ORACLE_FAMILIES, "fuzzy", "const3d"])
+    def test_report_equals_the_composed_bare_family(self, family, request):
+        w = ORACLE_FAMILIES.get(family) or request.getfixturevalue(family)
+        product = StarProduct(w, 2, trunc=3)
+        bare = subalgebra_defect(build_xhat(product.gamma), product)
+        assert _subalgebra_report(w)["residual_without_correction"] == \
+            {f"({i+1},{j+1})": op.text() for (i, j), op in sorted(bare.items())}
+
+    @pytest.mark.parametrize("family", ["nambu-cubic", "nambu-construct", "quadratic"])
+    def test_any_correction_gives_the_same_residual(self, family):
+        product = StarProduct(ORACLE_FAMILIES[family], 2, trunc=3)
+        doubled = copy.copy(product)
+        doubled.gamma1 = [q.scale(2) for q in product.gamma1]
+        doubled.xhat = build_xhat(product.gamma, doubled.gamma1)
+        defects = subalgebra_defect(doubled.xhat, doubled)
+        assert any(not op.is_zero for op in defects.values())
+        assert residual_without_correction(defects, doubled.gamma1) == \
+            residual_without_correction(subalgebra_defect(product.xhat, product),
+                                        product.gamma1)
+
+    def test_one_family_is_composed(self, monkeypatch):
+        """A subalgebra verdict composes [xhat^i, xhat^j] once per pair."""
+        calls = []
+        compose = DiffOperator.compose
+
+        def counting(a, b):
+            calls.append(b)
+            return compose(a, b)
+
+        monkeypatch.setattr(DiffOperator, "compose", counting)
+        _subalgebra_report(ORACLE_FAMILIES["nambu-cubic"])
+        assert len(calls) == 3 * 2
+
+    def test_truncated_at_grade_3(self, quad2d):
+        """Past grade 3 the identity no longer holds; the residual stops
+        at grade 3."""
+        product = StarProduct(quad2d, 2, trunc=4)
+        bare = subalgebra_defect(build_xhat(product.gamma, trunc=4), product)
+        got = residual_without_correction(subalgebra_defect(product.xhat, product),
+                                          product.gamma1)
+        assert all(op.trunc == 3 for op in got.values())
+        assert got == {k: op.truncated(3) for k, op in bare.items()}
 
 
 class TestMomentumOperators:

@@ -155,7 +155,7 @@ class TestAssociativity:
         coordinate operator, term by term through grade 3."""
         for w in (fuzzy, quad2d):
             sp = StarProduct(w, 3)
-            xhat = build_xhat(w, build_gamma(w, 3), gamma1_closed_form(w))
+            xhat = build_xhat(build_gamma(w, 3), gamma1_closed_form(w))
             for i in range(w.n):
                 got = sp.left_multiplication_operator(
                     ThetaPoly.coordinate(w.n, i, sp.trunc))
