@@ -413,8 +413,6 @@ class ThetaPoly:
         return _poly(self.n, {k: -c for k, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
-        if not isinstance(other, ThetaPoly):
-            other = ThetaPoly.constant(self.n, other, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other: Scalarish) -> "ThetaPoly":

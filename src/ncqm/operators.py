@@ -8,17 +8,15 @@ coefficient is rational.  Sums, scalings and grade slices are the
 symbol's own arithmetic; composition is the normal-ordered product
 sum_gamma (1/gamma!) d_p^gamma a * d_x^gamma b.
 
-The coordinate operators xhat^i are built here, by ``build_xhat``, and
-nowhere else: ``StarProduct`` keeps the ones it derives its rules from as
-``product.xhat``.  Each is the Darboux tower read as a symbol,
-x^i + sum_k th^k (-i)^k P^i_k with P^i_3 - Q^i at grade 3: every canonical
-momentum p becomes -i d.  The correction Q^i, stored in the same
-momentum-polynomial form, is solved by ``build_gamma1`` from the closure
-[xhat^i, xhat^j] = i th w^{ij}(xhat) at grade 3, on the symbols of the bare
-operators and the product's grade-2 rules, by the Euler homotopy that
-``build_gamma`` solves the tower with.  ``subalgebra_defect`` forms that
-closure for one family; ``residual_without_correction`` reads the bare
-operators' defects off the corrected ones and Q, composing no other.
+``build_gamma1`` solves the coordinate operators
+xhat^i = x^i + sum_k th^k X_k^i one grade at a time from the closure
+[xhat^i, xhat^j] = i th w^{ij}(xhat), by the Euler homotopy that
+``build_gamma`` solves the Darboux tower with.  ``build_xhat`` reads the
+tower as the bare operators x^i + sum_k th^k (-i)^k P^i_k (each canonical
+momentum becomes -i d), equal to xhat through grade 2.
+``subalgebra_defect`` forms the closure for one family;
+``residual_without_correction`` reads the bare operators' defects off
+xhat's and the grade-3 symbols, composing no other family.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .exact_algebra import (
     divide_exact,
     multi_index,
 )
-from .poisson import GammaTower, PoissonBivector, levi_civita
+from .poisson import GammaTower, PoissonBivector, euler_homotopy, levi_civita
 
 MultiIndex = tuple[int, ...]
 Coefficient = Union[RationalFunction, ThetaPoly, GaussianRational, int, Fraction]
@@ -251,24 +249,28 @@ class DiffOperator:
 # ---------------------------------------------------------------------------
 
 
-def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
-                 trunc: int = 3) -> list[ThetaPoly]:
-    """The grade-3 correction Q^i, one momentum polynomial per coordinate,
-    solved from the closure [xhat^i, xhat^j] = i th w^{ij}(xhat) at grade 3
-    on the bare operators ``xhat`` and the grade-2 ``rules`` {(a, b): c}
-    of their product, whose left multiplication is L_f = sum c d^a f d^b.
+class ClosureError(ValueError):
+    """A grade's solved symbols leave a nonzero closure residual."""
 
-    [x^i, G d^a] has the symbol -d_{p_i}(G p^a), so adding C to the grade-3
-    symbols cancels the grade-3 symbol R^{ij} of [xhat^i, xhat^j] - i th L_w
-    when d_{p_i} C^j - d_{p_j} C^i = R^{ij}.  The Euler homotopy solves it
-    per momentum degree d, C^j = sum_i p_i R^{ij} / (d + 2), as
-    ``build_gamma`` solves the tower; the grade-3 symbol is i (P_3 - Q),
-    so Q = i C.
+
+def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
+                 k: int, trunc: int = 3) -> list[ThetaPoly]:
+    """The grade-k symbols X_k^i of the coordinate operators, solved from
+    the closure [xhat^i, xhat^j] = i th w^{ij}(xhat) at grade k on
+    ``xhat`` through grade k - 1 and the grade-(k-1) ``rules`` {(a, b): c}
+    of its product, L_f = sum th^m c d^a f d^b.
+
+    [x^i, G d^a] has the symbol -d_{p_i}(G p^a), so the closure reads
+    d_{p_i} X_k^j - d_{p_j} X_k^i = R^{ij}, with ``_leibniz`` commutators in
+
+        R^{ij} = sum_{m=1..k-1} [X_m^i, X_(k-m)^j] - i sum_ab c_ab d^a w^{ij} p^b.
+
+    ``euler_homotopy`` solves it for a closed R only, so each (i, j) is
+    checked and the first that fails raises ``ClosureError``.
     """
     n = w.n
     one, zero = ThetaPoly.one(n, trunc), ThetaPoly.zero(n, trunc)
-    ps = [ThetaPoly.momentum(n, i, trunc) for i in range(n)]
-    x1, x2, x3 = ([op.symbol.num.theta_coefficient(k) for op in xhat] for k in (1, 2, 3))
+    xs = [[op.symbol.num.theta_coefficient(m) for op in xhat] for m in range(k)]
     lw_rules: dict[MultiIndex, list] = {}  # d^b -> its rules (a, c_ab)
     for (a, b), c in rules.items():
         lw_rules.setdefault(b, []).append((a, c))
@@ -277,29 +279,26 @@ def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
     def bracket(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
         return _leibniz(a, b, one, 0)[0] - _leibniz(b, a, one, 0)[0]
 
-    out = [zero] * n
+    r = {}
     for i, j in itertools.combinations(range(n), 2):
         dw = {a: d for a in orders if not (d := w.entry(i, j).diff_multi(a)).is_zero}
-        r = x3[i].diff_p(j) - x3[j].diff_p(i) + bracket(x1[i], x2[j]) + bracket(x2[i], x1[j])
+        rij = sum((bracket(xs[m][i], xs[k - m][j]) for m in range(1, k)), zero)
         for b, pairs in lw_rules.items():
             coeff = sum((c * dw[a] for a, c in pairs if a in dw), zero)
             if not coeff.is_zero:
-                r = r - coeff * ThetaPoly.monomial(n, I, p=b, trunc=trunc)
-        homotopy = sum((block * ThetaPoly.monomial(n, Fraction(1, sum(e) + 2), p=e, trunc=trunc)
-                        for e, block in r.momentum_blocks().items()), zero)
-        out[j] = out[j] + ps[i] * homotopy
-        out[i] = out[i] - ps[j] * homotopy
-    return [c.scale(I) for c in out]
+                rij = rij - coeff * ThetaPoly.monomial(n, I, p=b, trunc=trunc)
+        r[(i, j)] = rij
+    out = euler_homotopy(n, r, trunc)
+    for (i, j), rij in r.items():
+        if out[j].diff_p(i) - out[i].diff_p(j) != rij:
+            raise ClosureError(f"the grade-{k} operators do not close on ({i+1},{j+1})")
+    return out
 
 
-def build_xhat(gamma: GammaTower, gamma1: Optional[Sequence[ThetaPoly]] = None,
-               trunc: int = 3) -> list[DiffOperator]:
-    """Coordinate operators with symbols x^i + sum_k th^k (-i)^k P^i_k: the
-    momentum expansion read in normal order, each canonical momentum
-    becoming -i d.  At grade 3 the symbol carries i (P^i_3 - Q^i), with
-    Q = ``gamma1`` the correction from ``build_gamma1``; ``None`` gives
-    the bare operators.
-    """
+def build_xhat(gamma: GammaTower, trunc: int = 3) -> list[DiffOperator]:
+    """The bare coordinate operators x^i + sum_k th^k (-i)^k P^i_k: the
+    Darboux tower read in normal order, each canonical momentum becoming
+    -i d.  They close through grade 2."""
     n = gamma.n
     if gamma.max_order < min(trunc, 3):
         raise UsageError("tower must be built through the requested order")
@@ -307,26 +306,24 @@ def build_xhat(gamma: GammaTower, gamma1: Optional[Sequence[ThetaPoly]] = None,
     for i in range(n):
         symbol = ThetaPoly.coordinate(n, i, trunc)
         for k in range(1, min(trunc, gamma.max_order) + 1):
-            poly = gamma.momenta[k][i] - gamma1[i] if k == 3 and gamma1 else gamma.momenta[k][i]
-            symbol = symbol + poly.with_trunc(trunc).scale(MINUS_I ** k).theta_shift(k)
+            symbol = symbol + gamma.momenta[k][i].with_trunc(trunc) \
+                .scale(MINUS_I ** k).theta_shift(k)
         ops.append(DiffOperator(symbol))
     return ops
 
 
 def residual_without_correction(defects: dict[tuple[int, int], DiffOperator],
-                                gamma1: Optional[Sequence[ThetaPoly]]
+                                xhat: Sequence[DiffOperator], bare: Sequence[DiffOperator]
                                 ) -> dict[tuple[int, int], DiffOperator]:
-    """The closure defects of the bare operators (Q = 0) through grade 3,
-    read off the ``defects`` of the operators that ``build_xhat`` corrects
-    by Q = ``gamma1``.
-
-    Q enters xhat^j only as th^3 C^j with C = -i Q, and [x^i, G d^a] has
-    the symbol -d_{p_i}(G p^a); every other term Q adds to [xhat^i, xhat^j]
-    is of grade 4 or more.  So D_bare^{ij} = D^{ij} + th^3 (d_{p_i} C^j -
-    d_{p_j} C^i) for any Q; the sum is truncated at grade 3.
+    """The closure defects of the ``bare`` operators through grade 3, read
+    off the ``defects`` of ``xhat``, which differs from them by th^3 C.
+    [x^i, G d^a] has the symbol -d_{p_i}(G p^a), and every other term C
+    adds to [xhat^i, xhat^j] is of grade 4 or more, so
+    D_bare^{ij} = D^{ij} + th^3 (d_{p_i} C^j - d_{p_j} C^i) through grade 3.
     """
-    c = [q.with_trunc(3).scale(MINUS_I).theta_shift(3) for q in gamma1 or ()]
-    return {(i, j): d + DiffOperator(c[j].diff_p(i) - c[i].diff_p(j)) if c else d
+    c = [(x.symbol.num - b.symbol.num).theta_coefficient(3).with_trunc(3).theta_shift(3)
+         for x, b in zip(xhat, bare)]
+    return {(i, j): d + DiffOperator(c[j].diff_p(i) - c[i].diff_p(j))
             for (i, j), d in defects.items()}
 
 

@@ -218,10 +218,10 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
 
         r^{ij} = [th^(m-1)] w^{ij}(x) - sum_{k=1..m-1} {P^i_k, P^j_(m-k)},
 
-    antisymmetric in (i, j).  In the symmetric gauge the solution is
-    P^i_m = -(1/(m+1)) sum_j p_j r^{ij}; at m = 1, r = w.  The defining
-    property holds exactly through the built order and is re-checked by
-    ``verify_darboux``.
+    antisymmetric in (i, j) and of momentum degree m - 1.  Its
+    ``euler_homotopy`` P^i_m = -(1/(m+1)) sum_j p_j r^{ij} solves it in the
+    symmetric gauge; at m = 1, r = w.  The defining property holds exactly
+    through the built order and is re-checked by ``verify_darboux``.
     """
     defect = jacobi_defect(w)
     if not defect.is_zero:
@@ -231,22 +231,34 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
         trunc = max(order, 3)
     w = w.with_trunc(trunc)
     zero = ThetaPoly.zero(n, trunc)
-    ps = [ThetaPoly.momentum(n, j, trunc) for j in range(n)]
     momenta = [[ThetaPoly.coordinate(n, i, trunc) for i in range(n)]]
     for m in range(1, order + 1):
         # w^{ij}(x) is read only at grade m - 1, so substitute at that truncation
         xs = assemble_darboux(GammaTower(n, momenta, m - 1))
         images = {("x", i): x for i, x in enumerate(xs)}
-        r = [[zero] * n for _ in range(n)]
+        r = {}
         for i, j in itertools.combinations(range(n), 2):
             brackets = (canonical_bracket(momenta[k][i], momenta[m - k][j])
                         for k in range(1, m))
-            r[i][j] = w.entry(i, j).substitute(images).theta_coefficient(m - 1) \
+            r[(i, j)] = w.entry(i, j).substitute(images).theta_coefficient(m - 1) \
                 .with_trunc(trunc) - sum(brackets, zero)
-            r[j][i] = -r[i][j]
-        momenta.append([sum(map(operator.mul, ps, r[i]), zero).scale(Fraction(-1, m + 1))
-                        for i in range(n)])
+        momenta.append(euler_homotopy(n, r, trunc))
     return GammaTower(n, momenta, trunc)
+
+
+def euler_homotopy(n: int, r: Mapping[tuple[int, int], ThetaPoly],
+                   trunc: int) -> list[ThetaPoly]:
+    """X^j = sum_i p_i r^{ij} / (d + 2) on each part of momentum degree d:
+    for r (i < j) closed in the momenta, the solution of
+    d_{p_i} X^j - d_{p_j} X^i = r^{ij} with sum_i p_i X^i = 0."""
+    zero = ThetaPoly.zero(n, trunc)
+    out = [zero] * n
+    for (i, j), rij in r.items():
+        h = sum((block * ThetaPoly.monomial(n, Fraction(1, sum(e) + 2), p=e, trunc=trunc)
+                 for e, block in rij.momentum_blocks().items()), zero)
+        out[j] = out[j] + ThetaPoly.momentum(n, i, trunc) * h
+        out[i] = out[i] - ThetaPoly.momentum(n, j, trunc) * h
+    return out
 
 
 def assemble_darboux(gamma: GammaTower) -> tuple[ThetaPoly, ...]:
@@ -320,6 +332,11 @@ def reference_delta(w: PoissonBivector, trunc: int = 3) -> dict[tuple[int, int],
     return out
 
 
+def pair_texts(table: Mapping[tuple[int, int], object]) -> dict[str, str]:
+    """The report form of a table keyed by index pairs: "(i,j)" -> text."""
+    return {f"({i+1},{j+1})": v.text() for (i, j), v in sorted(table.items())}
+
+
 @dataclass(frozen=True)
 class DarbouxReport:
     xx_defect: dict[tuple[int, int], ThetaPoly]
@@ -343,14 +360,10 @@ class DarbouxReport:
 
     def to_json(self) -> dict:
         return {
-            "xx_defect": {f"({i+1},{j+1})": p.text()
-                          for (i, j), p in sorted(self.xx_defect.items())},
-            "pp_defect": {f"({i+1},{j+1})": p.text()
-                          for (i, j), p in sorted(self.pp_defect.items())},
-            "delta": {f"({i+1},{j+1})": p.text()
-                      for (i, j), p in sorted(self.delta.items())},
-            "delta_reference": {f"({i+1},{j+1})": p.text()
-                                for (i, j), p in sorted(self.delta_reference.items())},
+            "xx_defect": pair_texts(self.xx_defect),
+            "pp_defect": pair_texts(self.pp_defect),
+            "delta": pair_texts(self.delta),
+            "delta_reference": pair_texts(self.delta_reference),
             "xx_zero": self.xx_zero,
             "pp_zero": self.pp_zero,
             "delta_matches_reference": self.delta_matches_reference,
@@ -385,12 +398,7 @@ class GeneralBrackets:
     varpi: dict[tuple[int, int], ThetaPoly]
 
     def to_json(self) -> dict:
-        return {
-            "delta": {f"({i+1},{j+1})": p.text()
-                      for (i, j), p in sorted(self.delta.items())},
-            "varpi": {f"({i+1},{j+1})": p.text()
-                      for (i, j), p in sorted(self.varpi.items())},
-        }
+        return {"delta": pair_texts(self.delta), "varpi": pair_texts(self.varpi)}
 
 
 def general_brackets(w: PoissonBivector, j1: Sequence[ThetaPoly],

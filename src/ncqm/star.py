@@ -4,16 +4,12 @@ gauge-corrected product that restores the trace condition.
 The product is stored slice by slice as bilinear rules: pairs of
 derivative multi-indices with coordinate-polynomial coefficients.  No rule
 is written out by hand.  The product is f * g = f(xhat) g, so the rules
-follow from the coordinate operators xhat^i = x^i + sum_j th^j X^{ij}: the
-quantized Darboux tower, with P^i_3 - Q^i quantized at grade 3.
-``StarProduct`` builds the tower and the bare operators (Q = 0), derives
-slices 1-2 from them, which read xhat through grade 2 only, solves Q from
-the closure at grade 3 with ``build_gamma1``, rebuilds xhat, and only then
-derives slice 3; it keeps the tower, Q and xhat, the same at every order,
-as ``product.gamma``, ``product.gamma1`` (``None`` below trunc 3) and
-``product.xhat``.
-Associativity, (x^i * f) * g = x^i * (f * g), fixes each grade from the
-lower ones; ``StarProduct._derive_slice`` reads the rules off it.
+follow from the coordinate operators xhat^i = x^i + sum_k th^k X_k^i.
+Associativity, (x^i * f) * g = x^i * (f * g), fixes slice k from X_1..X_k
+and the lower slices; ``StarProduct._derive_slice`` reads the rules off
+it.  ``StarProduct`` starts from xhat = x and, for k = 1..3, solves X_k
+from slice k - 1 with ``build_gamma1``, then derives slice k; it keeps
+xhat, the same at every order, as ``product.xhat``.
 ``StarProduct.star`` hands the rule table to ``exact_algebra.star_sum``,
 which evaluates sum th^k c d^a f d^b g on integer numerators and keeps
 each coefficient's numerator form in the product's ``_forms``, keyed by
@@ -51,8 +47,8 @@ from .exact_algebra import (
     multi_index,
     star_sum,
 )
-from .operators import DiffOperator, build_gamma1, build_xhat
-from .poisson import PoissonBivector, build_gamma
+from .operators import DiffOperator, build_gamma1
+from .poisson import NotPoissonError, PoissonBivector, jacobi_defect
 
 MultiIndex = tuple[int, ...]
 Rule = dict[tuple[MultiIndex, MultiIndex], ThetaPoly]
@@ -88,8 +84,7 @@ def _add(table: dict, key, coeff: ThetaPoly):
 class StarProduct:
     """Associative deformation of pointwise multiplication for one
     polynomial Poisson bivector, evaluated exactly slice by slice; keeps
-    the Darboux tower ``gamma``, the grade-3 correction ``gamma1`` and the
-    coordinate operators ``xhat``."""
+    the coordinate operators ``xhat`` it is derived from."""
 
     def __init__(self, w: PoissonBivector, order: int = 3,
                  trunc: Optional[int] = None):
@@ -104,20 +99,20 @@ class StarProduct:
         self.order = order
         self.trunc = trunc
         top = min(trunc, 3)
-        # build_gamma raises NotPoissonError, at order 0 too
-        self.gamma = build_gamma(w, top, trunc)
-        self.gamma1: Optional[list[ThetaPoly]] = None
-        self.xhat = build_xhat(self.gamma, trunc=trunc)
+        defect = jacobi_defect(w)  # the closure solve needs a Poisson bivector
+        if not defect.is_zero:
+            raise NotPoissonError(defect)
         zero_idx = (0,) * self.n
         self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
-        # the bare operators give slices 1-2; slice 2 fixes Q, which slice 3 reads
-        if top == 3:
-            while len(self.slices) < 3:
-                self.slices.append(self._derive_slice(len(self.slices)))
-            self.gamma1 = build_gamma1(self.w, self.xhat, self.slices[2], trunc)
-            self.xhat = build_xhat(self.gamma, self.gamma1, trunc)
-        while len(self.slices) <= order:
-            self.slices.append(self._derive_slice(len(self.slices)))
+        self.xhat = [DiffOperator(ThetaPoly.coordinate(self.n, i, trunc)) for i in range(self.n)]
+        # grade k of xhat reads slice k - 1, so slices below top are built for it
+        for k in range(1, max(top, order) + 1):
+            if k <= top:
+                xk = build_gamma1(self.w, self.xhat, self.slices[k - 1], k, trunc)
+                self.xhat = [DiffOperator(op.symbol.num + x.theta_shift(k))
+                             for op, x in zip(self.xhat, xk)]
+            if k < top or k <= order:
+                self.slices.append(self._derive_slice(k))
         del self.slices[order + 1:]
         # each rule coefficient's numerator form, keyed by the coefficient (see star_sum)
         self._forms: dict = {}

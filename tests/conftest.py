@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ncqm.exact_algebra import GaussianRational, ThetaPoly, multi_index, parse_polynomial
-from ncqm.poisson import PoissonBivector, constant_bivector, fuzzy_sphere_bivector
+from ncqm.poisson import PoissonBivector, build_gamma, constant_bivector, fuzzy_sphere_bivector
 from ncqm.star import StarProduct
 
 
@@ -47,9 +47,12 @@ GRADE3_FAMILIES = {
 
 
 def solved_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
-    """The grade-3 correction Q that the product solves from the bare
-    coordinate operators and its grade-2 rules."""
-    return StarProduct(w, 2, trunc=trunc).gamma1
+    """The grade-3 correction Q that the product solves, read off its
+    grade-3 symbols X_3 = i (P_3 - Q) as Q = P_3 + i X_3."""
+    xhat = StarProduct(w, 2, trunc=trunc).xhat
+    tower = build_gamma(w, 3, trunc)
+    return [p + op.symbol.num.theta_coefficient(3).scale(GaussianRational(0, 1))
+            for p, op in zip(tower.momenta[3], xhat)]
 
 
 @pytest.fixture

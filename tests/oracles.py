@@ -1,15 +1,20 @@
-"""Reference formulas that share no code with the engine they check."""
+"""Reference formulas that share no code with the engine they check, and
+the construction the coordinate-operator solve replaced."""
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianIntegral,
+    GaussianRational,
     ThetaPoly,
     gaussian_integrate,
 )
-from ncqm.poisson import PoissonBivector
+from ncqm.operators import DiffOperator, build_xhat
+from ncqm.poisson import PoissonBivector, build_gamma
+from ncqm.star import StarProduct
 
 
 def gamma1_closed_form(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
@@ -36,6 +41,33 @@ def gamma1_closed_form(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
                 total = total + dd * entry[a][l] * entry[m][k].diff_x(l) * ps[j] * ps[k]
         out.append(total.scale(Fraction(1, 24)))
     return out
+
+
+def quantized_tower(w: PoissonBivector, trunc: int = 3, q=None) -> list[DiffOperator]:
+    """The coordinate operators as the quantized Darboux tower: symbols
+    x^i + sum_k th^k (-i)^k P^i_k, with i (P^i_3 - Q^i) at grade 3 and Q
+    the closed-form correction unless ``q`` is given.  This builds them
+    from the symplectic realization, not from the closure."""
+    top = min(trunc, 3)
+    bare = build_xhat(build_gamma(w, top, trunc), trunc)
+    if top < 3:
+        return bare
+    q = gamma1_closed_form(w, trunc) if q is None else q
+    minus_i = GaussianRational(0, -1)
+    return [DiffOperator(op.symbol.num + qi.scale(minus_i).theta_shift(3))
+            for op, qi in zip(bare, q)]
+
+
+def tower_product(w: PoissonBivector, order: int, trunc: int) -> SimpleNamespace:
+    """``xhat`` from ``quantized_tower`` and the ``slices`` 0..order that
+    ``StarProduct._derive_slice`` reads off it, as the product was built
+    before its operators were solved grade by grade."""
+    zero = (0,) * w.n
+    product = SimpleNamespace(n=w.n, xhat=quantized_tower(w, trunc),
+                              slices=[{(zero, zero): ThetaPoly.one(w.n, trunc)}])
+    for k in range(1, order + 1):
+        product.slices.append(StarProduct._derive_slice(product, k))
+    return product
 
 
 def trace_condition_oracle(f: GaussianFunction, g: GaussianFunction,

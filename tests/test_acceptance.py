@@ -142,7 +142,7 @@ def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
     for w in (fuzzy, quad2d, const3d):
         product = StarProduct(w, 2, trunc=3)
         defects = subalgebra_defect(product.xhat, product)
-        bare = subalgebra_defect(build_xhat(product.gamma), product)
+        bare = subalgebra_defect(build_xhat(build_gamma(w, 3)), product)
         assert all(op.is_zero for op in defects.values())
         # constant and fuzzy close with or without the correction tensor
         if w is not quad2d:

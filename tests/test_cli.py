@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -388,6 +389,158 @@ def test_golden_trace_low_orders(name, order, code, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# every problem file and task at each --order 0-5 that the tables above
+# leave out, recorded while the product still quantized the Darboux tower;
+# with them every cell of files x tasks x (default, --order 0-5) is pinned
+GOLDEN_MATRIX = [
+    ("constant", "validate", 0, 0, "8fe38bf7b5caade43710176f6ba1b279afc98f033ea858fdce12d6eaf2df17ba"),
+    ("constant", "validate", 1, 0, "e2ce613511d4cde775203164b88ecb6a1675a3ea89b21fca79abe49ea4fd8062"),
+    ("constant", "validate", 3, 0, "118ca62224184f89ee075765d01ff999eb7ae28e5a4ef3dacc3578bc59165766"),
+    ("constant", "validate", 4, 0, "981924bdcce2966c14d132bcdd8a2e533fb1b822bbbc315038fa58a9f639a397"),
+    ("constant", "validate", 5, 0, "979c683216825fc546dd19cce9f8f8938ebdcc23971c2de0d74f2a9396834850"),
+    ("constant", "gamma", 0, 0, "ee3fba51a16d529628691f89101e660705066c3091d598fe4478861545cb2c38"),
+    ("constant", "gamma", 1, 0, "499554bd6b2f49e69492929b6762aa7a581d6599f0597799054d3fef03886dfb"),
+    ("constant", "gamma", 3, 0, "0e6b719a7fd2d04d8a643fc19448b5d50be89c14cd7372bf7638179929118295"),
+    ("constant", "gamma", 4, 0, "7d1c96899f441af768bb2e56d8067005d0bd29254f9c30bc4f31a00ddb764956"),
+    ("constant", "gamma", 5, 0, "e37109033dd034470d211b97739f9e70afecfd2674fcf7f081896f333aa24d3d"),
+    ("constant", "darboux-check", 3, 0, "6961b2e4619f7b778c4504cb082fe696f46e09b3ee05aa1b726857538f6e746e"),
+    ("constant", "star-assoc", 0, 0, "d8641d688e3762aa9ffb6f252982a873a2e6c3db15420fe63e558557b2205d79"),
+    ("constant", "star-assoc", 1, 0, "022b201d2aace9833158f9af860c0edca4aa55685e8031afbfdec9ae8aa12ffc"),
+    ("constant", "star-assoc", 3, 0, "7849ce4c1b5843dca41d509955ee8231d96870adda9c48b7216072dbb0d79057"),
+    ("constant", "star-assoc", 4, 1, "d94232bb85e7941fafd83665dc601285e6c5389f1c8debecb77a0eda8bdcf809"),
+    ("constant", "star-assoc", 5, 1, "8e16a7b86061815bf5a4108a184cb572b3443ffa82d4672734488f06dd1d8e6d"),
+    ("constant", "trace-check", 3, 0, "bdb7222d6f7cee3e541b28aa387488ec2df43fe55a969078fa2ab0cdab22da2d"),
+    ("constant", "trace-check", 4, 1, "dd8e09c9b344267de994c22ea47897886fe7a3a3e9741cf9c26fcbbd6c871139"),
+    ("constant", "trace-check", 5, 1, "4b09257cd87239729b59f5303d161362f321ddba54ccd9c818ad48d49a148d21"),
+    ("constant", "subalgebra", 0, 0, "2329fcb611982aadacdccda1f3b87cf4834164da590d3b0c33981afe2ac5bab7"),
+    ("constant", "subalgebra", 1, 0, "b288ace25460a493e5962092bc5d9f9d02a3c82a7f584cf081a36a64f48f6371"),
+    ("constant", "subalgebra", 3, 0, "783522d41dfc9bc62a0237bf3651fce2dd8e99795863ded64ff5225b8de9a808"),
+    ("constant", "subalgebra", 4, 0, "dc8a5e5bcb8b9a6f1930d860274d1aa636ea0231ae0a081121ee8fc30519dd74"),
+    ("constant", "subalgebra", 5, 0, "56c8ad08c3708c94fd3fd71cc90a1c76286210f33c4c68f70e8e67cf8e83c21b"),
+    ("constant", "oscillator", 0, 1, "6f952693e0871f6e0decab4d38d87dae8f776802f1497704bf7c6d2d3ecc5627"),
+    ("constant", "oscillator", 1, 1, "ea84bf5b77417c17f159d0581110ceaf0e94638d4395b592d1ce754f59cad042"),
+    ("constant", "oscillator", 3, 1, "ab9b1027b5d23a2e59f913c9e77a0557e9ecff0f3c932783f60b51f8931c832e"),
+    ("constant", "oscillator", 4, 1, "c0507b407b465001dbd176a37849c19641e33984681bf84935cedf77ba2c0899"),
+    ("constant", "oscillator", 5, 1, "1e13930e0a9530ca60363c73a48df86f6117f7e6c41875f4650e91715026400e"),
+    ("constant", "free-particle", 0, 0, "9c75afe662c144793041664b859afd0f03427b3010f053665f46f74a98d69da7"),
+    ("constant", "free-particle", 1, 0, "cfb1fdb6b74e93ca5015d5efb1567aeab33e61a9c558907d2a7c08b3e5ff79a3"),
+    ("constant", "free-particle", 3, 0, "5c13fa26b0f2336f3c1caadacf067c3970a421b7052a4fe70830251a629f35c5"),
+    ("constant", "free-particle", 4, 0, "d5a22eb996fcaa76255015ab8dff9360b67fc156bc0363572385980627002f07"),
+    ("constant", "free-particle", 5, 0, "1640b78d857c08991c4469decb2cfb3ba313bbb294b49f9a64391a0771dc580c"),
+    ("fuzzy_sphere", "validate", 0, 0, "eeac00b8776c29ce4406c4c2ba05c87dce21dcb043d466083131abacfcdc30a1"),
+    ("fuzzy_sphere", "validate", 1, 0, "b17d8c6280ccb9e55818b717a3b56c24f7ce2d81cc756b96223aa419f20e15c5"),
+    ("fuzzy_sphere", "validate", 3, 0, "6cab052d33557ac791e31a87277ac4761b9b9fed1bfcfc07038be17e0efd40aa"),
+    ("fuzzy_sphere", "validate", 4, 0, "95fe8cdd93c7bf7759ab2a67b7a249010bd1a3f9055b205fd45f6bbad59d9745"),
+    ("fuzzy_sphere", "validate", 5, 0, "dfe868c60dae6ee6f0cfd12403da8d09def50689c9569eb12dca4b588a356682"),
+    ("fuzzy_sphere", "gamma", 0, 0, "d764cda92d7ccdfdcf5a0bf617eda1b9e6f0f4e3ccffbb235fb10031d8bb92ec"),
+    ("fuzzy_sphere", "gamma", 1, 0, "d51873edaa54b417b288981878620f06b89233d5b2faa0776d07d85fba7f6d72"),
+    ("fuzzy_sphere", "gamma", 3, 0, "f60c020172d84f6092acd6c012b55f779dda64c5457a7071e4d77e93923d6f32"),
+    ("fuzzy_sphere", "gamma", 4, 0, "9fe3018861381e087ce00c440da7e030bf4719ae85cd8486a0bec1b0abf4a8b0"),
+    ("fuzzy_sphere", "gamma", 5, 0, "f62b32105d5057dc4b43e5a71397106d066377e9e08bc149994e8d24cdc69056"),
+    ("fuzzy_sphere", "darboux-check", 3, 0, "0bc528ff26735a7e521102622ed9559d2053a7a6d52e5dada33f1400e1215a28"),
+    ("fuzzy_sphere", "star-assoc", 0, 0, "67bb158b2eba2e8719c678601124b4f44d84fa827d48d11a41f86f6eb2c38636"),
+    ("fuzzy_sphere", "star-assoc", 1, 0, "542f498c30f12a5ec3179fe585a6bbbf114935bfd9e379b5eeaf8e8299a0d252"),
+    ("fuzzy_sphere", "star-assoc", 3, 0, "4fbb1994b288e82f10c08a5141b8cde1864ab3d242fc4ebed1b1742ae7696e93"),
+    ("fuzzy_sphere", "star-assoc", 4, 1, "0ce012fa9713eb7ab12c179c1dea9e1573e713675701b96d4c7acb2b41861baa"),
+    ("fuzzy_sphere", "star-assoc", 5, 1, "7ea92e7fd26092cdbb40e27adb4431883fc6132ad26d48a464f13ead0a0cfb42"),
+    ("fuzzy_sphere", "trace-check", 3, 0, "81801f06e5e3a9cbe40f6fa3f0326d119a19ea143c9ed7d70fddfca7a5b71284"),
+    ("fuzzy_sphere", "trace-check", 4, 1, "7a63308c99194674d19f2e8c23610e651a5a3cd4a932f2656b33168afc7922fe"),
+    ("fuzzy_sphere", "trace-check", 5, 1, "29c55c1de30af772c955f618231453906280f3dab8400d96034d419807f8405d"),
+    ("fuzzy_sphere", "subalgebra", 0, 0, "be2f114f1f27a56caa5db535d8c0119591846061d6683c8f5c3ace1ede08c4ab"),
+    ("fuzzy_sphere", "subalgebra", 1, 0, "0b9e1047ff2a199b80bc7b387b34e36458e2aa726b071a71ed91b4970e5e01ec"),
+    ("fuzzy_sphere", "subalgebra", 3, 0, "47d95650c92cd41fb20933003acfcdef292244172e85a46264e1a645741ed099"),
+    ("fuzzy_sphere", "subalgebra", 4, 0, "a654a9a8329d3a24712da4d98476820cfdae4ee465c544bfb245e705ab986275"),
+    ("fuzzy_sphere", "subalgebra", 5, 0, "48ebe8ca0ac2e3ad5f39eff22e9c4fa4de00749950e35acebe67f2d35306e74d"),
+    ("fuzzy_sphere", "oscillator", 0, 0, "972d43731ddfdbf49886c6b2523a18f2a33fa36baa3a98dbe3d3de53dfbb6d8d"),
+    ("fuzzy_sphere", "oscillator", 1, 0, "e8a7df63ed0dbbebbad889845e2981ecfafc1670eb599d66e8722ac1ef671bc3"),
+    ("fuzzy_sphere", "oscillator", 3, 0, "38be37e2fdcd858a369e0ed1e057b22cc63e4631be49835fb4b89723bd18126d"),
+    ("fuzzy_sphere", "oscillator", 4, 0, "cc148b054d1f818c8cccad9055abf6192bbc2d7bcc977269aa311efa848b6db5"),
+    ("fuzzy_sphere", "oscillator", 5, 0, "bac66c2ad48c1f48c479a7751e585a5320a95d10b69e853b5fe896f537f96163"),
+    ("fuzzy_sphere", "free-particle", 0, 0, "f133df27498e764280cad6969a40e00bbcea40d563126fb0afa97e1ac8fa7595"),
+    ("fuzzy_sphere", "free-particle", 1, 0, "03dfeb8552cc5ef7278d557e8a7197e6a20f71d0b7fcb692212c3cf091e51cd2"),
+    ("fuzzy_sphere", "free-particle", 3, 0, "9b51c709d06b54c5ec4bd0e27051eabce827863287df4ab71b0798abe4ee245f"),
+    ("fuzzy_sphere", "free-particle", 4, 0, "97d0b291a64094a7147381b4ce7d01d51f70fc2b1dc574f3e2ddf66d3f77cd2e"),
+    ("fuzzy_sphere", "free-particle", 5, 0, "8c952ea2df852a509e6152e2dd502e6f68cf447b8598021e61d598792a6d6ae5"),
+    ("non_poisson", "validate", 0, 1, "d721d767cdfe48be6a75625ccae42fd5bc2dd9f72c4858b9cdf8a337650d5146"),
+    ("non_poisson", "validate", 1, 1, "d432e3118fd9cffdcb023bff6524ab8421fa873f47dc35e3ee65a186bacb3785"),
+    ("non_poisson", "validate", 3, 1, "5a967145ef533b9890a51bd3b7b48a739c989252833617be389bb3d9597c0eaa"),
+    ("non_poisson", "validate", 4, 1, "3c9369e2a15b5b4eb80934ce6dc4f201074638394b3469146e07352d52c4b16f"),
+    ("non_poisson", "validate", 5, 1, "700f100eed678f20acc365d1dc06a3413f670c18bad561e76a7376268029f521"),
+    ("non_poisson", "gamma", 0, 1, "42ef71346aad52ba7647675359e360641b8df99741a08fb4ae995ef076f20035"),
+    ("non_poisson", "gamma", 1, 1, "d991d38fe963c4b734d010eb108b9aad24fef2f972fb6320f0e7b58bd5b3fe54"),
+    ("non_poisson", "gamma", 3, 1, "3e2a798e6d050d870a85f77875972f7e24d5ae55307d76901b8c885a69c36b84"),
+    ("non_poisson", "gamma", 4, 1, "9e2ac323a54c1bb5cb26afe8c4a1c557c7b0fc9e3b389e93ae469c440c185fed"),
+    ("non_poisson", "gamma", 5, 1, "3a5d561bcd8ee3580ad953ecd4e92c7c23f9b40875d7e69238b24b704ca5958f"),
+    ("non_poisson", "darboux-check", 3, 1, "b76a0cf97c1fa5c0dc3e19120949ec2823f46a5acdc143a539e50e87815ec6d2"),
+    ("non_poisson", "star-assoc", 0, 1, "d4b8ce934af05d21c473d9be7a346da4b8c523d159c8fb0a7348b5e10a5de366"),
+    ("non_poisson", "star-assoc", 1, 1, "bf8b17c8f6c7d4583ec4dd29965d65d822dfe202946e0f94bde0c3fc8d3b3f42"),
+    ("non_poisson", "star-assoc", 3, 1, "6965b9a0bae86a55ce9d71eb75378d0e64df4c63349b9c8c0c2efc7c3b7a0625"),
+    ("non_poisson", "star-assoc", 4, 1, "e66a96e9e0b52266c289d628c15a0768b3b4202cf4a3a517e9c432afe9bde2c5"),
+    ("non_poisson", "star-assoc", 5, 1, "ed96fa0747c4f242dcc880b59b3d61c4d6bcc0437c60436bc1dea19f8cbbfb6b"),
+    ("non_poisson", "trace-check", 3, 1, "3aada8c15995f1cb767a9d562229955d63677eff022769a62f6b5bad403707a5"),
+    ("non_poisson", "trace-check", 4, 1, "ad137d6fd3c1abf831295bca587d410d0a2207a8e6ebc18d9e6b55c1b3c77b4f"),
+    ("non_poisson", "trace-check", 5, 1, "5e579c1b77c731d31c7482ed8001cf1cb7bfdac5f6e3a8005dd2653540fb63d0"),
+    ("non_poisson", "subalgebra", 0, 1, "10f7c8b683aea172b595df7ff7da76081aeca726bf3428af5c5042b0d9b333d0"),
+    ("non_poisson", "subalgebra", 1, 1, "9f3bcd5a12d81c3a96de90d135f7bfb79ab8ca6c3f12c7781de668841d8d6f90"),
+    ("non_poisson", "subalgebra", 3, 1, "304adf1a20bba64a5a3b0b775d14fbe7c53d0500eaef6e15f43d5e26eae81e84"),
+    ("non_poisson", "subalgebra", 4, 1, "ec6250b03bc64f5008c863e617b76ae757d3386d9dce3ff3b0d385e6b3c2e706"),
+    ("non_poisson", "subalgebra", 5, 1, "fdb4fa28195c0c52e3a42151f141cc3eea1e7729c049343c562bd57f44696e60"),
+    ("non_poisson", "oscillator", 0, 1, "ea43b74678eac5cd53021923cf2f1282fcd801a752afcfe50ab1ca43d83c16e3"),
+    ("non_poisson", "oscillator", 1, 1, "a28bcb60301c223cfe7a2246d270429c0479843d9eb8228e9f5d5c1776ac9b7d"),
+    ("non_poisson", "oscillator", 3, 1, "ec970ac23115862b99985efd46bb7fad67eb45d9141733b9b7cf05c83899c216"),
+    ("non_poisson", "oscillator", 4, 1, "03b9076a0a29302ee1638281ed65cf64264a7b1c7560f6843f36d334cc0d1238"),
+    ("non_poisson", "oscillator", 5, 1, "0d86231d2e0f58abd86a8dd35f3355d2679a8ba1889a9bff08bc4d0de70f6041"),
+    ("non_poisson", "free-particle", 0, 0, "b6aa2ba98bf43c219fb6ab8d8aa424e59d44cfe719807ff5a30139dc78795b62"),
+    ("non_poisson", "free-particle", 1, 0, "7a5dd1b661437d2c8bec9b8a39fe1377581374778efe38f1c6dfa4c2304f2f97"),
+    ("non_poisson", "free-particle", 3, 0, "15cb0c800022f0136cd45b2f9542333cdff68205d8449478839349525896d40a"),
+    ("non_poisson", "free-particle", 4, 0, "ad60af2c262844f83a1169c3c06e9c834c03196a9e9f0382511032d8682e7d65"),
+    ("non_poisson", "free-particle", 5, 0, "a2362877a842a78e49fa1045b248e00b9c046e5b7623c202523c96a01e00080c"),
+    ("quadratic2d", "validate", 0, 1, "563383718a936f4b5254eb79baf8f6ce6e09300a2916d82f20231ae592c9b207"),
+    ("quadratic2d", "validate", 1, 1, "dc7d69800f92f5d4472efe097c3b22011b72a7005cdf7448424f1fc332168877"),
+    ("quadratic2d", "validate", 3, 1, "4bd6d3dd412d5000e16d6120c3bbd82ede00c88423f6e04b435be7715f349c53"),
+    ("quadratic2d", "validate", 4, 1, "ab3f4575d9791a166b334f9f90c5e20615a70c1d738d70e85ff78475c037c878"),
+    ("quadratic2d", "validate", 5, 1, "6ac27461f6f771b4f3585a9dcac42159375f7d634d097fc72de5641cbe3faeb9"),
+    ("quadratic2d", "gamma", 0, 0, "be9784260d0f9cef206c4f4f74a03950bc9f1a299bc91fbc92a06d2b34537c2b"),
+    ("quadratic2d", "gamma", 1, 0, "57fb5730dc69e6b8e026017a2ffc85f125b6988812fd1f16613c36f7e692b0ca"),
+    ("quadratic2d", "gamma", 3, 0, "f9c3d731251f24e96cceeceaad8493dbb48f2b843ec29fab9aa37d65cfb25858"),
+    ("quadratic2d", "gamma", 4, 0, "83d7c04228218481da7b80e71f4d7c82564a7923f9edcd206cd6b081134ec737"),
+    ("quadratic2d", "gamma", 5, 0, "499136074030910ebb0426934b7233c69b53996e0ed4f9a6521af3c1b87c528d"),
+    ("quadratic2d", "darboux-check", 3, 0, "88b7bf2876947074a495398d9d623ec093c2d05d40467968672177060d9e30bb"),
+    ("quadratic2d", "star-assoc", 0, 0, "cab178a47b4207ee8201e9310496862fa621d9e3785b2ecfa2c13f15d43a48a6"),
+    ("quadratic2d", "star-assoc", 1, 0, "b7f8828bca6874a583c8eee1190e9eea1dcb1cd15525ffa9ebf2b40c553f4cdd"),
+    ("quadratic2d", "star-assoc", 3, 0, "d2ee8a676a42d8f5c3ac66ec97a38983953c67a6874d9ba5a14c77d9bef59fab"),
+    ("quadratic2d", "star-assoc", 4, 1, "e30055e6a4fb0be8a6937d75131e95a33192eb511d1354a8597c2a099db5871f"),
+    ("quadratic2d", "star-assoc", 5, 1, "29fdd7d6dadf5a84c7502ec7dcf538ff7ac4dea3964f51b243781e54eeb4429a"),
+    ("quadratic2d", "trace-check", 3, 1, "582005348375984eec5d7dbbace74258ce3d7dd34422182ba8e8c63244ca03af"),
+    ("quadratic2d", "trace-check", 4, 1, "7215cc9096c4e04ca6e171a8f52baa625646450f6d6d33f0213fdd8221db2647"),
+    ("quadratic2d", "trace-check", 5, 1, "0f0ea7aafbcdbec8a2b5c23bf5c68fb8c1c4cc7b2a7b8738a2d81fdcfce0884c"),
+    ("quadratic2d", "subalgebra", 0, 0, "ca3f971d1292a4ae5327a3f9cabbc2e80ea8866096b2fdce75a15334333ab150"),
+    ("quadratic2d", "subalgebra", 1, 0, "4714e830d08fe77a6f3ec5730d151afcaccb8ac957645fdb8118c615dd7a9af3"),
+    ("quadratic2d", "subalgebra", 3, 0, "0e21f02de1b8aeae426d62d5c703d5918699cd6c8224d5d7f5e8d1e61b7362f8"),
+    ("quadratic2d", "subalgebra", 4, 0, "78ddccb7dd6dee2d1d04e17f479786971e2bc781c9b8d8449dfa7eb2c4e55dc4"),
+    ("quadratic2d", "subalgebra", 5, 0, "345373bbfe489ae05fcd3a42a4c2d68808f4891a40dcee3eaa53e29b04d6c1ab"),
+    ("quadratic2d", "oscillator", 0, 1, "9d0f73c34c93696507ba13d4599d03f510c9158cbe6d7f72fe09f766dc47cc80"),
+    ("quadratic2d", "oscillator", 1, 1, "4347d6a2a45a3f55f98a3c9434a41b38776ccba74135a73aca90312cbc58d4ff"),
+    ("quadratic2d", "oscillator", 3, 1, "ea2aa2d2393c5e0cb27e4b7ab31bd71e3c2737548cfdefd817301444fe8966de"),
+    ("quadratic2d", "oscillator", 4, 1, "b280683aaefeb09b7e6dbacad160800c0441fcd40e14f67ebe42c8d29c675b98"),
+    ("quadratic2d", "oscillator", 5, 1, "591920afc16713494aedb8258d8c13ef27c7efdb626c420fca98a315e340e64a"),
+    ("quadratic2d", "free-particle", 0, 0, "7447ad6b219e281d805320afd45b04f5eb19c122cd5ab4097d7d4bfa048cc819"),
+    ("quadratic2d", "free-particle", 1, 0, "87ecb4d503fe010555d2ccec1294092e91a77666f98b98a48780bc9da09092bd"),
+    ("quadratic2d", "free-particle", 3, 0, "2e568f8810587c43ef1e238ccd70c8141014d9a6c524b181814fba37b4a4bc81"),
+    ("quadratic2d", "free-particle", 4, 0, "8115ed4a089a2299ad6ed505fc7414d48b30d376f02ed5da66899e33d4551e43"),
+    ("quadratic2d", "free-particle", 5, 0, "ec09e92339c3f8f90d705e58380dc64e47a1fdbef1474757c639182a2206d683"),
+]
+
+
+@pytest.mark.parametrize("name,task,order,code,digest", GOLDEN_MATRIX,
+                         ids=[f"{n}-{t}-{o}" for n, t, o, _, _ in GOLDEN_MATRIX])
+def test_golden_matrix(name, task, order, code, digest, capsys):
+    assert main([str(PROBLEMS / f"{name}.json"), "--task", task,
+                 "--order", str(order)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # the fuzzy sphere with the radial density r^2, recorded as above: the
 # gauge is not polynomial, so every order reports the same GaugeError reason
 GOLDEN_RADIAL = [
@@ -432,18 +585,35 @@ def test_trace_check_with_gauge(monkeypatch):
 
 
 def test_subalgebra_builds_one_tower(monkeypatch):
-    import ncqm.star
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build_gamma(*args, **kwargs)
 
-    monkeypatch.setattr(ncqm.star, "build_gamma", counted)
     monkeypatch.setattr(cli, "build_gamma", counted)
     rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
     assert rec["status"] == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("task", ["star-assoc", "trace-check", "oscillator"])
+def test_product_builds_no_tower(monkeypatch, task):
+    """The product solves its operators from the closure: verdicts that
+    only build products never build the Darboux tower."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_gamma(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ncqm" and hasattr(module, "build_gamma"):
+            monkeypatch.setattr(module, "build_gamma", counted)
+    monkeypatch.setattr(cli, "RANDOM_TRIPLES", 2)
+    rec = run_task(ProblemFile.parse((PROBLEMS / "fuzzy_sphere.json").read_text()), task)
+    assert rec["status"] == "pass"
+    assert calls == []
 
 
 @pytest.mark.parametrize("name,n", [("fuzzy_sphere", 3), ("quadratic2d", 2)])

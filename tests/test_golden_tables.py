@@ -44,7 +44,7 @@ from ncqm.poisson import (
 from ncqm.star import StarProduct, gauge_b
 
 from conftest import GRADE3_FAMILIES, solved_gamma1
-from oracles import gamma1_closed_form
+from oracles import quantized_tower
 
 
 def kappa(n: int) -> PoissonBivector:
@@ -243,7 +243,7 @@ def test_product_keeps_the_coordinate_operators(family):
     """At every order the product keeps the tower quantized with the
     closed-form correction."""
     w = TABLE_FAMILIES[family]
-    expect = build_xhat(build_gamma(w, 3), gamma1_closed_form(w))
+    expect = quantized_tower(w)
     for order in range(4):
         assert StarProduct(w, order, trunc=3).xhat == expect
 

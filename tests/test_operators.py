@@ -4,11 +4,14 @@ operators, the closure correction, similarity transforms."""
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import ncqm.operators
+import ncqm.star
 from ncqm import exact_algebra
 from ncqm.cli import ProblemFile, run_task
 from ncqm.exact_algebra import (
@@ -21,6 +24,7 @@ from ncqm.exact_algebra import (
     parse_polynomial,
 )
 from ncqm.operators import (
+    ClosureError,
     DiffOperator,
     angular_momentum,
     build_gamma1,
@@ -33,11 +37,17 @@ from ncqm.operators import (
     residual_without_correction,
     subalgebra_defect,
 )
-from ncqm.poisson import PoissonBivector, build_gamma, levi_civita
+from ncqm.poisson import (
+    JacobiDefect,
+    PoissonBivector,
+    build_gamma,
+    euler_homotopy,
+    levi_civita,
+)
 from ncqm.star import StarProduct
 
 from conftest import GRADE3_FAMILIES, poly_strategy, scalars, seeded_poly, solved_gamma1
-from oracles import gamma1_closed_form
+from oracles import gamma1_closed_form, quantized_tower
 
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
@@ -172,8 +182,7 @@ class TestCoordinateOperators:
             assert xhat[i].theta_slice(1) == expect
 
     def test_grade2_is_minus_tower_tensor(self, fuzzy):
-        product = StarProduct(fuzzy, 2, trunc=3)
-        tower, xhat = product.gamma, product.xhat
+        tower, xhat = build_gamma(fuzzy, 3), StarProduct(fuzzy, 2, trunc=3).xhat
         for i in range(3):
             expect = DiffOperator.zero(3)
             for l in range(3):
@@ -230,14 +239,34 @@ class TestCoordinateOperators:
         assert calls
 
 
-def _mutated_gamma1(w):
+def _unchecked_gamma1(monkeypatch, *args) -> tuple[list[ThetaPoly], bool]:
+    """The grade-k symbols the homotopy returns, before the closure check,
+    and whether the check raised."""
+    solved = []
+
+    def recording(*inputs):
+        solved.append(euler_homotopy(*inputs))
+        return solved[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ncqm.operators, "euler_homotopy", recording)
+        try:
+            build_gamma1(*args)
+        except ClosureError:
+            return solved[-1], True
+    return solved[-1], False
+
+
+def _mutated_gamma1(w, monkeypatch):
     """The product the correction is solved on, and the correction as three
     broken solvers would give it: the homotopy weight 1/(d+1) in place of
     1/(d+2) (C has momentum degree d + 1), the grade-3 part of i th L_w
     dropped (no grade-2 rules), and the cross terms [X_1^i, X_2^j] +
-    [X_2^i, X_1^j] dropped (bare operators without their grade-2 part)."""
+    [X_2^i, X_1^j] dropped (operators without their grade-2 part).  The
+    last two are read off the homotopy's X_3 as Q = P_3 + i X_3, each with
+    whether the solve's closure check raised."""
     product = StarProduct(w, 2, trunc=3)
-    bare = build_xhat(product.gamma)
+    p3 = build_gamma(w, 3).momenta[3]
     rules = product.slices[2]
     n = w.n
 
@@ -245,11 +274,15 @@ def _mutated_gamma1(w):
         return sum((block * ThetaPoly.monomial(n, Fraction(sum(e) + 1, sum(e)), p=e)
                     for e, block in q.momentum_blocks().items()), ThetaPoly.zero(n))
 
-    no_grade2 = [op - op.theta_slice(2).theta_shift(2) for op in bare]
+    def unchecked(*args):
+        x3, raised = _unchecked_gamma1(monkeypatch, product.w, *args, 3, 3)
+        return [p + x.scale(I) for p, x in zip(p3, x3)], raised
+
+    no_grade2 = [DiffOperator(op.symbol.num.truncated(1)) for op in product.xhat]
     return product, {
-        "weight": [reweighted(q) for q in build_gamma1(product.w, bare, rules, 3)],
-        "no-lw": build_gamma1(product.w, bare, {}, 3),
-        "no-cross": build_gamma1(product.w, no_grade2, rules, 3),
+        "weight": ([reweighted(q) for q in solved_gamma1(w)], None),
+        "no-lw": unchecked(product.xhat, {}),
+        "no-cross": unchecked(no_grade2, rules),
     }
 
 
@@ -272,15 +305,18 @@ class TestGamma1:
 
     @pytest.mark.parametrize("mutant", ["weight", "no-lw", "no-cross"])
     @pytest.mark.parametrize("family", ["nambu-cubic", "nambu-construct"])
-    def test_broken_solver_is_caught(self, family, mutant):
+    def test_broken_solver_is_caught(self, family, mutant, monkeypatch):
         """Each broken solve differs from the closed form and leaves a
-        nonzero closure defect."""
+        nonzero closure defect; the post-solve check raises on the two
+        broken residuals."""
         w = GRADE3_FAMILIES[family]
-        product, mutants = _mutated_gamma1(w)
-        q = mutants[mutant]
+        product, mutants = _mutated_gamma1(w, monkeypatch)
+        q, raised = mutants[mutant]
         assert q != gamma1_closed_form(w)
-        defects = subalgebra_defect(build_xhat(product.gamma, q), product)
+        defects = subalgebra_defect(quantized_tower(w, 3, q), product)
         assert any(not op.is_zero for op in defects.values())
+        # a dropped residual term is caught by the solve's own closure check
+        assert raised is (None if mutant == "weight" else True)
 
     def test_vanishes_for_constant_and_linear(self, fuzzy, const3d):
         assert all(q.is_zero for q in solved_gamma1(fuzzy))
@@ -306,7 +342,8 @@ class TestGamma1:
         grade 3, with A the double-derivative obstruction tensor."""
         product = StarProduct(quad2d, 2, trunc=3)
         residual = residual_without_correction(
-            subalgebra_defect(product.xhat, product), product.gamma1)[(0, 1)]
+            subalgebra_defect(product.xhat, product), product.xhat,
+            build_xhat(build_gamma(quad2d, 3)))[(0, 1)]
         expect = DiffOperator.zero(2, 3)
         for l in range(2):
             A = ThetaPoly.zero(2)
@@ -325,6 +362,40 @@ class TestGamma1:
         assert residual == expect
 
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+class TestNoFalseSolve:
+    """The homotopy returns symbols for any residual; the check after each
+    grade's solve raises where they do not cancel it."""
+
+    def test_non_poisson_raises_at_grade_2(self, monkeypatch):
+        """Without the Jacobi gate the non-Poisson control builds X_1 (a
+        constant residual is always closed) and fails at grade 2."""
+        problem = ProblemFile.parse((PROBLEMS / "non_poisson.json").read_text())
+        monkeypatch.setattr(ncqm.star, "jacobi_defect", lambda w: JacobiDefect(w.n, {}))
+        with pytest.raises(ClosureError) as err:
+            StarProduct(problem.bivector, 3)
+        assert str(err.value).startswith("the grade-2 operators do not close on (")
+
+    def test_wrong_homotopy_weight_raises_at_grade_1(self, monkeypatch, fuzzy):
+        def heavier(n, r, trunc):
+            zero = ThetaPoly.zero(n, trunc)
+            out = [zero] * n
+            for (i, j), rij in r.items():
+                h = sum((block * ThetaPoly.monomial(n, Fraction(1, sum(e) + 1), p=e,
+                                                    trunc=trunc)
+                         for e, block in rij.momentum_blocks().items()), zero)
+                out[j] = out[j] + ThetaPoly.momentum(n, i, trunc) * h
+                out[i] = out[i] - ThetaPoly.momentum(n, j, trunc) * h
+            return out
+
+        monkeypatch.setattr(ncqm.operators, "euler_homotopy", heavier)
+        with pytest.raises(ClosureError) as err:
+            StarProduct(fuzzy, 3)
+        assert str(err.value) == "the grade-1 operators do not close on (1,2)"
+
+
 def _subalgebra_report(w: PoissonBivector) -> dict:
     doc = {"dim": w.n, "bivector": [{"i": i + 1, "j": j + 1, "poly": p.text()}
                                     for (i, j), p in sorted(w.upper.items())]}
@@ -339,21 +410,22 @@ class TestResidualWithoutCorrection:
     def test_report_equals_the_composed_bare_family(self, family, request):
         w = ORACLE_FAMILIES.get(family) or request.getfixturevalue(family)
         product = StarProduct(w, 2, trunc=3)
-        bare = subalgebra_defect(build_xhat(product.gamma), product)
+        bare = subalgebra_defect(build_xhat(build_gamma(w, 3)), product)
         assert _subalgebra_report(w)["residual_without_correction"] == \
             {f"({i+1},{j+1})": op.text() for (i, j), op in sorted(bare.items())}
 
     @pytest.mark.parametrize("family", ["nambu-cubic", "nambu-construct", "quadratic"])
     def test_any_correction_gives_the_same_residual(self, family):
-        product = StarProduct(ORACLE_FAMILIES[family], 2, trunc=3)
+        w = ORACLE_FAMILIES[family]
+        product = StarProduct(w, 2, trunc=3)
+        bare = build_xhat(build_gamma(w, 3))
         doubled = copy.copy(product)
-        doubled.gamma1 = [q.scale(2) for q in product.gamma1]
-        doubled.xhat = build_xhat(product.gamma, doubled.gamma1)
+        doubled.xhat = quantized_tower(w, 3, [q.scale(2) for q in solved_gamma1(w)])
         defects = subalgebra_defect(doubled.xhat, doubled)
         assert any(not op.is_zero for op in defects.values())
-        assert residual_without_correction(defects, doubled.gamma1) == \
+        assert residual_without_correction(defects, doubled.xhat, bare) == \
             residual_without_correction(subalgebra_defect(product.xhat, product),
-                                        product.gamma1)
+                                        product.xhat, bare)
 
     def test_one_family_is_composed(self, monkeypatch):
         """A subalgebra verdict composes [xhat^i, xhat^j] once per pair."""
@@ -372,9 +444,10 @@ class TestResidualWithoutCorrection:
         """Past grade 3 the identity no longer holds; the residual stops
         at grade 3."""
         product = StarProduct(quad2d, 2, trunc=4)
-        bare = subalgebra_defect(build_xhat(product.gamma, trunc=4), product)
+        bare_xhat = build_xhat(build_gamma(quad2d, 3, 4), trunc=4)
+        bare = subalgebra_defect(bare_xhat, product)
         got = residual_without_correction(subalgebra_defect(product.xhat, product),
-                                          product.gamma1)
+                                          product.xhat, bare_xhat)
         assert all(op.trunc == 3 for op in got.values())
         assert got == {k: op.truncated(3) for k, op in bare.items()}
 

@@ -1,6 +1,7 @@
 """Star product, gauge correction, trace functional."""
 
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from ncqm.poisson import (
     build_gamma,
     constant_bivector,
 )
-from ncqm.operators import build_gamma1, build_phat, build_xhat
+from ncqm.operators import build_gamma1, build_phat
 from ncqm.star import (
     GaugeError,
     MeasureError,
@@ -36,8 +37,8 @@ from ncqm.star import (
     trace_operator,
 )
 
-from conftest import seeded_poly
-from oracles import gamma1_closed_form, trace_condition_oracle
+from conftest import GRADE3_FAMILIES, seeded_poly
+from oracles import quantized_tower, tower_product, trace_condition_oracle
 
 I = GaussianRational(0, 1)
 
@@ -136,8 +137,14 @@ class TestAssociativity:
         f, g, h = (seeded_poly(rng, 3) for _ in range(3))
         assert assoc_defect(f, g, h, StarProduct(w, 3)).is_zero
 
+        p3 = build_gamma(w, 3).momenta[3]
+
         def doubled(*args):
-            return [q.scale(2) for q in build_gamma1(*args)]
+            # X_3 = i (P_3 - Q), so doubling Q gives 2 X_3 - i P_3
+            x = build_gamma1(*args)
+            if args[3] < 3:
+                return x
+            return [xi.scale(2) - p.scale(GaussianRational(0, 1)) for xi, p in zip(x, p3)]
 
         monkeypatch.setattr(ncqm.star, "build_gamma1", doubled)
         defect = assoc_defect(f, g, h, StarProduct(w, 3))
@@ -155,11 +162,26 @@ class TestAssociativity:
         coordinate operator, term by term through grade 3."""
         for w in (fuzzy, quad2d):
             sp = StarProduct(w, 3)
-            xhat = build_xhat(build_gamma(w, 3), gamma1_closed_form(w))
+            xhat = quantized_tower(w)
             for i in range(w.n):
                 got = sp.left_multiplication_operator(
                     ThetaPoly.coordinate(w.n, i, sp.trunc))
                 assert got == xhat[i]
+
+
+class TestTowerOracle:
+    """The operators solved grade by grade from the closure against the
+    quantized Darboux tower with the closed-form correction."""
+
+    @pytest.mark.parametrize("family", [*GRADE3_FAMILIES, "fuzzy", "const3d", "quad2d"])
+    def test_xhat_and_slices_equal_the_quantized_tower(self, family, request):
+        w = GRADE3_FAMILIES.get(family) or request.getfixturevalue(family)
+        for order, trunc in itertools.product(range(4), range(2, 5)):
+            product = StarProduct(w, order, trunc=trunc)
+            oracle = tower_product(w, order, trunc)
+            assert product.xhat == oracle.xhat
+            assert [op.trunc for op in product.xhat] == [op.trunc for op in oracle.xhat]
+            assert product.slices == oracle.slices
 
 
 class TestMeasure:
