@@ -36,6 +36,7 @@ from ncqm.poisson import (
     PoissonBivector,
     constant_bivector,
     fuzzy_sphere_bivector,
+    pair_texts,
 )
 from ncqm.star import StarProduct, assoc_defect, gauge_b, trace
 
@@ -105,7 +106,7 @@ def check_gauge():
             cond = trace(fg, mu) - trace(f * g, mu)
             ok = ok and all(cond.theta_slice(k).is_zero for k in range(3))
         print(f"   mu = {mu_text}: trace condition exact = {ok}, "
-              f"gauge = {gauge.to_json()}")
+              f"gauge = {pair_texts(gauge)}")
         exact[mu_text] = ok
     assert exact == {"1": True}, exact
 

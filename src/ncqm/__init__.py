@@ -44,7 +44,6 @@ from .qm_examples import (
     rotation_covariance_check,
 )
 from .star import (
-    GaugeCorrection,
     StarProduct,
     assoc_defect,
     cyclicity_defect,
@@ -81,7 +80,6 @@ __all__ = [
     "StarProduct",
     "assoc_defect",
     "measure_defect",
-    "GaugeCorrection",
     "gauge_b",
     "trace",
     "cyclicity_defect",

@@ -28,7 +28,7 @@ from .exact_algebra import (
     multi_index,
     parse_polynomial,
 )
-from .operators import build_xhat, residual_without_correction, subalgebra_defect
+from .operators import residual_without_correction, subalgebra_defect
 from .poisson import (
     NotPoissonError,
     PoissonBivector,
@@ -261,7 +261,7 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
         uncorrected.append(raw.trace_condition.theta_slice(2).text())
     return {"status": "pass" if not failures else "fail",
             "bounds": RANDOM_BOUNDS,
-            "gauge": gauge.to_json(),
+            "gauge": pair_texts(gauge),
             "corrected_failures": failures,
             "uncorrected_grade2_defects": uncorrected}
 
@@ -269,8 +269,7 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
 def _subalgebra(problem: ProblemFile, rng: random.Random) -> dict:
     product = StarProduct(problem.bivector, 2, trunc=3)
     defects = subalgebra_defect(product.xhat, product)
-    bare = build_xhat(build_gamma(problem.bivector, 3))
-    residuals = residual_without_correction(defects, product.xhat, bare)
+    residuals = residual_without_correction(defects, product.xhat)
     ok = all(op.is_zero for op in defects.values())
     return {
         "status": "pass" if ok else "fail",

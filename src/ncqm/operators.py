@@ -11,12 +11,15 @@ sum_gamma (1/gamma!) d_p^gamma a * d_x^gamma b.
 ``build_gamma1`` solves the coordinate operators
 xhat^i = x^i + sum_k th^k X_k^i one grade at a time from the closure
 [xhat^i, xhat^j] = i th w^{ij}(xhat), by the Euler homotopy that
-``build_gamma`` solves the Darboux tower with.  ``build_xhat`` reads the
-tower as the bare operators x^i + sum_k th^k (-i)^k P^i_k (each canonical
-momentum becomes -i d), equal to xhat through grade 2.
-``subalgebra_defect`` forms the closure for one family;
-``residual_without_correction`` reads the bare operators' defects off
-xhat's and the grade-3 symbols, composing no other family.
+``build_gamma`` solves the Darboux tower with; its residual reads left
+multiplication by w^{ij} as ``left_multiplication_symbol``.  The principal
+part of xhat is the quantized tower: the degree-k part of X_k^i is
+(-i)^k P^i_k, and through grade 3 the only other part is the correction
+th^3 C^i, of momentum degree 2.  ``subalgebra_defect`` forms the closure
+for one family; ``residual_without_correction`` reads the bare operators'
+defects off xhat's and C, composing no other family and building no
+tower.  ``build_xhat`` quantizes the tower itself, the bare operators
+x^i + sum_k th^k (-i)^k P^i_k, for the tests to compare against.
 """
 
 from __future__ import annotations
@@ -253,6 +256,24 @@ class ClosureError(ValueError):
     """A grade's solved symbols leave a nonzero closure residual."""
 
 
+def left_multiplication_symbol(slices: Sequence[dict], f: ThetaPoly,
+                               trunc: int) -> ThetaPoly:
+    """The symbol sum_k th^k sum_b (sum_a c_ab d^a f) p^b of g -> f * g,
+    for the rule slices [{(a, b): c_ab}, ...] of grades 0, 1, ..."""
+    derivatives: dict[MultiIndex, ThetaPoly] = {}  # d^a f, formed once per a
+    blocks: dict[MultiIndex, ThetaPoly] = {}  # d^b -> its coefficient
+    for k, rules in enumerate(slices):
+        for (a, b), c in rules.items():
+            df = derivatives.get(a)
+            if df is None:
+                df = derivatives[a] = f.diff_multi(a)
+            if not df.is_zero:
+                piece = (c * df).with_trunc(trunc).theta_shift(k)
+                blocks[b] = blocks[b] + piece if b in blocks else piece
+    return sum((c * ThetaPoly.monomial(f.n, p=b, trunc=trunc) for b, c in blocks.items()),
+               ThetaPoly.zero(f.n, trunc))
+
+
 def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
                  k: int, trunc: int = 3) -> list[ThetaPoly]:
     """The grade-k symbols X_k^i of the coordinate operators, solved from
@@ -271,23 +292,14 @@ def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
     n = w.n
     one, zero = ThetaPoly.one(n, trunc), ThetaPoly.zero(n, trunc)
     xs = [[op.symbol.num.theta_coefficient(m) for op in xhat] for m in range(k)]
-    lw_rules: dict[MultiIndex, list] = {}  # d^b -> its rules (a, c_ab)
-    for (a, b), c in rules.items():
-        lw_rules.setdefault(b, []).append((a, c))
-    orders = {a for a, _ in rules}
 
     def bracket(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
         return _leibniz(a, b, one, 0)[0] - _leibniz(b, a, one, 0)[0]
 
     r = {}
     for i, j in itertools.combinations(range(n), 2):
-        dw = {a: d for a in orders if not (d := w.entry(i, j).diff_multi(a)).is_zero}
         rij = sum((bracket(xs[m][i], xs[k - m][j]) for m in range(1, k)), zero)
-        for b, pairs in lw_rules.items():
-            coeff = sum((c * dw[a] for a, c in pairs if a in dw), zero)
-            if not coeff.is_zero:
-                rij = rij - coeff * ThetaPoly.monomial(n, I, p=b, trunc=trunc)
-        r[(i, j)] = rij
+        r[(i, j)] = rij - left_multiplication_symbol([rules], w.entry(i, j), trunc).scale(I)
     out = euler_homotopy(n, r, trunc)
     for (i, j), rij in r.items():
         if out[j].diff_p(i) - out[i].diff_p(j) != rij:
@@ -298,7 +310,9 @@ def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
 def build_xhat(gamma: GammaTower, trunc: int = 3) -> list[DiffOperator]:
     """The bare coordinate operators x^i + sum_k th^k (-i)^k P^i_k: the
     Darboux tower read in normal order, each canonical momentum becoming
-    -i d.  They close through grade 2."""
+    -i d.  They close through grade 2.  The engine reads them off the
+    solved xhat instead (see ``residual_without_correction``); the tests
+    build them here, from the symplectic realization, to compare."""
     n = gamma.n
     if gamma.max_order < min(trunc, 3):
         raise UsageError("tower must be built through the requested order")
@@ -313,16 +327,23 @@ def build_xhat(gamma: GammaTower, trunc: int = 3) -> list[DiffOperator]:
 
 
 def residual_without_correction(defects: dict[tuple[int, int], DiffOperator],
-                                xhat: Sequence[DiffOperator], bare: Sequence[DiffOperator]
+                                xhat: Sequence[DiffOperator]
                                 ) -> dict[tuple[int, int], DiffOperator]:
-    """The closure defects of the ``bare`` operators through grade 3, read
-    off the ``defects`` of ``xhat``, which differs from them by th^3 C.
-    [x^i, G d^a] has the symbol -d_{p_i}(G p^a), and every other term C
-    adds to [xhat^i, xhat^j] is of grade 4 or more, so
+    """The closure defects of the bare operators through grade 3, read off
+    the ``defects`` of ``xhat``.  Each grade-k symbol X_k^i has momentum
+    degree at most k, and its degree-k part is the bare term
+    (-i)^k P^i_k; through grade 3 the only other part is the correction
+    th^3 C^i, the part of X_3^i below degree 3.  [x^i, G d^a] has the
+    symbol -d_{p_i}(G p^a), and every other term C adds to
+    [xhat^i, xhat^j] is of grade 4 or more, so
     D_bare^{ij} = D^{ij} + th^3 (d_{p_i} C^j - d_{p_j} C^i) through grade 3.
     """
-    c = [(x.symbol.num - b.symbol.num).theta_coefficient(3).with_trunc(3).theta_shift(3)
-         for x, b in zip(xhat, bare)]
+    c = []
+    for op in xhat:
+        x3 = op.symbol.num.theta_coefficient(3).with_trunc(3)
+        c.append(sum((block * ThetaPoly.monomial(x3.n, p=m, grade=3, trunc=3)
+                      for m, block in x3.momentum_blocks().items() if sum(m) < 3),
+                     ThetaPoly.zero(x3.n, 3)))
     return {(i, j): d + DiffOperator(c[j].diff_p(i) - c[i].diff_p(j))
             for (i, j), d in defects.items()}
 

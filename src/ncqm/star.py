@@ -22,7 +22,8 @@ the same rule table with one grade-2 rule delta, (e_i, e_k) -> -2 b_ik,
 added by ``StarProduct.with_gauge``.  That delta is the gauge transform
 through grade 2 only, so ``with_gauge`` refuses a nonzero gauge on a
 product built through grade 3.  ``gauge_b`` reads b off the product it
-corrects, as the matrix that cancels the second-order part of D_2.  The
+corrects, as the matrix that cancels the second-order part of D_2: the
+dict {(i, k): b_ik} of its nonzero entries, symmetric in (i, k).  The
 checks take the product they check: pass ``product.with_gauge(gauge)``
 for the corrected one.
 """
@@ -47,11 +48,12 @@ from .exact_algebra import (
     multi_index,
     star_sum,
 )
-from .operators import DiffOperator, build_gamma1
+from .operators import DiffOperator, build_gamma1, left_multiplication_symbol
 from .poisson import NotPoissonError, PoissonBivector, jacobi_defect
 
 MultiIndex = tuple[int, ...]
 Rule = dict[tuple[MultiIndex, MultiIndex], ThetaPoly]
+Gauge = dict[tuple[int, int], ThetaPoly]  # (i, k) -> b_ik, nonzero entries only
 
 
 def _plus(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -165,7 +167,7 @@ class StarProduct:
                 rule[(a, beta)] = coeff if a[i] == 1 else coeff.scale(Fraction(1, a[i]))
         return rule
 
-    def with_gauge(self, gauge: "GaugeCorrection") -> "StarProduct":
+    def with_gauge(self, gauge: Gauge) -> "StarProduct":
         """The gauge-corrected product: a shallow copy whose grade-2 slice
         also holds the rules (e_i, e_k) -> -2 b_ik.  That rule delta is the
         gauge transform through grade 2 only; at grade 3 it would leave the
@@ -174,12 +176,12 @@ class StarProduct:
         out = copy.copy(self)
         if self.order < 2:
             return out
-        if self.order > 2 and not gauge.is_zero:
+        if self.order > 2 and gauge:
             raise UsageError("a nonzero gauge corrects a product built through grade 2 only")
         out.slices = list(self.slices)
         out.slices[2] = rule = dict(self.slices[2])
         n = self.n
-        for (i, k), b_ik in gauge.entries.items():
+        for (i, k), b_ik in gauge.items():
             _add(rule, (multi_index(n, i), multi_index(n, k)), b_ik.scale(-2))
         return out
 
@@ -204,18 +206,10 @@ class StarProduct:
 
     def left_multiplication_operator(self, f: ThetaPoly) -> DiffOperator:
         """The operator g -> f * g."""
-        blocks: dict[MultiIndex, ThetaPoly] = {}  # d^b -> its coefficient
-        for k in range(self.order + 1):
-            for (a, b), coeff in self.slices[k].items():
-                df = f.diff_multi(a)
-                if not df.is_zero:
-                    piece = (coeff * df).with_trunc(self.trunc).theta_shift(k)
-                    blocks[b] = blocks[b] + piece if b in blocks else piece
-        return DiffOperator(sum(
-            (c * ThetaPoly.monomial(self.n, p=b, trunc=self.trunc) for b, c in blocks.items()),
-            ThetaPoly.zero(self.n, self.trunc)))
+        return DiffOperator(left_multiplication_symbol(self.slices[:self.order + 1], f,
+                                                       self.trunc))
 
-    def star_prime(self, f, g, gauge: "GaugeCorrection"):
+    def star_prime(self, f, g, gauge: Gauge):
         """Product conjugated by the grade-2 gauge operator."""
         return self.with_gauge(gauge).star(f, g)
 
@@ -274,35 +268,6 @@ def measure_defect(mu: ThetaPoly, w: PoissonBivector) -> list[ThetaPoly]:
     return out
 
 
-class GaugeCorrection:
-    """Symmetric polynomial matrix entering the grade-2 gauge operator."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: dict[tuple[int, int], ThetaPoly]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries",
-                           {k: p for k, p in entries.items() if not p.is_zero})
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GaugeCorrection is immutable")
-
-    def entry(self, i: int, k: int) -> ThetaPoly:
-        return self.entries.get((i, k), ThetaPoly.zero(self.n))
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all(self.entry(i, k) == self.entry(k, i)
-                   for i in range(self.n) for k in range(self.n))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def to_json(self) -> dict:
-        return {f"({i+1},{k+1})": p.text() for (i, k), p in sorted(self.entries.items())}
-
-
 def trace_operator(product: StarProduct, mu: ThetaPoly, k: int) -> dict[MultiIndex, ThetaPoly]:
     """The grade-k part D_k of Tr(f * g) - Tr(fg) = int f D(g), as
     {derivative multi-index: coefficient}.
@@ -322,7 +287,7 @@ def trace_operator(product: StarProduct, mu: ThetaPoly, k: int) -> dict[MultiInd
     return out
 
 
-def gauge_b(mu: ThetaPoly, product: StarProduct) -> GaugeCorrection:
+def gauge_b(mu: ThetaPoly, product: StarProduct) -> Gauge:
     """Gauge matrix restoring the trace condition at grade 2, read off the
     product it corrects.
 
@@ -341,7 +306,7 @@ def gauge_b(mu: ThetaPoly, product: StarProduct) -> GaugeCorrection:
         raise MeasureError(defect)
     n = product.n
     d2 = trace_operator(product, mu, 2)
-    entries: dict[tuple[int, int], ThetaPoly] = {}
+    entries: Gauge = {}
     for i in range(n):
         for k in range(n):
             coeff = d2.get(multi_index(n, i, k))
@@ -352,7 +317,7 @@ def gauge_b(mu: ThetaPoly, product: StarProduct) -> GaugeCorrection:
             if quotient is None:
                 raise GaugeError(i, k, total, mu)
             entries[(i, k)] = quotient
-    return GaugeCorrection(n, entries)
+    return entries
 
 
 def trace(f: GaussianFunction, mu: ThetaPoly) -> GaussianIntegral:

@@ -28,6 +28,12 @@ def _slot_monomial(n: int, c, slots, grade: int, trunc: int) -> ThetaPoly:
     return ThetaPoly.monomial(n, c, x=e[:n], p=e[n:], grade=grade, trunc=trunc)
 
 
+def is_symmetric(gauge: dict) -> bool:
+    """A gauge {(i, k): b_ik} keeps nonzero entries only, so it is
+    symmetric when each entry's transpose is present and equal."""
+    return all(gauge.get((k, i)) == b for (i, k), b in gauge.items())
+
+
 def _bivector(n: int, rows: dict) -> PoissonBivector:
     return PoissonBivector(n, {k: parse_polynomial(v, n) for k, v in rows.items()})
 

@@ -1,17 +1,22 @@
 """Problem-file parsing, task dispatch, report determinism, exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncqm import cli
 from ncqm.cli import ProblemError, ProblemFile, main, run_task
-from ncqm.poisson import build_gamma
+from ncqm.poisson import build_gamma, jacobi_defect
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -135,6 +140,72 @@ class TestDeterminism:
         assert main([path, "--task", "gamma", "--task", "darboux-check"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert list(report["tasks"]) == sorted(report["tasks"])
+
+
+# malformed values of each field; a malformed document has exactly one of them
+MALFORMED = {
+    "dim": [0, -1, 7, "2", 2.5, True, None],
+    "order": [-1, 9, "3", 1.5, False],
+    "bivector": [{}, "x1", None, 5, [{}], [{"i": 1, "j": 2}], [[1, 2, "x1"]],
+                 [{"i": 1, "j": 1, "poly": "1"}], [{"i": 0, "j": 2, "poly": "1"}],
+                 [{"i": 1, "j": 4, "poly": "1"}], [{"i": "1", "j": 2, "poly": "1"}],
+                 [{"i": 1, "j": 2, "poly": "x1"}, {"i": 2, "j": 1, "poly": "1"}],
+                 *([{"i": 1, "j": 2, "poly": p}] for p in
+                   ["x4", "x1^", "(", "", "x1^100000", "7^2000000", "1/0", 3, None])],
+    "measure": ["0", "", "x1^", "x4", 1],
+    "seed": ["7", 1.5, None],
+    "tasks": [["bogus"], "validate", None],
+}
+
+
+@st.composite
+def problem_texts(draw) -> str:
+    """A problem document, well-formed or with one malformed field, or a
+    text that is no problem document at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "[]", "{", "null", "3", '{"dim": 1e999}']))
+    n = draw(st.sampled_from([3, 2, 1]))
+    term = st.tuples(st.sampled_from([1, -2, 3]), st.lists(st.integers(1, n), max_size=2)) \
+        .map(lambda t: "*".join([str(t[0]), *(f"x{v}" for v in t[1])]))
+    poly = st.lists(term, min_size=1, max_size=2).map("+".join)
+    combos = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = st.lists(st.sampled_from(combos), unique=True, min_size=1, max_size=3) if combos \
+        else st.just([])
+    doc = draw(st.fixed_dictionaries({
+        "dim": st.just(n),
+        "bivector": pairs.flatmap(lambda ps: st.tuples(*(poly for _ in ps)).map(
+            lambda texts: [{"i": i, "j": j, "poly": t} for (i, j), t in zip(ps, texts)])),
+    }, optional={
+        "order": st.integers(0, 3),
+        "measure": st.sampled_from(["1", "2", "1+x1^2", f"x{n}"]),
+        "seed": st.integers(-5, 5),
+        "tasks": st.lists(st.sampled_from(cli.TASKS), max_size=2),
+    }))
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(list(MALFORMED)))
+        doc[field] = draw(st.sampled_from(MALFORMED[field]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=problem_texts(), tasks=st.lists(st.sampled_from(cli.TASKS), max_size=2))
+def test_main_fuzz(text, tasks, tmp_path_factory):
+    """Any problem document, crossed with any --task flags: the exit code
+    is 0, 1 or 2 as the report's status says, and a rejected document
+    exits 2 with a one-line message and no traceback."""
+    path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path), *(arg for t in tasks for arg in ("--task", t))])
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+    else:
+        status = json.loads(out.getvalue())["status"]
+        assert code == (0 if status == "pass" else 1)
 
 
 class TestExitCodes:
@@ -584,36 +655,39 @@ def test_trace_check_with_gauge(monkeypatch):
         "77da724c41aa462eb59159ec515fec3f9eace549da57c75a17d1fdf00002f63c"
 
 
-def test_subalgebra_builds_one_tower(monkeypatch):
+def count_calls(monkeypatch, func) -> list:
+    """Replace every ncqm binding of ``func`` with a wrapper that records
+    the arguments of each call in the returned list."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return build_gamma(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "build_gamma", counted)
-    rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
-    assert rec["status"] == "pass"
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("task", ["star-assoc", "trace-check", "oscillator"])
-def test_product_builds_no_tower(monkeypatch, task):
-    """The product solves its operators from the closure: verdicts that
-    only build products never build the Darboux tower."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build_gamma(*args, **kwargs)
+        return func(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ncqm" and hasattr(module, "build_gamma"):
-            monkeypatch.setattr(module, "build_gamma", counted)
+        if name.split(".")[0] == "ncqm" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("task", ["star-assoc", "trace-check", "oscillator", "subalgebra"])
+def test_product_builds_no_tower(monkeypatch, task):
+    """The product solves its operators from the closure, and the bare
+    operators of the subalgebra report are read off them: verdicts that
+    only build products never build the Darboux tower."""
+    calls = count_calls(monkeypatch, build_gamma)
     monkeypatch.setattr(cli, "RANDOM_TRIPLES", 2)
     rec = run_task(ProblemFile.parse((PROBLEMS / "fuzzy_sphere.json").read_text()), task)
     assert rec["status"] == "pass"
     assert calls == []
+
+
+def test_subalgebra_checks_jacobi_once(monkeypatch):
+    """The product's Poisson gate is the verdict's only Jacobi check."""
+    calls = count_calls(monkeypatch, jacobi_defect)
+    rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
+    assert rec["status"] == "pass"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,n", [("fuzzy_sphere", 3), ("quadratic2d", 2)])

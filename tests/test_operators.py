@@ -342,8 +342,7 @@ class TestGamma1:
         grade 3, with A the double-derivative obstruction tensor."""
         product = StarProduct(quad2d, 2, trunc=3)
         residual = residual_without_correction(
-            subalgebra_defect(product.xhat, product), product.xhat,
-            build_xhat(build_gamma(quad2d, 3)))[(0, 1)]
+            subalgebra_defect(product.xhat, product), product.xhat)[(0, 1)]
         expect = DiffOperator.zero(2, 3)
         for l in range(2):
             A = ThetaPoly.zero(2)
@@ -402,9 +401,33 @@ def _subalgebra_report(w: PoissonBivector) -> dict:
     return run_task(ProblemFile.parse(json.dumps(doc)), "subalgebra")
 
 
+def momentum_degrees(p: ThetaPoly) -> dict[int, ThetaPoly]:
+    """p split by total momentum degree."""
+    out: dict[int, ThetaPoly] = {}
+    for m, block in p.momentum_blocks().items():
+        piece = block * ThetaPoly.monomial(p.n, p=m, trunc=p.trunc)
+        out[sum(m)] = out[sum(m)] + piece if sum(m) in out else piece
+    return out
+
+
 class TestResidualWithoutCorrection:
-    """The bare operators' defects, read off the corrected ones and Q,
-    against the bare family composed out."""
+    """The bare operators' defects, read off the corrected ones and their
+    correction, against the bare family composed out."""
+
+    @pytest.mark.parametrize("trunc", [3, 4])
+    @pytest.mark.parametrize("family", [*GRADE3_FAMILIES, "fuzzy", "const3d", "quad2d"])
+    def test_principal_part_is_the_quantized_tower(self, family, trunc, request):
+        """The degree-k part of each solved grade-k symbol X_k^i is the
+        bare term (-i)^k P^i_k; past it X_1 and X_2 hold nothing, and X_3
+        only the correction, of momentum degree 2."""
+        w = GRADE3_FAMILIES.get(family) or request.getfixturevalue(family)
+        xhat = StarProduct(w, 2, trunc=trunc).xhat
+        bare = build_xhat(build_gamma(w, 3, trunc), trunc)
+        for op, tower in zip(xhat, bare):
+            for k in range(1, 4):
+                parts = momentum_degrees(op.symbol.num.theta_coefficient(k))
+                assert parts.pop(k, 0) == tower.symbol.num.theta_coefficient(k)
+                assert set(parts) <= ({2} if k == 3 else set())
 
     @pytest.mark.parametrize("family", [*ORACLE_FAMILIES, "fuzzy", "const3d"])
     def test_report_equals_the_composed_bare_family(self, family, request):
@@ -418,14 +441,13 @@ class TestResidualWithoutCorrection:
     def test_any_correction_gives_the_same_residual(self, family):
         w = ORACLE_FAMILIES[family]
         product = StarProduct(w, 2, trunc=3)
-        bare = build_xhat(build_gamma(w, 3))
         doubled = copy.copy(product)
         doubled.xhat = quantized_tower(w, 3, [q.scale(2) for q in solved_gamma1(w)])
         defects = subalgebra_defect(doubled.xhat, doubled)
         assert any(not op.is_zero for op in defects.values())
-        assert residual_without_correction(defects, doubled.xhat, bare) == \
+        assert residual_without_correction(defects, doubled.xhat) == \
             residual_without_correction(subalgebra_defect(product.xhat, product),
-                                        product.xhat, bare)
+                                        product.xhat)
 
     def test_one_family_is_composed(self, monkeypatch):
         """A subalgebra verdict composes [xhat^i, xhat^j] once per pair."""
@@ -447,7 +469,7 @@ class TestResidualWithoutCorrection:
         bare_xhat = build_xhat(build_gamma(quad2d, 3, 4), trunc=4)
         bare = subalgebra_defect(bare_xhat, product)
         got = residual_without_correction(subalgebra_defect(product.xhat, product),
-                                          product.xhat, bare_xhat)
+                                          product.xhat)
         assert all(op.trunc == 3 for op in got.values())
         assert got == {k: op.truncated(3) for k, op in bare.items()}
 
