@@ -15,7 +15,6 @@ from .exact_algebra import (
     gaussian_integrate,
     parse_polynomial,
 )
-from .moyal import moyal_product
 from .operators import (
     DiffOperator,
     build_gamma1,
@@ -40,7 +39,6 @@ from .qm_examples import (
     build_fuzzy_oscillator,
     energy_correction,
     free_particle_check,
-    l_squared_eigencheck,
     rotation_covariance_check,
 )
 from .star import (
@@ -48,7 +46,6 @@ from .star import (
     assoc_defect,
     cyclicity_defect,
     gauge_b,
-    hermiticity_defect,
     measure_defect,
     trace,
 )
@@ -83,11 +80,8 @@ __all__ = [
     "gauge_b",
     "trace",
     "cyclicity_defect",
-    "hermiticity_defect",
-    "moyal_product",
     "build_fuzzy_oscillator",
     "energy_correction",
     "free_particle_check",
-    "l_squared_eigencheck",
     "rotation_covariance_check",
 ]

@@ -370,9 +370,6 @@ class ThetaPoly:
         low = 8 * self.n
         return not reduce(or_, self.terms, 0) >> low & ((1 << low) - 1)
 
-    def constant_term(self) -> GaussianRational:
-        return self.terms.get(0, ZERO)
-
     def momentum_blocks(self) -> dict[tuple[int, ...], "ThetaPoly"]:
         """Map each momentum exponent vector to the coordinate polynomial
         (grades kept) that multiplies it."""
@@ -1161,19 +1158,75 @@ class GaussianIntegral:
         return f"GaussianIntegral({self.text()!r})"
 
 
-def gaussian_integrate(f: GaussianFunction) -> GaussianIntegral:
-    """Closed-form integral over all space, one moment-table lookup per term
-    (the prefactor's momentum exponents are zero)."""
-    weight, shift = f.weight, f.n << 4
+# Densities whose moment tables ``gaussian_integrate`` keeps, one table per
+# (density, weight) pair, least recently used dropped first; a trace
+# verdict integrates against one density at one weight.  Each table holds
+# at most MOMENT_TABLE_SIZE rows.
+DENSITY_TABLE_SIZE = 2
+
+
+@lru_cache(maxsize=DENSITY_TABLE_SIZE)
+def _density_table(mu: ThetaPoly, weight: int) -> tuple[list, dict]:
+    """The density's terms as (grade, exponent fields, coefficient), and the
+    rows of its moment table at ``weight``, filled as they are read."""
+    if not mu.is_coordinate_only:
+        raise UsageError("density must be coordinate-only")
+    shift = mu.n << 4
+    return [(k >> shift, k & ((1 << shift) - 1), c) for k, c in mu.terms.items()], {}
+
+
+def _moment_row(density: list, e: int, weight: int) -> list:
+    """(t_s, D_t_s(e)) for each density grade t_s with a nonzero moment
+    D_t_s(e) = sum mu_s M(e + e_s) over the density terms of that grade.  A
+    sum that carries out of a field is never read: ``_check_fields`` raises
+    on every pair whose grade reaches the result."""
+    row: dict[int, GaussianRational] = {}
+    for ts, es, c in density:
+        m = _moment_product(e + es, weight)
+        if m is not None:
+            _put(row, ts, c * m)
+    return list(row.items())
+
+
+def gaussian_integrate(f: GaussianFunction,
+                       mu: Optional[ThetaPoly] = None) -> GaussianIntegral:
+    """Closed-form integral over all space of f, or of the density mu times
+    f, equal to the integral of the product ``f * mu`` without forming it.
+
+    Without a density each term of the prefactor is one moment lookup.  The
+    integral is linear in f, so with one each term c th^t x^e meets one row
+    of the density's moment table, kept across calls per (density, weight):
+    D_t_s(e) for each grade t_s of the density, added at grade t + t_s up
+    to the lower of the two truncations."""
+    p = f.prefactor
+    n, weight, shift = p.n, f.weight, p.n << 4
+    mask = (1 << shift) - 1
     parts: dict[tuple[int, int], GaussianRational] = {}
-    for k, c in f.prefactor.terms.items():
-        m = _moment_product(k & ((1 << shift) - 1), weight)
-        if m is None:
-            continue
-        key = (k >> shift, weight)
-        c = c * m
-        parts[key] = parts[key] + c if key in parts else c
-    return GaussianIntegral(f.n, parts)
+    if mu is None:
+        for k, c in p.terms.items():
+            m = _moment_product(k & mask, weight)
+            if m is not None:
+                _put(parts, (k >> shift, weight), c * m)
+        return GaussianIntegral(n, parts)
+    if mu.n != n:
+        raise DimensionError(f"dimension mismatch: {n} vs {mu.n}")
+    trunc = p.trunc if p.trunc < mu.trunc else mu.trunc
+    density, rows = _density_table(mu, weight)
+    if (reduce(or_, p.terms, 0) | reduce(or_, mu.terms, 0)) & _top_bits(n):
+        _check_fields(n, p.terms, mu.terms, trunc)
+    for k, c in p.terms.items():
+        t, e = k >> shift, k & mask
+        row = rows.get(e)
+        if row is None:
+            row = _moment_row(density, e, weight)
+            if len(rows) < MOMENT_TABLE_SIZE:
+                rows[e] = row
+        for ts, m in row:
+            if t + ts <= trunc:
+                key = (t + ts, weight)
+                m = c * m
+                parts[key] = parts[key] + m if key in parts else m
+    return GaussianIntegral(n, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .exact_algebra import (
     DEFAULT_TRUNC,
@@ -414,31 +414,6 @@ def general_brackets(w: PoissonBivector, j1: Sequence[ThetaPoly],
     ps = [ThetaPoly.momentum(n, i, order) - th * ji.with_trunc(order)
           for i, ji in enumerate(j1)]
     return GeneralBrackets(*_curved_brackets(xs, ps, order))
-
-
-def phase_space_jacobi_defect(
-        n: int,
-        omega: Callable[[int, int], ThetaPoly],
-        order: int) -> dict[tuple[int, int, int], ThetaPoly]:
-    """Jacobi defect of a full 2n-dimensional antisymmetric structure given
-    componentwise; indices 0..n-1 are coordinates, n..2n-1 momenta."""
-
-    def d(sigma: int, f: ThetaPoly) -> ThetaPoly:
-        return f.diff_x(sigma) if sigma < n else f.diff_p(sigma - n)
-
-    out: dict[tuple[int, int, int], ThetaPoly] = {}
-    dim = 2 * n
-    for mu in range(dim):
-        for nu in range(mu + 1, dim):
-            for al in range(nu + 1, dim):
-                total = ThetaPoly.zero(n, order)
-                for (a, b, c) in ((mu, nu, al), (al, mu, nu), (nu, al, mu)):
-                    for sigma in range(dim):
-                        total = total + omega(a, sigma) * d(sigma, omega(b, c))
-                total = total.truncated(order)
-                if not total.is_zero:
-                    out[(mu, nu, al)] = total
-    return out
 
 
 # convenience models ---------------------------------------------------------

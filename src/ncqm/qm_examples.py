@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .exact_algebra import (
     GaussianRational,
-    RationalFunction,
     ThetaPoly,
     UsageError,
 )
@@ -180,18 +179,6 @@ def solid_harmonics(l: int, trunc: int = 3) -> list[ThetaPoly]:
                 x[2] * minus,
                 minus * minus]
     raise UsageError("only l <= 2 tabulated")
-
-
-def l_squared_eigencheck(l: int, trunc: int = 3) -> bool:
-    """Apply the squared rotation generator to the degree-l harmonics and
-    confirm the eigenvalue l(l+1) exactly."""
-    op = l_squared(trunc)
-    expect = l * (l + 1)
-    for y in solid_harmonics(l, trunc):
-        got = op.apply(y)
-        if got != RationalFunction.of(y.scale(expect)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

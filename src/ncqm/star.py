@@ -15,6 +15,10 @@ which evaluates sum th^k c d^a f d^b g on integer numerators and keeps
 each coefficient's numerator form in the product's ``_forms``, keyed by
 the coefficient object.
 
+The trace Tr(f) = int mu f is a moment functional: linear in f, so for a
+fixed density mu it is a table of moments, and ``trace`` integrates each
+term of f against the density's moments with
+``gaussian_integrate(f, mu)`` instead of forming the product f mu.
 The trace condition Tr(f * g) = Tr(fg) is an operator identity:
 ``trace_operator`` integrates the grade-k rules by parts into the operator
 D_k with Tr(f * g) - Tr(fg) = int f D(g).  The gauge-corrected product is
@@ -322,7 +326,7 @@ def gauge_b(mu: ThetaPoly, product: StarProduct) -> Gauge:
 
 def trace(f: GaussianFunction, mu: ThetaPoly) -> GaussianIntegral:
     """Exact integral of the density times a Gaussian-class function."""
-    return gaussian_integrate(f * mu)
+    return gaussian_integrate(f, mu)
 
 
 @dataclass(frozen=True)
@@ -352,14 +356,3 @@ def cyclicity_defect(f: GaussianFunction, g: GaussianFunction,
     anti = tr_fg - trace(product.star(g, f), mu)
     cond = tr_fg - trace(f * g, mu)
     return CyclicityReport(anti, cond)
-
-
-def hermiticity_defect(fpoly: ThetaPoly, phi: GaussianFunction,
-                       psi: GaussianFunction, product: StarProduct,
-                       mu: ThetaPoly) -> GaussianIntegral:
-    """Tr(conj(f # phi) # psi) - Tr(conj(phi) # (f # psi)) per grade, with #
-    the given product (pass product.with_gauge(gauge)); measures
-    self-adjointness of left multiplication by a real polynomial."""
-    left = product.star(product.star(fpoly, phi).conjugate(), psi)
-    right = product.star(phi.conjugate(), product.star(fpoly, psi))
-    return trace(left, mu) - trace(right, mu)

@@ -1,20 +1,39 @@
-"""Reference formulas that share no code with the engine they check, and
-the construction the coordinate-operator solve replaced."""
+"""Reference formulas that share no code with the engine they check, the
+construction the coordinate-operator solve replaced, and the checks only
+the tests run."""
 
 import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Callable, Sequence, Union
 
 from ncqm.exact_algebra import (
+    ZERO,
     GaussianFunction,
     GaussianIntegral,
     GaussianRational,
+    RationalFunction,
     ThetaPoly,
     gaussian_integrate,
 )
-from ncqm.operators import DiffOperator, build_xhat
+from ncqm.operators import DiffOperator, build_xhat, l_squared
 from ncqm.poisson import PoissonBivector, build_gamma
-from ncqm.star import StarProduct
+from ncqm.qm_examples import solid_harmonics
+from ncqm.star import StarProduct, trace
+
+Entry = Union[int, Fraction, GaussianRational]
+
+
+def constant_term(p: ThetaPoly) -> GaussianRational:
+    """The coefficient of th^0 x^0 p^0."""
+    return p.terms.get(0, ZERO)
+
+
+def integral_of_product(f: GaussianFunction, mu: ThetaPoly) -> GaussianIntegral:
+    """The integral of the density times f, through the product ``f * mu``
+    that ``gaussian_integrate(f, mu)`` never forms."""
+    return gaussian_integrate(f * mu)
 
 
 def gamma1_closed_form(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
@@ -100,3 +119,87 @@ def trace_condition_oracle(f: GaussianFunction, g: GaussianFunction,
                 total = total + gaussian_integrate(integrand2).scale(Fraction(1, 24))
     return GaussianIntegral(n, {(2, wgt): c for (t, wgt), c in total.parts.items()
                                 if t == 0})
+
+
+def moyal_product(f: ThetaPoly, g: ThetaPoly,
+                  matrix: Sequence[Sequence[Entry]], order: int = 3) -> ThetaPoly:
+    """The constant-bivector product by direct exponential series, written
+    without the slice machinery so the two can be compared term by term:
+    sum over n of (1/n!) (i th / 2)^n  w^{i1 j1} ... w^{in jn}
+    d_{i1..in} f  d_{j1..jn} g, evaluated exactly."""
+    n_dim = f.n
+    if len(matrix) != n_dim:
+        raise ValueError("matrix dimension mismatch")
+    out = ThetaPoly.zero(n_dim, f.trunc)
+    half_i = GaussianRational(0, Fraction(1, 2))
+    for n in range(order + 1):
+        scale = (half_i ** n) * Fraction(1, math.factorial(n))
+        for left in itertools.product(range(n_dim), repeat=n):
+            df = f
+            for i in left:
+                df = df.diff_x(i)
+            if df.is_zero:
+                continue
+            for right in itertools.product(range(n_dim), repeat=n):
+                w_prod = GaussianRational(1)
+                for i, j in zip(left, right):
+                    w_prod = w_prod * GaussianRational.of(matrix[i][j])
+                    if w_prod.is_zero:
+                        break
+                if w_prod.is_zero:
+                    continue
+                dg = g
+                for j in right:
+                    dg = dg.diff_x(j)
+                if dg.is_zero:
+                    continue
+                out = out + (df * dg).scale(scale * w_prod).theta_shift(n)
+    return out
+
+
+def phase_space_jacobi_defect(
+        n: int,
+        omega: Callable[[int, int], ThetaPoly],
+        order: int) -> dict[tuple[int, int, int], ThetaPoly]:
+    """Jacobi defect of a full 2n-dimensional antisymmetric structure given
+    componentwise; indices 0..n-1 are coordinates, n..2n-1 momenta."""
+
+    def d(sigma: int, f: ThetaPoly) -> ThetaPoly:
+        return f.diff_x(sigma) if sigma < n else f.diff_p(sigma - n)
+
+    out: dict[tuple[int, int, int], ThetaPoly] = {}
+    dim = 2 * n
+    for mu in range(dim):
+        for nu in range(mu + 1, dim):
+            for al in range(nu + 1, dim):
+                total = ThetaPoly.zero(n, order)
+                for (a, b, c) in ((mu, nu, al), (al, mu, nu), (nu, al, mu)):
+                    for sigma in range(dim):
+                        total = total + omega(a, sigma) * d(sigma, omega(b, c))
+                total = total.truncated(order)
+                if not total.is_zero:
+                    out[(mu, nu, al)] = total
+    return out
+
+
+def l_squared_eigencheck(l: int, trunc: int = 3) -> bool:
+    """Apply the squared rotation generator to the degree-l harmonics and
+    confirm the eigenvalue l(l+1) exactly."""
+    op = l_squared(trunc)
+    expect = l * (l + 1)
+    for y in solid_harmonics(l, trunc):
+        got = op.apply(y)
+        if got != RationalFunction.of(y.scale(expect)):
+            return False
+    return True
+
+
+def hermiticity_defect(fpoly: ThetaPoly, phi: GaussianFunction,
+                       psi: GaussianFunction, product: StarProduct,
+                       mu: ThetaPoly) -> GaussianIntegral:
+    """Tr(conj(f # phi) # psi) - Tr(conj(phi) # (f # psi)) per grade, with #
+    the given product (pass product.with_gauge(gauge)); measures
+    self-adjointness of left multiplication by a real polynomial."""
+    left = product.star(product.star(fpoly, phi).conjugate(), psi)
+    right = product.star(phi.conjugate(), product.star(fpoly, psi))
+    return trace(left, mu) - trace(right, mu)

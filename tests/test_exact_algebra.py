@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncqm import exact_algebra
 from ncqm.exact_algebra import (
+    DENSITY_TABLE_SIZE,
     GaussianFunction,
     GaussianRational,
     MAX_NESTING,
@@ -19,9 +21,10 @@ from ncqm.exact_algebra import (
     gaussian_integrate,
     parse_polynomial,
 )
-from ncqm.exact_algebra import _moment_product, _pack
+from ncqm.exact_algebra import _density_table, _moment_product, _pack
 
 from conftest import poly_strategy, scalars
+from oracles import integral_of_product
 
 
 class TestGaussianRational:
@@ -428,3 +431,80 @@ class TestGaussianClass:
         a = gaussian_integrate(GaussianFunction(ThetaPoly.one(2)))
         assert (a - a).is_zero
         assert a.theta_slice(1).is_zero
+
+
+@st.composite
+def integrands(draw):
+    """A prefactor and a density of one to three terms, with grades 0..2,
+    complex coefficients and truncations drawn independently."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pre = draw(poly_strategy(n, max_terms=6, max_degree=4,
+                             trunc=draw(st.integers(min_value=0, max_value=3))))
+    mu = draw(poly_strategy(n, max_terms=3, max_degree=2,
+                            trunc=draw(st.integers(min_value=0, max_value=3)))
+              .filter(lambda p: not p.is_zero))
+    return pre, mu
+
+
+def _outcome(integral, f, mu):
+    try:
+        return integral(f, mu)
+    except OverflowError:
+        return OverflowError
+
+
+class TestMomentFunctional:
+    """gaussian_integrate(f, mu) integrates against the density's cached
+    moments; the oracle forms the product f * mu and integrates that."""
+
+    @given(integrands())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_integral_of_the_product(self, pair):
+        pre, mu = pair
+        # one density at every weight, so a table read at the wrong weight shows
+        for weight in (1, 2, 3):
+            f = GaussianFunction(pre, weight)
+            assert gaussian_integrate(f, mu) == integral_of_product(f, mu)
+
+    def test_graded_complex_density_with_its_own_truncation(self):
+        # th x1^2 x2 meets th^2 (1 + i) x1 x2: both grades shift, and the
+        # density's truncation of 2 drops th * th^2
+        pre = parse_polynomial("x1^2 + 3*x2^2 + th*x1*x2 + th^2*x2^2", 2, allow_theta=True)
+        mu = parse_polynomial("2 + th*x1^2 + th^2*(1 + i)*x1*x2", 2, trunc=2,
+                              allow_theta=True)
+        for weight in (1, 2, 3):
+            f = GaussianFunction(pre, weight)
+            got = gaussian_integrate(f, mu)
+            assert got == integral_of_product(f, mu)
+            assert not got.theta_slice(1).is_zero and not got.theta_slice(2).is_zero
+            assert got.theta_slice(3).is_zero
+
+    @pytest.mark.parametrize("mu_text, raises", [
+        ("1 + x1", False),         # x1^254 * x1 reaches the cap, 255
+        ("1 + x1^2", True),        # x1^254 * x1^2 passes it
+        ("1 + th^2*x1^2", False),  # th * th^2 lies above the truncation
+    ])
+    def test_overflow_parity_at_the_exponent_cap(self, mu_text, raises):
+        pre = ThetaPoly.monomial(2, 1, x=(254, 0), grade=1, trunc=2) + ThetaPoly.one(2, 2)
+        mu = parse_polynomial(mu_text, 2, trunc=2, allow_theta=True)
+        f = GaussianFunction(pre, 2)
+        got = _outcome(gaussian_integrate, f, mu)
+        assert got == _outcome(integral_of_product, f, mu)
+        assert (got is OverflowError) == raises
+
+    def test_density_tables_stay_within_the_cap(self):
+        f = GaussianFunction(parse_polynomial("1 + x1^2", 1), 2)
+        for c in range(DENSITY_TABLE_SIZE + 3):
+            mu = parse_polynomial(f"{c + 2} + x1^2", 1)
+            assert gaussian_integrate(f, mu) == integral_of_product(f, mu)
+        info = _density_table.cache_info()
+        assert info.maxsize == DENSITY_TABLE_SIZE
+        assert info.currsize <= DENSITY_TABLE_SIZE
+
+    def test_table_rows_stay_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(exact_algebra, "MOMENT_TABLE_SIZE", 3)
+        mu = parse_polynomial("5/7 + x1", 1)
+        f = GaussianFunction(parse_polynomial("1 + x1 + x1^2 + x1^3 + x1^4 + x1^5", 1))
+        assert gaussian_integrate(f, mu) == integral_of_product(f, mu)
+        _, rows = _density_table(mu, 1)
+        assert len(rows) == 3

@@ -22,12 +22,12 @@ from ncqm.poisson import (
     general_brackets,
     invert_phase_map,
     jacobi_defect,
-    phase_space_jacobi_defect,
     reference_delta,
     verify_darboux,
 )
 
 from conftest import poly_strategy
+from oracles import phase_space_jacobi_defect
 
 
 class TestJacobi:

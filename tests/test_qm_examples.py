@@ -10,11 +10,12 @@ from ncqm.qm_examples import (
     build_fuzzy_oscillator,
     energy_correction,
     free_particle_check,
-    l_squared_eigencheck,
     rotation_covariance_check,
     solid_harmonics,
 )
 from ncqm.star import MeasureError, StarProduct, gauge_b, measure_defect
+
+from oracles import l_squared_eigencheck
 
 
 class TestFreeParticle:
