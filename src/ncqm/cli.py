@@ -50,6 +50,7 @@ from .star import (
     cyclicity_defect,
     gauge_b,
     measure_defect,
+    trace,
 )
 
 RANDOM_DEGREE_MAX = 3
@@ -250,14 +251,15 @@ def _trace_check(problem: ProblemFile, rng: random.Random) -> dict:
     for k in range(RANDOM_TRIPLES):
         f = GaussianFunction(random_poly(rng, problem.dim, product.trunc))
         g = GaussianFunction(random_poly(rng, problem.dim, product.trunc))
-        rep = cyclicity_defect(f, g, corrected, problem.mu)
+        pointwise = trace(f * g, problem.mu)
+        rep = cyclicity_defect(f, g, corrected, problem.mu, pointwise)
         if not rep.zero_through(product.order):
             failures.append({
                 "pair": k,
                 "antisymmetric": rep.antisymmetric.text(),
                 "trace_condition": rep.trace_condition.text(),
             })
-        raw = cyclicity_defect(f, g, product, problem.mu)
+        raw = cyclicity_defect(f, g, product, problem.mu, pointwise)
         uncorrected.append(raw.trace_condition.theta_slice(2).text())
     return {"status": "pass" if not failures else "fail",
             "bounds": RANDOM_BOUNDS,

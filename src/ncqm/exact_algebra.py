@@ -30,12 +30,15 @@ arithmetic builds results through ``_poly``, dropping a cancelled term in
 the loop that makes it.
 
 Star-product sums: ``star_sum`` evaluates sum th^k c d^a f d^b g over a
-rule table on integer numerators.  Each operand and each rule coefficient
-is held as one denominator, the lcm of its coefficients' denominators, over
-Gaussian-integer numerators; a derivative is one step on the numerators
-from the derivative below it and keeps the denominator.  The terms are
-added as Python ints over one common denominator, and each output
-coefficient is reduced once, by ``_make``.
+rule table on integer numerators.  The first call on a table compiles it:
+every rule coefficient goes over one denominator, the lcm of all their
+coefficients' denominators, as Gaussian-integer numerators, and the rules
+are grouped by grade and left index a.  Each operand is held as one
+denominator over numerators too, and so is each derivative, one step on
+the numerators from the derivative below it; an operand keeps these forms
+for as long as it lives, per Gaussian weight.  The terms are added as
+Python ints over one common denominator, and each output coefficient is
+reduced once, by ``_make``.
 
 The deformation parameter is a formal grading variable (written ``th`` in
 the text form); it is never assigned a numeric value.  Series are kept
@@ -297,10 +300,12 @@ class ThetaPoly:
     The same type serves coordinate and phase-space values; checks that
     need a coordinate polynomial read ``is_coordinate_only``.  Values are
     immutable by convention: nothing assigns to n, trunc or terms, or
-    changes terms, after construction.
+    changes terms, after construction.  The one slot set later is
+    ``_derived``, the numerator forms ``star_sum`` derives from terms, set
+    on the value's first use as a star operand.
     """
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ("n", "trunc", "terms", "_derived")
 
     def __init__(self, n: int, terms: Mapping[TermKey, GaussianRational],
                  trunc: int = DEFAULT_TRUNC):
@@ -410,7 +415,24 @@ class ThetaPoly:
         return _poly(self.n, {k: -c for k, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other: Union["ThetaPoly", Scalarish]) -> "ThetaPoly":
-        return self + (-other)
+        if type(other) is not ThetaPoly:
+            other = ThetaPoly.constant(self.n, other, self.trunc)
+        trunc = self._merge_trunc(other)
+        out = dict(self.truncated(trunc).terms if self.trunc > trunc else self.terms)
+        b = other.truncated(trunc).terms if other.trunc > trunc else other.terms
+        # one pass, like __add__; equal values have equal triples, so a
+        # difference cancels exactly when s == c
+        for k, c in b.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = -c
+            elif s == c:
+                del out[k]
+            elif s.d == c.d:
+                out[k] = _make(s.a - c.a, s.b - c.b, c.d)
+            else:
+                out[k] = _make(s.a * c.d - c.a * s.d, s.b * c.d - c.b * s.d, s.d * c.d)
+        return _poly(self.n, out, trunc)
 
     def __rsub__(self, other: Scalarish) -> "ThetaPoly":
         return (-self) + other
@@ -660,9 +682,10 @@ def _high_bits(n: int) -> int:
     return _top_bits(n) | _top_bits(n) >> 1
 
 
-def _numerators(p: ThetaPoly) -> tuple[int, list, bool]:
-    """The numerator form of p."""
-    d = lcm(*(c.d for c in p.terms.values()))
+def _numerators(p: ThetaPoly, d: int = 0) -> tuple[int, list, bool]:
+    """The numerator form of p, over d if given, which must be a multiple
+    of every coefficient's denominator."""
+    d = d or lcm(*(c.d for c in p.terms.values()))
     if d == 1:
         terms = [(k, c.a, c.b) for k, c in p.terms.items()]
     else:
@@ -719,6 +742,35 @@ def _derivative(cache: dict, midx: tuple[int, ...], weight: int) -> tuple:
     return got
 
 
+def _operand_forms(p: ThetaPoly, weight: int) -> dict:
+    """The ``_derivative`` cache of p as a polynomial (weight 0) or as the
+    prefactor of a Gaussian of weight w, kept on p for as long as it
+    lives, so each derivative of an operand is formed once."""
+    try:
+        derived = p._derived
+    except AttributeError:
+        derived = p._derived = {}
+    cache = derived.get(weight)
+    if cache is None:
+        cache = derived[weight] = {(0,) * p.n: _numerators(p)}
+    return cache
+
+
+def _compile(slices) -> tuple[int, list]:
+    """A rule table on numerators: the lcm of the denominators of every
+    rule coefficient, and per grade k and left index a the group
+    (k, a, [(b, c, numerator terms of c over that lcm, high)])."""
+    denom = lcm(*(v.d for rules in slices for c in rules.values()
+                  for v in c.terms.values()))
+    groups = []
+    for k, rules in enumerate(slices):
+        by_a: dict[tuple, list] = {}
+        for (a, b), c in rules.items():
+            by_a.setdefault(a, []).append((b, c, *_numerators(c, denom)[1:]))
+        groups += [(k, a, entries) for a, entries in by_a.items()]
+    return denom, groups
+
+
 def _mul_into(out: dict, a, b: list, step: int, limit: int) -> None:
     """Add the products of the numerator terms a and b into out, as
     {key: [re, im]}, each key raised by step and kept below limit."""
@@ -744,55 +796,63 @@ def star_sum(n: int, slices, f, g, forms: dict) -> Optional[ThetaPoly]:
     coefficients of those rules, and an exponent past the field cap raises
     ``OverflowError`` exactly where ``(c * d^a f) * d^b g`` would.  The sum
     runs on numerators over one common denominator, so each output
-    coefficient is reduced once.  ``forms`` keeps each coefficient's
-    numerator form, keyed by the coefficient object, across calls."""
+    coefficient is reduced once.  ``forms`` keeps the compiled table of
+    each tuple of slice dicts, keyed by their identities, across calls;
+    f and g keep their own derivatives (``_operand_forms``)."""
     wf, pf = (f.weight, f.prefactor) if isinstance(f, GaussianFunction) else (0, f)
     wg, pg = (g.weight, g.prefactor) if isinstance(g, GaussianFunction) else (0, g)
     for p in (pf, pg):
         if p.n != n:
             raise DimensionError(f"dimension mismatch: {n} vs {p.n}")
-    zero = (0,) * n
-    cache_f, cache_g = {zero: _numerators(pf)}, {zero: _numerators(pg)}
+    ids = tuple(map(id, slices))
+    table = forms.get(ids)
+    if table is None:
+        # the entry holds the slices, so no other dicts take their ids
+        table = forms[ids] = (tuple(slices), *_compile(slices))
+    _, denom, groups = table
+    cache_f, cache_g = _operand_forms(pf, wf), _operand_forms(pg, wg)
     top = min(pf.trunc, pg.trunc)
     active = []
-    for k, rules in enumerate(slices):
-        for (a, b), c in rules.items():
-            df = cache_f.get(a) or _derivative(cache_f, a, wf)
-            if not df[1]:
-                continue
+    for k, a, entries in groups:
+        df = cache_f.get(a) or _derivative(cache_f, a, wf)
+        if not df[1]:
+            continue
+        for b, c, cterms, chigh in entries:
             dg = cache_g.get(b) or _derivative(cache_g, b, wg)
             if not dg[1]:
                 continue
-            form = forms.get(id(c))
-            if form is None:
-                # the entry holds c, so no other object takes its id
-                form = forms[id(c)] = (c, *_numerators(c))
             if c.trunc < top:
                 top = c.trunc
-            active.append((k, form, df, dg))
+            active.append((k, c, cterms, chigh, df, dg))
     if not active:
         return None
 
     shift = n << 4
     limit = (top + 1) << shift
-    common = lcm(*(form[1] for _, form, _, _ in active))
     acc: dict[int, list] = {}
-    for k, (c, cd, cterms, chigh), (fd, fterms, fhigh), (gd, gterms, ghigh) in active:
+    for k, c, cterms, chigh, (fd, fterms, fhigh), (gd, gterms, ghigh) in active:
         if chigh or fhigh or ghigh:
             # a field at 64 or more: run the polynomial product for its
             # OverflowError, which it raises where a field would carry
             cf_poly = c * _from_numerators(n, fd, fterms, pf.trunc)
             cf_poly * _from_numerators(n, gd, gterms, pg.trunc)
-        # c d^a f first, over the common denominator and cut at grade
-        # top - k, then times d^b g, shifted to grade k
-        step, s = k << shift, common // cd
-        if s != 1:
-            cterms = [(key, a * s, b * s) for key, a, b in cterms]
-        cf: dict[int, list] = {}
-        _mul_into(cf, cterms, fterms, 0, limit - step)
-        _mul_into(acc, [(key, a, b) for key, (a, b) in cf.items() if a or b],
-                  gterms, step, limit)
-    d = common * cache_f[zero][0] * cache_g[zero][0]
+        # c d^a f first, cut at grade top - k, then times d^b g, at grade k
+        step = k << shift
+        if len(cterms) == 1:
+            # one term: c d^a f is d^a f shifted and scaled, and no two of
+            # its terms merge or cancel
+            (kc, ca, cb), = cterms
+            kc += step
+            cf = [(key, a1 * ca - b1 * cb, a1 * cb + b1 * ca) for k1, a1, b1 in fterms
+                  if (key := k1 + kc) < limit]
+            _mul_into(acc, cf, gterms, 0, limit)
+        else:
+            cfd: dict[int, list] = {}
+            _mul_into(cfd, cterms, fterms, 0, limit - step)
+            _mul_into(acc, [(key, a1, b1) for key, (a1, b1) in cfd.items() if a1 or b1],
+                      gterms, step, limit)
+    zero = (0,) * n
+    d = denom * cache_f[zero][0] * cache_g[zero][0]
     return _poly(n, {key: _make(a, b, d) for key, (a, b) in acc.items() if a or b}, top)
 
 
@@ -1026,7 +1086,11 @@ class GaussianFunction:
         return GaussianFunction(-self.prefactor, self.weight)
 
     def __sub__(self, other: "GaussianFunction") -> "GaussianFunction":
-        return self + (-other)
+        if not isinstance(other, GaussianFunction):
+            return NotImplemented
+        if other.weight != self.weight:
+            raise UsageError("cannot subtract Gaussian functions of different weights")
+        return GaussianFunction(self.prefactor - other.prefactor, self.weight)
 
     def __mul__(self, other) -> "GaussianFunction":
         if isinstance(other, GaussianFunction):

@@ -11,9 +11,12 @@ it.  ``StarProduct`` starts from xhat = x and, for k = 1..3, solves X_k
 from slice k - 1 with ``build_gamma1``, then derives slice k; it keeps
 xhat, the same at every order, as ``product.xhat``.
 ``StarProduct.star`` hands the rule table to ``exact_algebra.star_sum``,
-which evaluates sum th^k c d^a f d^b g on integer numerators and keeps
-each coefficient's numerator form in the product's ``_forms``, keyed by
-the coefficient object.
+which evaluates sum th^k c d^a f d^b g on integer numerators.  It
+compiles each table once, on its first call, into the product's
+``_forms``, keyed by the identities of the slice dicts: a product and its
+gauge-corrected copy share ``_forms`` but not their grade-2 slice, so each
+keeps its own table.  Each operand keeps its own derivatives, per
+Gaussian weight, for as long as it lives.
 
 The trace Tr(f) = int mu f is a moment functional: linear in f, so for a
 fixed density mu it is a table of moments, and ``trace`` integrates each
@@ -120,7 +123,7 @@ class StarProduct:
             if k < top or k <= order:
                 self.slices.append(self._derive_slice(k))
         del self.slices[order + 1:]
-        # each rule coefficient's numerator form, keyed by the coefficient (see star_sum)
+        # the compiled rule tables, keyed by the slice dicts (see star_sum)
         self._forms: dict = {}
 
     # -- slice construction ---------------------------------------------------
@@ -348,11 +351,14 @@ class CyclicityReport:
 
 
 def cyclicity_defect(f: GaussianFunction, g: GaussianFunction,
-                     product: StarProduct, mu: ThetaPoly) -> CyclicityReport:
+                     product: StarProduct, mu: ThetaPoly,
+                     pointwise: Optional[GaussianIntegral] = None) -> CyclicityReport:
     """The trace defects of ``product`` on one pair, through its built
     grade; pass ``product.with_gauge(gauge)`` to check the corrected
-    product."""
+    product.  ``pointwise`` is Tr(fg) when the caller has it already, so a
+    pair checked under two products integrates fg once."""
     tr_fg = trace(product.star(f, g), mu)
     anti = tr_fg - trace(product.star(g, f), mu)
-    cond = tr_fg - trace(f * g, mu)
-    return CyclicityReport(anti, cond)
+    if pointwise is None:
+        pointwise = trace(f * g, mu)
+    return CyclicityReport(anti, tr_fg - pointwise)

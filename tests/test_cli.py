@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ncqm import cli
 from ncqm.cli import ProblemError, ProblemFile, main, run_task
 from ncqm.poisson import build_gamma, jacobi_defect
+from ncqm.star import trace
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -688,6 +689,16 @@ def test_subalgebra_checks_jacobi_once(monkeypatch):
     rec = run_task(ProblemFile.parse(FUZZY_TEXT), "subalgebra")
     assert rec["status"] == "pass"
     assert len(calls) == 1
+
+
+def test_trace_check_integrates_fg_once_per_pair(monkeypatch):
+    """Each pair is traced five times: f * g and g * f under the corrected
+    and the uncorrected product, and the pointwise fg once for both."""
+    calls = count_calls(monkeypatch, trace)
+    monkeypatch.setattr(cli, "RANDOM_TRIPLES", 2)
+    rec = run_task(ProblemFile.parse(FUZZY_TEXT), "trace-check")
+    assert rec["status"] == "pass"
+    assert len(calls) == 2 * 5
 
 
 @pytest.mark.parametrize("name,n", [("fuzzy_sphere", 3), ("quadratic2d", 2)])

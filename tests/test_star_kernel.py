@@ -8,6 +8,7 @@ pieces, and is the zero of ``_zero_like`` when no rule has both
 derivatives nonzero."""
 
 import copy
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -287,3 +288,28 @@ class TestNoStaleRules:
         assert_same(got, reference_star(corrected, f, g))
         assert got.prefactor.theta_coefficient(2) != plain.prefactor.theta_coefficient(2)
         assert_same(sp.star(f, g), plain)
+
+
+class TestReuse:
+    """Each operand keeps its derivatives per Gaussian weight, and each
+    product its compiled rule tables per tuple of slice dicts, across
+    calls."""
+
+    @pytest.mark.parametrize("weights", list(itertools.permutations((0, 1, 2))))
+    def test_one_poly_as_operand_and_as_prefactor(self, products, weights):
+        sp = products[0]
+        p = parse_polynomial("x1^2*x2 + x2/5 - 2*x3/3", sp.n)
+        q = GaussianFunction(parse_polynomial("x1*x3 - 1/2", sp.n), 1)
+        for w in weights:
+            f = GaussianFunction(p, w) if w else p
+            for x, y in [(f, q), (q, f), (f, p)]:
+                assert_same(sp.star(x, y), reference_star(sp, x, y))
+
+    def test_pair_under_a_product_and_its_gauge(self):
+        sp = StarProduct(fuzzy_sphere_bivector(), 2)
+        corrected = sp.with_gauge(gauge_b(parse_polynomial("1", 3), sp))
+        f = GaussianFunction(parse_polynomial("x1*x3 - 2*x2 + 1/7", 3))
+        g = GaussianFunction(parse_polynomial("x2^2 + x1/3", 3), 2)
+        for product in (sp, corrected, sp, corrected):
+            for x, y in [(f, g), (g, f)]:
+                assert_same(product.star(x, y), reference_star(product, x, y))
