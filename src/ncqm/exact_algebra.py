@@ -40,6 +40,11 @@ for as long as it lives, per Gaussian weight.  The terms are added as
 Python ints over one common denominator, and each output coefficient is
 reduced once, by ``_make``.
 
+Moments: ``gaussian_integrate(f, mu)`` meets each term of f with one row
+of the density's moment table.  The density keeps its rows, per Gaussian
+weight and at most ``MOMENT_TABLE_SIZE`` of them, beside its star forms,
+and they are freed with it; no cache keyed by a polynomial outlives it.
+
 The deformation parameter is a formal grading variable (written ``th`` in
 the text form); it is never assigned a numeric value.  Series are kept
 truncated at a fixed order and products silently drop terms above it.
@@ -301,8 +306,9 @@ class ThetaPoly:
     need a coordinate polynomial read ``is_coordinate_only``.  Values are
     immutable by convention: nothing assigns to n, trunc or terms, or
     changes terms, after construction.  The one slot set later is
-    ``_derived``, the numerator forms ``star_sum`` derives from terms, set
-    on the value's first use as a star operand.
+    ``_derived``, what is derived from terms on first use: the numerator
+    forms ``star_sum`` reads of a star operand and the moment tables
+    ``gaussian_integrate`` reads of a density.
     """
 
     __slots__ = ("n", "trunc", "terms", "_derived")
@@ -742,18 +748,19 @@ def _derivative(cache: dict, midx: tuple[int, ...], weight: int) -> tuple:
     return got
 
 
-def _operand_forms(p: ThetaPoly, weight: int) -> dict:
-    """The ``_derivative`` cache of p as a polynomial (weight 0) or as the
-    prefactor of a Gaussian of weight w, kept on p for as long as it
-    lives, so each derivative of an operand is formed once."""
+def _kept(p: ThetaPoly, key, make):
+    """What is derived from p under key: made by ``make()`` on first use and
+    kept in p's ``_derived`` slot for as long as p lives.  A star operand
+    keeps its ``_derivative`` cache under its Gaussian weight (0 for a
+    polynomial), a density its moment table under ("moments", weight)."""
     try:
         derived = p._derived
     except AttributeError:
         derived = p._derived = {}
-    cache = derived.get(weight)
-    if cache is None:
-        cache = derived[weight] = {(0,) * p.n: _numerators(p)}
-    return cache
+    got = derived.get(key)
+    if got is None:
+        got = derived[key] = make()
+    return got
 
 
 def _compile(slices) -> tuple[int, list]:
@@ -798,7 +805,7 @@ def star_sum(n: int, slices, f, g, forms: dict) -> Optional[ThetaPoly]:
     runs on numerators over one common denominator, so each output
     coefficient is reduced once.  ``forms`` keeps the compiled table of
     each tuple of slice dicts, keyed by their identities, across calls;
-    f and g keep their own derivatives (``_operand_forms``)."""
+    f and g keep their own derivatives (``_kept``)."""
     wf, pf = (f.weight, f.prefactor) if isinstance(f, GaussianFunction) else (0, f)
     wg, pg = (g.weight, g.prefactor) if isinstance(g, GaussianFunction) else (0, g)
     for p in (pf, pg):
@@ -810,7 +817,8 @@ def star_sum(n: int, slices, f, g, forms: dict) -> Optional[ThetaPoly]:
         # the entry holds the slices, so no other dicts take their ids
         table = forms[ids] = (tuple(slices), *_compile(slices))
     _, denom, groups = table
-    cache_f, cache_g = _operand_forms(pf, wf), _operand_forms(pg, wg)
+    cache_f = _kept(pf, wf, lambda: {(0,) * n: _numerators(pf)})
+    cache_g = _kept(pg, wg, lambda: {(0,) * n: _numerators(pg)})
     top = min(pf.trunc, pg.trunc)
     active = []
     for k, a, entries in groups:
@@ -1051,15 +1059,11 @@ class GaussianFunction:
         return self.prefactor.is_zero
 
     def diff_x(self, i: int) -> "GaussianFunction":
-        """d_i (P exp(-w|x|^2)) = (d_i P - 2w x_i P) exp(-w|x|^2), formed
-        in one pass over the numerators of P."""
-        p = self.prefactor
-        if not 0 <= i < p.n:
-            raise IndexError(f"coordinate index {i} out of range for n={p.n}")
-        d, terms, _ = _numerators(p)
-        return GaussianFunction(
-            _from_numerators(p.n, d, _gaussian_step(terms, i, self.weight), p.trunc),
-            self.weight)
+        """d_i (P exp(-w|x|^2)) = (d_i P - 2w x_i P) exp(-w|x|^2)."""
+        n = self.prefactor.n
+        if not 0 <= i < n:
+            raise IndexError(f"coordinate index {i} out of range for n={n}")
+        return self.diff_multi(multi_index(n, i))
 
     def diff_multi(self, midx: tuple[int, ...]) -> "GaussianFunction":
         """The derivative with multiplicities ``midx``: one chain of Gaussian
@@ -1120,12 +1124,11 @@ class GaussianFunction:
         return f"({self.prefactor.text()}) * exp(-{self.weight}*r^2)"
 
 
-# Entries of the moment table that ``gaussian_integrate`` keeps: one per
-# (exponent vector, weight) pair, least recently used dropped first.
+# Rows of a density's moment table that ``gaussian_integrate`` keeps per
+# weight; a row read past the cap is formed and not kept.
 MOMENT_TABLE_SIZE = 4096
 
 
-@lru_cache(maxsize=MOMENT_TABLE_SIZE)
 def _moment_product(fields: int, weight: int) -> Optional[GaussianRational]:
     """Integral over all space of prod_i x_i^e_i exp(-weight |x|^2), in
     units of (pi/weight)^(n/2), for the exponents e_i packed in the fields
@@ -1222,17 +1225,9 @@ class GaussianIntegral:
         return f"GaussianIntegral({self.text()!r})"
 
 
-# Densities whose moment tables ``gaussian_integrate`` keeps, one table per
-# (density, weight) pair, least recently used dropped first; a trace
-# verdict integrates against one density at one weight.  Each table holds
-# at most MOMENT_TABLE_SIZE rows.
-DENSITY_TABLE_SIZE = 2
-
-
-@lru_cache(maxsize=DENSITY_TABLE_SIZE)
-def _density_table(mu: ThetaPoly, weight: int) -> tuple[list, dict]:
+def _density_table(mu: ThetaPoly) -> tuple[list, dict]:
     """The density's terms as (grade, exponent fields, coefficient), and the
-    rows of its moment table at ``weight``, filled as they are read."""
+    rows of its moment table at one weight, filled as they are read."""
     if not mu.is_coordinate_only:
         raise UsageError("density must be coordinate-only")
     shift = mu.n << 4
@@ -1259,7 +1254,7 @@ def gaussian_integrate(f: GaussianFunction,
 
     Without a density each term of the prefactor is one moment lookup.  The
     integral is linear in f, so with one each term c th^t x^e meets one row
-    of the density's moment table, kept across calls per (density, weight):
+    of the density's moment table, kept on mu per weight:
     D_t_s(e) for each grade t_s of the density, added at grade t + t_s up
     to the lower of the two truncations."""
     p = f.prefactor
@@ -1275,7 +1270,7 @@ def gaussian_integrate(f: GaussianFunction,
     if mu.n != n:
         raise DimensionError(f"dimension mismatch: {n} vs {mu.n}")
     trunc = p.trunc if p.trunc < mu.trunc else mu.trunc
-    density, rows = _density_table(mu, weight)
+    density, rows = _kept(mu, ("moments", weight), lambda: _density_table(mu))
     if (reduce(or_, p.terms, 0) | reduce(or_, mu.terms, 0)) & _top_bits(n):
         _check_fields(n, p.terms, mu.terms, trunc)
     for k, c in p.terms.items():

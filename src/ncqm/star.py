@@ -21,7 +21,8 @@ Gaussian weight, for as long as it lives.
 The trace Tr(f) = int mu f is a moment functional: linear in f, so for a
 fixed density mu it is a table of moments, and ``trace`` integrates each
 term of f against the density's moments with
-``gaussian_integrate(f, mu)`` instead of forming the product f mu.
+``gaussian_integrate(f, mu)`` instead of forming the product f mu.  Like
+an operand's derivatives, the rows are kept on the density, per weight.
 The trace condition Tr(f * g) = Tr(fg) is an operator identity:
 ``trace_operator`` integrates the grade-k rules by parts into the operator
 D_k with Tr(f * g) - Tr(fg) = int f D(g).  The gauge-corrected product is
@@ -62,6 +63,8 @@ MultiIndex = tuple[int, ...]
 Rule = dict[tuple[MultiIndex, MultiIndex], ThetaPoly]
 Gauge = dict[tuple[int, int], ThetaPoly]  # (i, k) -> b_ik, nonzero entries only
 
+MAX_GRADE = 3  # the highest grade the product is built through
+
 
 def _plus(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(map(operator.add, a, b))
@@ -97,8 +100,8 @@ class StarProduct:
 
     def __init__(self, w: PoissonBivector, order: int = 3,
                  trunc: Optional[int] = None):
-        if order > 3:
-            raise UsageError("the product is only constructed through grade 3")
+        if order > MAX_GRADE:
+            raise UsageError(f"the product is only constructed through grade {MAX_GRADE}")
         if order < 0:
             raise UsageError("order must be nonnegative")
         if trunc is None:
@@ -107,7 +110,7 @@ class StarProduct:
         self.w = w.with_trunc(trunc)
         self.order = order
         self.trunc = trunc
-        top = min(trunc, 3)
+        top = min(trunc, MAX_GRADE)
         defect = jacobi_defect(w)  # the closure solve needs a Poisson bivector
         if not defect.is_zero:
             raise NotPoissonError(defect)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ncqm import cli
 from ncqm.cli import ProblemError, ProblemFile, main, run_task
 from ncqm.poisson import build_gamma, jacobi_defect
-from ncqm.star import trace
+from ncqm.star import measure_defect, trace
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -699,6 +699,17 @@ def test_trace_check_integrates_fg_once_per_pair(monkeypatch):
     rec = run_task(ProblemFile.parse(FUZZY_TEXT), "trace-check")
     assert rec["status"] == "pass"
     assert len(calls) == 2 * 5
+
+
+@pytest.mark.parametrize("name,status", [("fuzzy_sphere", "pass"), ("quadratic2d", "fail")])
+def test_trace_check_checks_the_density_once(monkeypatch, name, status):
+    """Reading the gauge checks the density, and that is the verdict's only
+    divergence check, whether the density passes it or not."""
+    calls = count_calls(monkeypatch, measure_defect)
+    monkeypatch.setattr(cli, "RANDOM_TRIPLES", 2)
+    rec = run_task(ProblemFile.parse((PROBLEMS / f"{name}.json").read_text()), "trace-check")
+    assert rec["status"] == status
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,n", [("fuzzy_sphere", 3), ("quadratic2d", 2)])

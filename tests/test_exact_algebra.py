@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ncqm import exact_algebra
 from ncqm.exact_algebra import (
-    DENSITY_TABLE_SIZE,
     GaussianFunction,
     GaussianRational,
     MAX_NESTING,
@@ -21,7 +20,7 @@ from ncqm.exact_algebra import (
     gaussian_integrate,
     parse_polynomial,
 )
-from ncqm.exact_algebra import _density_table, _moment_product, _pack
+from ncqm.exact_algebra import _moment_product, _pack
 
 from conftest import poly_strategy, scalars
 from oracles import integral_of_product
@@ -417,7 +416,7 @@ class TestGaussianClass:
             GaussianRational(Fraction(1, 2))
 
     def test_moment_table_entries(self):
-        # the table is keyed by the exponent fields of a packed term key
+        # a moment is read off the exponent fields of a packed term key
         def fields(*e):
             return _pack(len(e) // 2, 0, e)
 
@@ -425,7 +424,6 @@ class TestGaussianClass:
         assert _moment_product(fields(4, 2, 0, 0), 3) == GaussianRational(Fraction(1, 72))
         assert _moment_product(fields(0, 0), 5) == GaussianRational(1)
         assert _moment_product(fields(2, 1), 1) is None
-        assert _moment_product(fields(4, 2, 0, 0), 3) is _moment_product(fields(4, 2, 0, 0), 3)
 
     def test_integral_arithmetic(self):
         a = gaussian_integrate(GaussianFunction(ThetaPoly.one(2)))
@@ -492,19 +490,59 @@ class TestMomentFunctional:
         assert got == _outcome(integral_of_product, f, mu)
         assert (got is OverflowError) == raises
 
-    def test_density_tables_stay_within_the_cap(self):
-        f = GaussianFunction(parse_polynomial("1 + x1^2", 1), 2)
-        for c in range(DENSITY_TABLE_SIZE + 3):
-            mu = parse_polynomial(f"{c + 2} + x1^2", 1)
-            assert gaussian_integrate(f, mu) == integral_of_product(f, mu)
-        info = _density_table.cache_info()
-        assert info.maxsize == DENSITY_TABLE_SIZE
-        assert info.currsize <= DENSITY_TABLE_SIZE
-
     def test_table_rows_stay_within_the_cap(self, monkeypatch):
         monkeypatch.setattr(exact_algebra, "MOMENT_TABLE_SIZE", 3)
         mu = parse_polynomial("5/7 + x1", 1)
         f = GaussianFunction(parse_polynomial("1 + x1 + x1^2 + x1^3 + x1^4 + x1^5", 1))
         assert gaussian_integrate(f, mu) == integral_of_product(f, mu)
-        _, rows = _density_table(mu, 1)
+        _, rows = mu._derived[("moments", 1)]
         assert len(rows) == 3
+
+
+def count_moments(monkeypatch) -> list:
+    """Record every moment ``gaussian_integrate`` forms from here on."""
+    calls = []
+
+    def counted(fields, weight):
+        calls.append((fields, weight))
+        return _moment_product(fields, weight)
+
+    monkeypatch.setattr(exact_algebra, "_moment_product", counted)
+    return calls
+
+
+class TestDensityOwnsItsTable:
+    """A density keeps its moment rows on itself, per weight; nothing is
+    shared between density values, equal or not."""
+
+    PRE = "1 + x1^2 + x1*x2 - x2^2/3"
+
+    def test_a_density_reuses_its_rows(self, monkeypatch):
+        mu = parse_polynomial("3 + x1*x2", 2)
+        f = GaussianFunction(parse_polynomial(self.PRE, 2), 2)
+        want = integral_of_product(f, mu)
+        assert gaussian_integrate(f, mu) == want
+        moments = count_moments(monkeypatch)
+        assert gaussian_integrate(f, mu) == want
+        assert moments == []
+
+    def test_equal_densities_build_their_own_rows(self, monkeypatch):
+        mu, twin = (parse_polynomial("3 + x1*x2", 2) for _ in range(2))
+        assert mu == twin and mu is not twin
+        f = GaussianFunction(parse_polynomial(self.PRE, 2), 2)
+        moments = count_moments(monkeypatch)
+        got = gaussian_integrate(f, mu)
+        made = len(moments)
+        assert made > 0
+        assert gaussian_integrate(f, twin) == got
+        assert len(moments) == 2 * made
+        ours, theirs = (d._derived[("moments", 2)][1] for d in (mu, twin))
+        assert ours is not theirs and ours == theirs
+
+    def test_each_weight_keeps_its_own_table(self):
+        mu = parse_polynomial("2 + x1^2", 2)
+        pre = parse_polynomial(self.PRE, 2)
+        for weight in (1, 2):
+            f = GaussianFunction(pre, weight)
+            assert gaussian_integrate(f, mu) == integral_of_product(f, mu)
+        assert {("moments", 1), ("moments", 2)} <= set(mu._derived)

@@ -19,6 +19,7 @@ from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
     ThetaPoly,
+    gaussian_integrate,
     multi_index,
     parse_polynomial,
 )
@@ -26,6 +27,7 @@ from ncqm.poisson import PoissonBivector, constant_bivector, fuzzy_sphere_bivect
 from ncqm.star import StarProduct, gauge_b
 
 from conftest import poly_strategy
+from oracles import integral_of_product
 
 
 def _prefactor(f, midx):
@@ -304,6 +306,20 @@ class TestReuse:
             f = GaussianFunction(p, w) if w else p
             for x, y in [(f, q), (q, f), (f, p)]:
                 assert_same(sp.star(x, y), reference_star(sp, x, y))
+
+    @pytest.mark.parametrize("density_first", [True, False])
+    def test_one_poly_as_operand_and_as_density(self, products, density_first):
+        """A value keeps its star forms and its moment tables apart, also
+        at the same Gaussian weight."""
+        sp = products[0]
+        mu = parse_polynomial("2 + x1^2 - x2*x3/5", sp.n)
+        f = GaussianFunction(mu)
+        g = GaussianFunction(parse_polynomial("x1*x3 - 1/2", sp.n))
+        for _ in range(2):
+            if density_first:
+                assert gaussian_integrate(g, mu) == integral_of_product(g, mu)
+            assert_same(sp.star(f, g), reference_star(sp, f, g))
+            assert gaussian_integrate(g, mu) == integral_of_product(g, mu)
 
     def test_pair_under_a_product_and_its_gauge(self):
         sp = StarProduct(fuzzy_sphere_bivector(), 2)
