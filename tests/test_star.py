@@ -1,6 +1,7 @@
 """Star product, gauge correction, trace functional."""
 
 import copy
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -323,6 +324,47 @@ class TestTraceCertificate:
     def test_needs_the_grade2_rules(self, fuzzy):
         with pytest.raises(UsageError):
             gauge_b(ThetaPoly.one(3), StarProduct(fuzzy, 1))
+
+
+# sha256 of the corrected product's grade-2 rules, one line per rule in
+# sorted key order with the coefficient's text and truncation, at trunc 2
+# and 3; pinned from the grade-2 rule delta the gauge was first built as
+CORRECTED_SLICE2_DIGESTS = {
+    "fuzzy": (
+        "952a97e95e8e2317421bffe2dc586cb23a607ffd8539f7a09bd959e92b35b038",
+        "cae5d6fd7898c8c4b5634c08a8bfd25b85eb5f786a901f493168f900569f56e7"),
+    "planar": (
+        "d5f1df729c987824b6bda7f0cfdcc945632fa869880d8073f55727d954e25e64",
+        "57dba63a1af194371b3844be31f1be2603ead456915b6004fd6a153da36eb4c7"),
+    "constant-4": (
+        "6edf4a28f52aaaf528fb654a2ac99fd70ead329dc35b977c86daf61c57cba43a",
+        "ded7368ee5f52f7e9edfa73d57cdfc5b90e7814ce51d32901602d4d9d7c8a7b1"),
+    "nambu-square": (
+        "ddeffff025396b533f62b0aa97514fc446cbb9f55101cae9fd63797da1ebf40d",
+        "975207fcead51949e5fa096f51fea3f6d60ede241ba97f82b4c88612a208e709"),
+    "nambu-pair": (
+        "a0eab2c870ddae904af5691fee673c4ce976b6f550707bf205d5772b63f5f56d",
+        "d1153b69ce167d9fa686f0ac882d1c5b86459ff16403971d7028874b88c8fffc"),
+    "nambu-quadratic": (
+        "dc8a06e83cb6f3c87e55d7fb7252559697d3fa1bcdfb01615f0e3d4455055270",
+        "7bf147808150ed79529fe0a3086265cb6fb4b1773ce4ca1083cabdfbb35beac7"),
+    "nambu-cubic": (
+        "80d28dd09c006e44f6d4a21fd67c3419876e53c94e415e25594c2cd0f049856d",
+        "52dd74ad98277a783806d98c3fd1709b4d4bd9cff41ae3e2cd2f027bb2204d55"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALID_TRACE_CASES))
+def test_corrected_grade2_rules_are_pinned(case):
+    rows, n, mu_text = VALID_TRACE_CASES[case]
+    mu = parse_polynomial(mu_text, n)
+    got = []
+    for trunc in (2, 3):
+        sp = StarProduct(_biv(n, rows), 2, trunc=trunc)
+        rules = sp.with_gauge(gauge_b(mu, sp)).slices[2]
+        text = "\n".join(f"{a} {b} {c.text()} {c.trunc}" for (a, b), c in sorted(rules.items()))
+        got.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    assert tuple(got) == CORRECTED_SLICE2_DIGESTS[case]
 
 
 class TestPrimedProduct:
