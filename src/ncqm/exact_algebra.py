@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, perm
 from operator import or_
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 DEFAULT_TRUNC = 3
 
@@ -576,43 +576,6 @@ class ThetaPoly:
     def max_theta_power(self) -> int:
         return max(self.terms, default=0) >> (self.n << 4)
 
-    def substitute(self, images: Mapping[tuple[str, int], "ThetaPoly"]) -> "ThetaPoly":
-        """Exact composition; keys are ('x', i) or ('p', i).
-
-        Unmapped variables keep their identity image.  The grading variable
-        passes through unchanged.
-        """
-        n = self.n
-        trunc = self.trunc
-        for img in images.values():
-            if img.n != n:
-                raise DimensionError("substitution image dimension mismatch")
-            trunc = min(trunc, img.trunc)
-        cache: dict[tuple[int, int], ThetaPoly] = {}
-
-        def image_power(slot: int, e: int) -> ThetaPoly:
-            got = cache.get((slot, e))
-            if got is not None:
-                return got
-            base = images.get(("x", slot) if slot < n else ("p", slot - n))
-            if base is None:
-                base = _poly(n, {1 << (8 * slot): ONE}, trunc)
-            val = base.with_trunc(trunc) ** e
-            cache[(slot, e)] = val
-            return val
-
-        out = ThetaPoly.zero(n, trunc)
-        for key, c in self.terms.items():
-            t, exps = _unpack(n, key)
-            if t > trunc:
-                continue
-            term = _poly(n, {t << (n << 4): c}, trunc)
-            for slot, e in enumerate(exps):
-                if e:
-                    term = term * image_power(slot, e)
-            out = out + term
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[TermKey, GaussianRational]]:
@@ -648,6 +611,41 @@ class ThetaPoly:
 
     def __repr__(self) -> str:
         return f"ThetaPoly({self.text()!r})"
+
+
+def substitute_all(polys: Sequence[ThetaPoly],
+                   images: Mapping[tuple[str, int], ThetaPoly]) -> list[ThetaPoly]:
+    """Exact composition of each polynomial with one map; keys are
+    ('x', i) or ('p', i).
+
+    Unmapped variables keep their identity image.  The grading variable
+    passes through unchanged.  Each result is cut at the lowest truncation
+    among its polynomial and the images; the powers of the images are
+    formed once per truncation and shared by the whole list."""
+    powers: dict[tuple[int, int, int, int], ThetaPoly] = {}
+    out = []
+    for p in polys:
+        n = p.n
+        if any(img.n != n for img in images.values()):
+            raise DimensionError("substitution image dimension mismatch")
+        trunc = min([p.trunc, *(img.trunc for img in images.values())])
+        total = ThetaPoly.zero(n, trunc)
+        for key, c in p.terms.items():
+            t, exps = _unpack(n, key)
+            if t > trunc:
+                continue
+            term = _poly(n, {t << (n << 4): c}, trunc)
+            for slot, e in enumerate(exps):
+                if e:
+                    power = powers.get(k := (n, trunc, slot, e))
+                    if power is None:
+                        base = images.get(("x", slot) if slot < n else ("p", slot - n),
+                                          _poly(n, {1 << (8 * slot): ONE}, trunc))
+                        power = powers[k] = base.with_trunc(trunc) ** e
+                    term = term * power
+            total = total + term
+        out.append(total)
+    return out
 
 
 def _check_fields(n: int, a: dict, b: dict, trunc: int) -> None:

@@ -34,6 +34,7 @@ from .exact_algebra import (
     ThetaPoly,
     UsageError,
     multi_index,
+    substitute_all,
 )
 
 
@@ -232,16 +233,15 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     w = w.with_trunc(trunc)
     zero = ThetaPoly.zero(n, trunc)
     momenta = [[ThetaPoly.coordinate(n, i, trunc) for i in range(n)]]
+    pairs = list(itertools.combinations(range(n), 2))
     for m in range(1, order + 1):
         # w^{ij}(x) is read only at grade m - 1, so substitute at that truncation
         xs = assemble_darboux(GammaTower(n, momenta, m - 1))
-        images = {("x", i): x for i, x in enumerate(xs)}
-        r = {}
-        for i, j in itertools.combinations(range(n), 2):
-            brackets = (canonical_bracket(momenta[k][i], momenta[m - k][j])
-                        for k in range(1, m))
-            r[(i, j)] = w.entry(i, j).substitute(images).theta_coefficient(m - 1) \
-                .with_trunc(trunc) - sum(brackets, zero)
+        entries = substitute_all([w.entry(i, j) for i, j in pairs],
+                                 {("x", i): x for i, x in enumerate(xs)})
+        r = {(i, j): entry.theta_coefficient(m - 1).with_trunc(trunc)
+             - sum((canonical_bracket(momenta[k][i], momenta[m - k][j]) for k in range(1, m)), zero)
+             for (i, j), entry in zip(pairs, entries)}
         momenta.append(euler_homotopy(n, r, trunc))
     return GammaTower(n, momenta, trunc)
 
@@ -284,8 +284,8 @@ def invert_phase_map(x_of: Sequence[ThetaPoly], p_of: Sequence[ThetaPoly],
     current = start
     for _ in range(order):
         back = dict(zip(keys, current))
-        current = [z - (f.substitute(back) - z0)
-                   for f, z, z0 in zip(images, current, start)]
+        current = [z - (f - z0)
+                   for f, z, z0 in zip(substitute_all(images, back), current, start)]
     return dict(zip(keys, current))
 
 
@@ -298,11 +298,11 @@ def _curved_brackets(xs: Sequence[ThetaPoly], ps: Sequence[ThetaPoly], order: in
     less than ``order``."""
     back = {k: z.with_trunc(order)
             for k, z in invert_phase_map(xs, ps, max(order - 1, 0)).items()}
-    mixed = {(i, j): canonical_bracket(x, p).substitute(back)
-             for i, x in enumerate(xs) for j, p in enumerate(ps)}
-    momenta = {(i, j): canonical_bracket(ps[i], ps[j]).substitute(back)
-               for i, j in itertools.combinations(range(len(ps)), 2)}
-    return mixed, momenta
+    mixed = list(itertools.product(range(len(xs)), range(len(ps))))
+    momenta = list(itertools.combinations(range(len(ps)), 2))
+    brackets = substitute_all([canonical_bracket(xs[i], ps[j]) for i, j in mixed]
+                              + [canonical_bracket(ps[i], ps[j]) for i, j in momenta], back)
+    return dict(zip(mixed, brackets)), dict(zip(momenta, brackets[len(mixed):]))
 
 
 def reference_delta(w: PoissonBivector, trunc: int = 3) -> dict[tuple[int, int], ThetaPoly]:
@@ -378,11 +378,12 @@ def verify_darboux(gamma: GammaTower, w: PoissonBivector) -> DarbouxReport:
     """
     n, order = gamma.n, gamma.max_order
     xs = [x.with_trunc(order) for x in assemble_darboux(gamma)]
-    images = {("x", i): x for i, x in enumerate(xs)}
     th = ThetaPoly.theta(n, 1, order)
-    xx = {(i, j): canonical_bracket(xs[i], xs[j])
-          - th * w.entry(i, j).with_trunc(order).substitute(images)
-          for i, j in itertools.combinations(range(n), 2)}
+    pairs = list(itertools.combinations(range(n), 2))
+    entries = substitute_all([w.entry(i, j).with_trunc(order) for i, j in pairs],
+                             {("x", i): x for i, x in enumerate(xs)})
+    xx = {(i, j): canonical_bracket(xs[i], xs[j]) - th * entry
+          for (i, j), entry in zip(pairs, entries)}
     delta, pp = _curved_brackets(
         xs, [ThetaPoly.momentum(n, i, order) for i in range(n)], order)
     ref = {k: p.truncated(min(order, 2)) for k, p in reference_delta(w, order).items()}

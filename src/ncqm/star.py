@@ -13,10 +13,8 @@ xhat, the same at every order, as ``product.xhat``.
 ``StarProduct.star`` hands the rule table to ``exact_algebra.star_sum``,
 which evaluates sum th^k c d^a f d^b g on integer numerators.  It
 compiles each table once, on its first call, into the product's
-``_forms``, keyed by the identities of the slice dicts: a product and its
-gauge-corrected copy share ``_forms`` but not their grade-2 slice, so each
-keeps its own table.  Each operand keeps its own derivatives, per
-Gaussian weight, for as long as it lives.
+``_forms``, keyed by the identities of the slice dicts.  Each operand
+keeps its own derivatives, per Gaussian weight, for as long as it lives.
 
 The trace Tr(f) = int mu f is a moment functional: linear in f, so for a
 fixed density mu it is a table of moments, and ``trace`` integrates each
@@ -25,15 +23,14 @@ term of f against the density's moments with
 an operand's derivatives, the rows are kept on the density, per weight.
 The trace condition Tr(f * g) = Tr(fg) is an operator identity:
 ``trace_operator`` integrates the grade-k rules by parts into the operator
-D_k with Tr(f * g) - Tr(fg) = int f D(g).  The gauge-corrected product is
-the same rule table with one grade-2 rule delta, (e_i, e_k) -> -2 b_ik,
-added by ``StarProduct.with_gauge``.  That delta is the gauge transform
-through grade 2 only, so ``with_gauge`` refuses a nonzero gauge on a
-product built through grade 3.  ``gauge_b`` reads b off the product it
-corrects, as the matrix that cancels the second-order part of D_2: the
-dict {(i, k): b_ik} of its nonzero entries, symmetric in (i, k).  The
-checks take the product they check: pass ``product.with_gauge(gauge)``
-for the corrected one.
+D_k with Tr(f * g) - Tr(fg) = int f D(g).  The gauge-corrected product
+B^-1(Bf * Bg), B = 1 + th^2 sum b_ik d_i d_k, takes the same path at any
+built grade: ``StarProduct.with_gauge`` conjugates xhat by B and derives
+the slices from it; at grade 2 this adds the rules (e_i, e_k) -> -2 b_ik.
+``gauge_b`` reads b off the product it corrects, as the matrix that
+cancels the second-order part of D_2: the dict {(i, k): b_ik} of its
+nonzero entries, symmetric in (i, k).  The checks take the product they
+check: pass ``product.with_gauge(gauge)`` for the corrected one.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from .exact_algebra import (
     multi_index,
     star_sum,
 )
-from .operators import DiffOperator, build_gamma1, left_multiplication_symbol
+from .operators import DiffOperator, _leibniz, build_gamma1, left_multiplication_symbol
 from .poisson import NotPoissonError, PoissonBivector, jacobi_defect
 
 MultiIndex = tuple[int, ...]
@@ -178,21 +175,25 @@ class StarProduct:
         return rule
 
     def with_gauge(self, gauge: Gauge) -> "StarProduct":
-        """The gauge-corrected product: a shallow copy whose grade-2 slice
-        also holds the rules (e_i, e_k) -> -2 b_ik.  That rule delta is the
-        gauge transform through grade 2 only; at grade 3 it would leave the
-        product non-associative, so a product built through grade 3 takes
-        only a zero gauge."""
+        """The gauge-corrected product f *' g = B^-1(Bf * Bg), with
+        B = 1 + th^2 sum b_ik d_i d_k, derived like the product itself: B
+        kills x^i and 1, so the copy's ``xhat`` is B^-1 xhat B, and its
+        coordinate bracket is B^-1 of the product's.  With step =
+        -th^2 Delta_b, B^-1 is the series sum_m step^m, composed by
+        ``_leibniz`` until the truncation ends it."""
+        n, trunc = self.n, self.trunc
+        one = ThetaPoly.one(n, trunc)
+        step = sum((ThetaPoly.monomial(n, -1, p=multi_index(n, i, k), grade=2, trunc=trunc) * b
+                    for (i, k), b in gauge.items()), ThetaPoly.zero(n, trunc))
         out = copy.copy(self)
-        if self.order < 2:
-            return out
-        if self.order > 2 and gauge:
-            raise UsageError("a nonzero gauge corrects a product built through grade 2 only")
-        out.slices = list(self.slices)
-        out.slices[2] = rule = dict(self.slices[2])
-        n = self.n
-        for (i, k), b_ik in gauge.items():
-            _add(rule, (multi_index(n, i), multi_index(n, k)), b_ik.scale(-2))
+        out.xhat, out.slices, out._forms = [], self.slices[:1], {}
+        for op in self.xhat:
+            term = total = _leibniz(op.symbol.num, one - step, one, 0)[0]
+            while not (term := _leibniz(step, term, one, 0)[0]).is_zero:
+                total = total + term
+            out.xhat.append(DiffOperator(total))
+        for k in range(1, self.order + 1):
+            out.slices.append(out._derive_slice(k))
         return out
 
     # -- evaluation -------------------------------------------------------------
@@ -220,7 +221,7 @@ class StarProduct:
                                                        self.trunc))
 
     def star_prime(self, f, g, gauge: Gauge):
-        """Product conjugated by the grade-2 gauge operator."""
+        """The gauge-corrected product B^-1(Bf * Bg) (see ``with_gauge``)."""
         return self.with_gauge(gauge).star(f, g)
 
 

@@ -19,6 +19,7 @@ from ncqm.exact_algebra import (
     divide_exact,
     gaussian_integrate,
     parse_polynomial,
+    substitute_all,
 )
 from ncqm.exact_algebra import _moment_product, _pack
 
@@ -238,10 +239,9 @@ class TestThetaPoly:
     def test_substitute_identity_and_constant(self):
         n = 3
         f = parse_polynomial("x1^2*x3 - 2*x2", n)
-        assert f.substitute({}) == f
+        assert substitute_all([f], {}) == [f]
         const = ThetaPoly.constant(n, GaussianRational(Fraction(5, 7)))
-        assert const.substitute(
-            {("x", 0): parse_polynomial("x2+x3", n)}) == const
+        assert substitute_all([const], {("x", 0): parse_polynomial("x2+x3", n)}) == [const]
 
     @given(poly_strategy(2, max_degree=2, max_terms=3),
            poly_strategy(2, max_degree=2, max_terms=3),
@@ -249,9 +249,8 @@ class TestThetaPoly:
     @settings(max_examples=20, deadline=None)
     def test_substitute_ring_homomorphism(self, f, g, image):
         images = {("x", 0): image}
-        lhs = (f * g).substitute(images)
-        rhs = f.substitute(images) * g.substitute(images)
-        assert lhs == rhs
+        lhs, f_image, g_image = substitute_all([f * g, f, g], images)
+        assert lhs == f_image * g_image
 
     @given(poly_strategy(2), poly_strategy(2))
     @settings(max_examples=30)

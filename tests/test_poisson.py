@@ -10,6 +10,7 @@ from ncqm.exact_algebra import (
     ThetaPoly,
     UsageError,
     parse_polynomial,
+    substitute_all,
 )
 from ncqm.poisson import (
     GammaTower,
@@ -228,7 +229,7 @@ class TestDarboux:
         first-order tensor."""
         xs = assemble_darboux(build_gamma(fuzzy, 3))
         images = {("x", i): x for i, x in enumerate(xs)}
-        got = fuzzy.entry(0, 1).with_trunc(3).substitute(images).theta_coefficient(1)
+        got = substitute_all([fuzzy.entry(0, 1).with_trunc(3)], images)[0].theta_coefficient(1)
         expect = ThetaPoly.zero(3, 3)
         for j in range(3):
             expect = expect - fuzzy.entry(2, j) \
@@ -249,10 +250,8 @@ class TestDarboux:
             shifted = [p - th * ji for p, ji in zip(canonical, j)]
             for ps in (canonical, shifted):
                 back = invert_phase_map(xs, ps, order)
-                for i in range(3):
-                    assert xs[i].with_trunc(order).substitute(back) == \
-                        ThetaPoly.coordinate(3, i, order)
-                    assert ps[i].substitute(back) == canonical[i]
+                got = substitute_all([x.with_trunc(order) for x in xs] + ps, back)
+                assert got == [ThetaPoly.coordinate(3, i, order) for i in range(3)] + canonical
 
 
 def _mutated(tower: GammaTower, order: int, lead: int, change) -> GammaTower:

@@ -15,6 +15,7 @@ from ncqm.exact_algebra import (
     ThetaPoly,
     UsageError,
     gaussian_integrate,
+    multi_index,
     parse_polynomial,
 )
 from ncqm.poisson import (
@@ -23,7 +24,7 @@ from ncqm.poisson import (
     build_gamma,
     constant_bivector,
 )
-from ncqm.operators import build_gamma1, build_phat
+from ncqm.operators import _leibniz, build_gamma1, build_phat
 from ncqm.star import (
     GaugeError,
     MeasureError,
@@ -303,23 +304,37 @@ class TestTraceCertificate:
                 assert not got.is_zero
                 assert got == trace_condition_oracle(f, g, w, mu)
 
+    @pytest.mark.parametrize("case", list(VALID_TRACE_CASES))
+    def test_grade3_corrected_product_is_certified(self, case, rng):
+        """The gauge corrects a product built through grade 3: D_1, D_2
+        and D_3 are empty, and the corrected product stays associative."""
+        rows, n, mu_text = VALID_TRACE_CASES[case]
+        sp = StarProduct(_biv(n, rows), 3)
+        mu = parse_polynomial(mu_text, n)
+        corrected = sp.with_gauge(gauge_b(mu, sp))
+        for k in (1, 2, 3):
+            assert trace_operator(corrected, mu, k) == {}
+        for _ in range(3):
+            f, g, h = (seeded_poly(rng, n) for _ in range(3))
+            assert assoc_defect(f, g, h, corrected).is_zero
+
     @pytest.mark.parametrize("case,rules", [
         ("fuzzy", 45), ("nambu-pair", 18), ("nambu-cubic", 51)])
     def test_doubled_rule_is_caught(self, case, rules):
-        """Doubling any one grade-2 rule leaves a nonzero certificate, or a
-        gauge that is not polynomial."""
+        """Doubling any one grade-2 rule of the corrected product, one of
+        the product's ``rules`` rules or a gauge rule, leaves a nonzero
+        certificate."""
         rows, n, mu_text = VALID_TRACE_CASES[case]
         sp = StarProduct(_biv(n, rows), 2)
         mu = parse_polynomial(mu_text, n)
         assert len(sp.slices[2]) == rules
-        for key, coeff in sp.slices[2].items():
-            mutated = copy.copy(sp)
-            mutated.slices = sp.slices[:2] + [{**sp.slices[2], key: coeff.scale(2)}]
-            try:
-                gauge = gauge_b(mu, mutated)
-            except GaugeError:
-                continue
-            assert trace_operator(mutated.with_gauge(gauge), mu, 2), key
+        corrected = sp.with_gauge(gauge_b(mu, sp))
+        assert len(corrected.slices[2]) > rules
+        for key, coeff in corrected.slices[2].items():
+            mutated = copy.copy(corrected)
+            mutated.slices = corrected.slices[:2] + [{**corrected.slices[2],
+                                                      key: coeff.scale(2)}]
+            assert trace_operator(mutated, mu, 2), key
 
     def test_needs_the_grade2_rules(self, fuzzy):
         with pytest.raises(UsageError):
@@ -401,17 +416,23 @@ class TestPrimedProduct:
         assert delta == {(u, u): ThetaPoly.constant(3, Fraction(-1, 12))
                          for u in units}
 
-    def test_grade3_product_refuses_a_gauge(self, fuzzy, rng):
-        """The gauge is a grade-2 rule delta, which would leave a product
-        built through grade 3 non-associative there."""
-        sp = StarProduct(fuzzy, 3)
-        gauge = gauge_b(ThetaPoly.one(3), sp)
-        assert gauge
-        f, g = seeded_poly(rng, 3), seeded_poly(rng, 3)
-        with pytest.raises(UsageError):
-            sp.with_gauge(gauge)
-        with pytest.raises(UsageError):
-            sp.star_prime(f, g, gauge)
+    @pytest.mark.parametrize("trunc", [3, 4])
+    def test_coordinate_operators_are_conjugated(self, trunc):
+        """B xhat' = xhat B, composed, through the truncation.  At trunc 4
+        the series for B^-1 reaches (th^2 Delta_b)^2, which a pointwise
+        power gets wrong for this x-dependent gauge."""
+        rows, n, mu_text = VALID_TRACE_CASES["nambu-cubic"]
+        sp = StarProduct(_biv(n, rows), 2, trunc=trunc)
+        gauge = gauge_b(parse_polynomial(mu_text, n, trunc), sp)
+        assert any(not b.diff_x(j).is_zero for b in gauge.values() for j in range(n))
+        one = ThetaPoly.one(n, trunc)
+        b_op = sum((ThetaPoly.monomial(n, p=multi_index(n, i, k), grade=2, trunc=trunc) * b
+                    for (i, k), b in gauge.items()), one)
+        corrected = sp.with_gauge(gauge)
+        for x, xc in zip(sp.xhat, corrected.xhat):
+            assert xc.trunc == trunc
+            assert _leibniz(b_op, xc.symbol.num, one, 0)[0] == \
+                _leibniz(x.symbol.num, b_op, one, 0)[0]
 
 
 class TestTrace:
@@ -487,6 +508,19 @@ class TestHermiticity:
             psi = GaussianFunction(seeded_poly(rng, 3))
             defect = hermiticity_defect(f, phi, psi, sp.with_gauge(gauge), mu)
             for k in range(3):
+                assert defect.theta_slice(k).is_zero
+
+    @pytest.mark.parametrize("case", ["fuzzy", "nambu-cubic"])
+    def test_grade3_corrected_coordinates_self_adjoint(self, case, rng):
+        rows, n, mu_text = VALID_TRACE_CASES[case]
+        sp = StarProduct(_biv(n, rows), 3)
+        mu = parse_polynomial(mu_text, n)
+        corrected = sp.with_gauge(gauge_b(mu, sp))
+        for i in range(n):
+            phi = GaussianFunction(seeded_poly(rng, n))
+            psi = GaussianFunction(seeded_poly(rng, n))
+            defect = hermiticity_defect(ThetaPoly.coordinate(n, i), phi, psi, corrected, mu)
+            for k in range(4):
                 assert defect.theta_slice(k).is_zero
 
     def test_grade_zero_trivial(self, fuzzy, rng):
