@@ -206,6 +206,8 @@ class TestPackedAgainstReference:
     @given(poly_pair(), st.data())
     @settings(max_examples=30, deadline=None)
     def test_substitute(self, case, data):
+        """One map substituted into a list of polynomials, lowest
+        truncation first: each result is cut at its own truncation."""
         n, a, ra, b, rb = case
         a, ra = a.truncated(2), ra.truncated(2)  # keep the powers small
         keys = data.draw(st.lists(st.sampled_from(
@@ -213,23 +215,9 @@ class TestPackedAgainstReference:
             unique=True, max_size=2))
         images = {key: b.truncated(1) for key in keys}
         ref_images = {key: rb.truncated(1) for key in keys}
-        assert same(substitute_all([a], images)[0], ra.substitute(ref_images))
-
-    @given(poly_pair(), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_substitute_a_list(self, case, data):
-        """One map substituted into polynomials of several truncations at
-        once, lowest first: each result is cut at its own truncation."""
-        n, a, ra, b, rb = case
-        a, ra = a.truncated(2), ra.truncated(2)
-        keys = data.draw(st.lists(st.sampled_from(
-            [("x", i) for i in range(n)] + [("p", i) for i in range(n)]),
-            unique=True, max_size=2))
-        images = {key: b.truncated(1) for key in keys}
-        ref_images = {key: rb.truncated(1) for key in keys}
-        got = substitute_all([a.with_trunc(k) for k in range(4)], images)
-        for k, p in enumerate(got):
-            assert same(p, ra.with_trunc(k).substitute(ref_images))
+        got = substitute_all([a.with_trunc(k) for k in range(4)] + [a], images)
+        for p, ref in zip(got, [ra.with_trunc(k) for k in range(4)] + [ra]):
+            assert same(p, ref.substitute(ref_images))
 
     @given(poly_pair(), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
