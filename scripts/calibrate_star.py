@@ -36,7 +36,7 @@ from ncqm.poisson import (
     PoissonBivector,
     constant_bivector,
     fuzzy_sphere_bivector,
-    pair_texts,
+    index_texts,
 )
 from ncqm.star import StarProduct, assoc_defect, gauge_b, trace
 
@@ -107,7 +107,7 @@ def check_gauge():
             cond = trace(fg, mu) - trace(f * g, mu)
             ok = ok and all(cond.theta_slice(k).is_zero for k in range(3))
         print(f"   mu = {mu_text}: trace condition exact = {ok}, "
-              f"gauge = {pair_texts(gauge)}")
+              f"gauge = {index_texts(gauge)}")
         exact[mu_text] = ok
     assert exact == {"1": True}, exact
 

@@ -18,7 +18,7 @@ from ncqm.poisson import (
     assemble_darboux,
     build_gamma,
     fuzzy_sphere_bivector,
-    pair_texts,
+    index_texts,
     verify_darboux,
 )
 from ncqm.qm_examples import (
@@ -53,7 +53,7 @@ def main() -> int:
           all(op.is_zero for op in closure.values()))
 
     gauge = gauge_b(ThetaPoly.one(3), product)
-    print("trace gauge matrix:", pair_texts(gauge))
+    print("trace gauge matrix:", index_texts(gauge))
 
     osc = build_fuzzy_oscillator()
     print("oscillator grade-2 identity (L^2/12):", osc.identity_holds)

@@ -24,7 +24,6 @@ from .operators import (
 )
 from .poisson import (
     GammaTower,
-    JacobiDefect,
     NotPoissonError,
     PoissonBivector,
     assemble_darboux,
@@ -59,7 +58,6 @@ __all__ = [
     "gaussian_integrate",
     "parse_polynomial",
     "PoissonBivector",
-    "JacobiDefect",
     "NotPoissonError",
     "jacobi_defect",
     "canonical_bracket",

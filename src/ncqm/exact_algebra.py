@@ -1049,10 +1049,6 @@ class GaussianFunction:
         raise AttributeError("GaussianFunction is immutable")
 
     @property
-    def n(self) -> int:
-        return self.prefactor.n
-
-    @property
     def is_zero(self) -> bool:
         return self.prefactor.is_zero
 
@@ -1084,16 +1080,6 @@ class GaussianFunction:
             raise UsageError("cannot add Gaussian functions of different weights")
         return GaussianFunction(self.prefactor + other.prefactor, self.weight)
 
-    def __neg__(self) -> "GaussianFunction":
-        return GaussianFunction(-self.prefactor, self.weight)
-
-    def __sub__(self, other: "GaussianFunction") -> "GaussianFunction":
-        if not isinstance(other, GaussianFunction):
-            return NotImplemented
-        if other.weight != self.weight:
-            raise UsageError("cannot subtract Gaussian functions of different weights")
-        return GaussianFunction(self.prefactor - other.prefactor, self.weight)
-
     def __mul__(self, other) -> "GaussianFunction":
         if isinstance(other, GaussianFunction):
             return GaussianFunction(self.prefactor * other.prefactor,
@@ -1102,14 +1088,8 @@ class GaussianFunction:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalarish) -> "GaussianFunction":
-        return GaussianFunction(self.prefactor.scale(c), self.weight)
-
     def theta_shift(self, k: int) -> "GaussianFunction":
         return GaussianFunction(self.prefactor.theta_shift(k), self.weight)
-
-    def theta_coefficient(self, k: int) -> "GaussianFunction":
-        return GaussianFunction(self.prefactor.theta_coefficient(k), self.weight)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianFunction):
@@ -1212,9 +1192,6 @@ class GaussianIntegral:
             th = "" if t == 0 else (f"*th^{t}" if t > 1 else "*th")
             bits.append(f"({c})*{sym}{th}")
         return " + ".join(bits)
-
-    def to_json(self) -> list:
-        return [[t, w, str(c)] for (t, w), c in sorted(self.parts.items())]
 
     def __str__(self) -> str:
         return self.text()

@@ -105,8 +105,8 @@ class DiffOperator:
         return DiffOperator(ThetaPoly.zero(n, trunc))
 
     @staticmethod
-    def identity(n: int, trunc: int = 3) -> "DiffOperator":
-        return DiffOperator(ThetaPoly.one(n, trunc))
+    def identity(n: int) -> "DiffOperator":
+        return DiffOperator(ThetaPoly.one(n))
 
     @staticmethod
     def multiplication(f: Union[ThetaPoly, RationalFunction],
@@ -121,11 +121,8 @@ class DiffOperator:
         return DiffOperator(ThetaPoly.momentum(n, i, trunc))
 
     @staticmethod
-    def term(coeff: Coefficient, midx: MultiIndex, theta_power: int = 0,
-             n: Optional[int] = None, trunc: int = 3) -> "DiffOperator":
-        if isinstance(coeff, (int, Fraction, GaussianRational)):
-            coeff = ThetaPoly.constant(len(midx) if n is None else n, coeff, trunc)
-        coeff = RationalFunction.of(coeff)
+    def term(coeff: RationalFunction, midx: MultiIndex, theta_power: int = 0,
+             trunc: int = 3) -> "DiffOperator":
         mono = ThetaPoly.monomial(coeff.n, p=tuple(midx), grade=theta_power, trunc=trunc)
         return DiffOperator(RationalFunction(coeff.num.with_trunc(trunc) * mono, coeff.den))
 
@@ -236,9 +233,6 @@ class DiffOperator:
             th = "" if t == 0 else (f"*th^{t}" if t > 1 else "*th")
             bits.append(f"({coeff.text()}){th}{d}")
         return " + ".join(bits)
-
-    def to_json(self) -> list:
-        return [[t, list(midx), coeff.text()] for (t, midx), coeff in self.sorted_terms()]
 
     def __str__(self) -> str:
         return self.text()

@@ -41,10 +41,10 @@ from .exact_algebra import (
 class NotPoissonError(ValueError):
     """Raised when a bivector fails the Jacobi identity.
 
-    Carries the full defect tensor for diagnosis.
+    Carries the defect, as ``jacobi_defect`` returns it, for diagnosis.
     """
 
-    def __init__(self, defect: "JacobiDefect"):
+    def __init__(self, defect: dict[tuple[int, int, int], ThetaPoly]):
         super().__init__("bivector is not Poisson; Jacobi defect is nonzero")
         self.defect = defect
 
@@ -97,47 +97,11 @@ class PoissonBivector:
         return self.n == other.n and self.upper == other.upper
 
 
-class JacobiDefect:
-    """Totally antisymmetric rank-3 defect of the Jacobi identity."""
-
-    __slots__ = ("n", "components")
-
-    def __init__(self, n: int, components: Mapping[tuple[int, int, int], ThetaPoly]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "components",
-            {k: p for k, p in components.items() if not p.is_zero})
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("JacobiDefect is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def component(self, i: int, j: int, k: int) -> ThetaPoly:
-        # resolve through total antisymmetry
-        idx = tuple(sorted((i, j, k)))
-        if len(set(idx)) < 3:
-            return ThetaPoly.zero(self.n)
-        base = self.components.get(idx, ThetaPoly.zero(self.n))
-        sign = _permutation_sign((i, j, k))
-        return base if sign == 1 else -base
-
-    def to_json(self) -> dict:
-        return {f"({i+1},{j+1},{k+1})": p.text()
-                for (i, j, k), p in sorted(self.components.items())}
-
-
-def _permutation_sign(idx: Sequence[int]) -> int:
-    return -1 if sum(a > b for a, b in itertools.combinations(idx, 2)) % 2 else 1
-
-
-def jacobi_defect(w: PoissonBivector) -> JacobiDefect:
+def jacobi_defect(w: PoissonBivector) -> dict[tuple[int, int, int], ThetaPoly]:
     """The cyclic sum W^{ijk} + W^{kij} + W^{jki} of the contraction
     W^{ikl} = sum_m w^{im} d_m w^{kl} of the bivector with its own
-    gradient, for i < j < k; the zero tensor exactly characterizes Poisson
-    bivectors."""
+    gradient, as the dict {(i, j, k): defect} of its nonzero components,
+    i < j < k; the empty dict exactly characterizes Poisson bivectors."""
     n = w.n
     zero = w.entry(0, 0)  # a diagonal entry, at the entries' truncation
 
@@ -147,7 +111,7 @@ def jacobi_defect(w: PoissonBivector) -> JacobiDefect:
 
     comps = {(i, j, k): contraction(i, j, k) + contraction(k, i, j) + contraction(j, k, i)
              for i, j, k in itertools.combinations(range(n), 3)}
-    return JacobiDefect(n, comps)
+    return {k: p for k, p in comps.items() if not p.is_zero}
 
 
 def canonical_bracket(f: ThetaPoly, g: ThetaPoly) -> ThetaPoly:
@@ -225,7 +189,7 @@ def build_gamma(w: PoissonBivector, order: int, trunc: Optional[int] = None) -> 
     through the built order and is re-checked by ``verify_darboux``.
     """
     defect = jacobi_defect(w)
-    if not defect.is_zero:
+    if defect:
         raise NotPoissonError(defect)
     n = w.n
     if trunc is None:
@@ -332,9 +296,10 @@ def reference_delta(w: PoissonBivector, trunc: int = 3) -> dict[tuple[int, int],
     return out
 
 
-def pair_texts(table: Mapping[tuple[int, int], object]) -> dict[str, str]:
-    """The report form of a table keyed by index pairs: "(i,j)" -> text."""
-    return {f"({i+1},{j+1})": v.text() for (i, j), v in sorted(table.items())}
+def index_texts(table: Mapping[tuple[int, ...], object]) -> dict[str, str]:
+    """The report form of a table keyed by index tuples: "(i,j,...)" -> text."""
+    return {f"({','.join(str(i + 1) for i in key)})": v.text()
+            for key, v in sorted(table.items())}
 
 
 @dataclass(frozen=True)
@@ -360,10 +325,10 @@ class DarbouxReport:
 
     def to_json(self) -> dict:
         return {
-            "xx_defect": pair_texts(self.xx_defect),
-            "pp_defect": pair_texts(self.pp_defect),
-            "delta": pair_texts(self.delta),
-            "delta_reference": pair_texts(self.delta_reference),
+            "xx_defect": index_texts(self.xx_defect),
+            "pp_defect": index_texts(self.pp_defect),
+            "delta": index_texts(self.delta),
+            "delta_reference": index_texts(self.delta_reference),
             "xx_zero": self.xx_zero,
             "pp_zero": self.pp_zero,
             "delta_matches_reference": self.delta_matches_reference,
@@ -398,9 +363,6 @@ class GeneralBrackets:
     delta: dict[tuple[int, int], ThetaPoly]
     varpi: dict[tuple[int, int], ThetaPoly]
 
-    def to_json(self) -> dict:
-        return {"delta": pair_texts(self.delta), "varpi": pair_texts(self.varpi)}
-
 
 def general_brackets(w: PoissonBivector, j1: Sequence[ThetaPoly],
                      order: int = 2) -> GeneralBrackets:
@@ -421,7 +383,9 @@ def general_brackets(w: PoissonBivector, j1: Sequence[ThetaPoly],
 
 
 def levi_civita(i: int, j: int, k: int) -> int:
-    return _permutation_sign((i, j, k)) if len({i, j, k}) == 3 else 0
+    if len({i, j, k}) < 3:
+        return 0
+    return -1 if sum(a > b for a, b in itertools.combinations((i, j, k), 2)) % 2 else 1
 
 
 def fuzzy_sphere_bivector(trunc: int = 3) -> PoissonBivector:

@@ -32,6 +32,9 @@ from .operators import (
 from .poisson import fuzzy_sphere_bivector, levi_civita
 from .star import StarProduct, gauge_b
 
+TRUNC = 3  # the truncation both worked examples are built at
+MAX_L = 2  # the oscillator report lists the levels l = 0..MAX_L
+
 
 @dataclass(frozen=True)
 class FreeParticleReport:
@@ -52,7 +55,7 @@ class FreeParticleReport:
         }
 
 
-def free_particle_check(mu: ThetaPoly, trunc: int = 3) -> FreeParticleReport:
+def free_particle_check(mu: ThetaPoly) -> FreeParticleReport:
     """Verify the similarity reduction of the free Hamiltonian.
 
     Conjugating each momentum operator by the square root of the density
@@ -62,7 +65,7 @@ def free_particle_check(mu: ThetaPoly, trunc: int = 3) -> FreeParticleReport:
     """
     if mu.is_zero:
         raise UsageError("density must be nonzero")
-    n = mu.n
+    n, trunc = mu.n, TRUNC
     phat = build_phat(mu, trunc)
     minus_i = GaussianRational(0, -1)
     conj = tuple(conjugate_by_measure_power(op, mu, Fraction(1, 2)) for op in phat)
@@ -136,11 +139,12 @@ class OscillatorReport:
         }
 
 
-def build_fuzzy_oscillator(max_l: int = 2, trunc: int = 3) -> OscillatorReport:
+def build_fuzzy_oscillator() -> OscillatorReport:
     """Assemble the oscillator on the fuzzy sphere and verify, as exact
     operator identities, that the grade-1 slice of the potential vanishes
     and the grade-2 slice equals L^2/12 (so the Hamiltonian correction is
     th^2 w^2 L^2 / 24)."""
+    trunc = TRUNC
     product = StarProduct(fuzzy_sphere_bivector(trunc=trunc), 2, trunc=trunc)
     gauge = gauge_b(ThetaPoly.one(3, trunc), product)
     r2 = ThetaPoly.zero(3, trunc)
@@ -151,7 +155,7 @@ def build_fuzzy_oscillator(max_l: int = 2, trunc: int = 3) -> OscillatorReport:
     first_ok = slices[1].is_zero
     target = l_squared(trunc).scale(Fraction(1, 12))
     identity_ok = slices[2] == target
-    corrections = tuple(energy_correction(max_l, l) for l in range(max_l + 1))
+    corrections = tuple(energy_correction(MAX_L, l) for l in range(MAX_L + 1))
     return OscillatorReport(
         frequency_symbol="w_osc",
         potential_slices=slices,
@@ -217,11 +221,12 @@ def _transforms_as_vector(L: list[DiffOperator], ops: list[DiffOperator],
     return True
 
 
-def rotation_covariance_check(trunc: int = 3) -> RotationReport:
+def rotation_covariance_check() -> RotationReport:
     """Check rotational covariance of the fuzzy-sphere construction as
     exact operator identities, through the built grade: the generators,
     the coordinate multiplications and the full coordinate operators all
     transform as vectors."""
+    trunc = TRUNC
     w = fuzzy_sphere_bivector(trunc=trunc)
     L = [angular_momentum(3, i, trunc) for i in range(3)]
     xmul = [DiffOperator.multiplication(ThetaPoly.coordinate(3, k, trunc), trunc)

@@ -109,7 +109,7 @@ class StarProduct:
         self.trunc = trunc
         top = min(trunc, MAX_GRADE)
         defect = jacobi_defect(w)  # the closure solve needs a Poisson bivector
-        if not defect.is_zero:
+        if defect:
             raise NotPoissonError(defect)
         zero_idx = (0,) * self.n
         self.slices: list[Rule] = [{(zero_idx, zero_idx): ThetaPoly.one(self.n, trunc)}]
@@ -180,19 +180,21 @@ class StarProduct:
         kills x^i and 1, so the copy's ``xhat`` is B^-1 xhat B, and its
         coordinate bracket is B^-1 of the product's.  With step =
         -th^2 Delta_b, B^-1 is the series sum_m step^m, composed by
-        ``_leibniz`` until the truncation ends it."""
+        ``_leibniz`` until the truncation ends it.  B has no grade-0 or
+        grade-1 part, so the copy's xhat equals xhat through grade 1 and
+        the copy shares slices 0 and 1; it derives slices 2 and up."""
         n, trunc = self.n, self.trunc
         one = ThetaPoly.one(n, trunc)
         step = sum((ThetaPoly.monomial(n, -1, p=multi_index(n, i, k), grade=2, trunc=trunc) * b
                     for (i, k), b in gauge.items()), ThetaPoly.zero(n, trunc))
         out = copy.copy(self)
-        out.xhat, out.slices, out._forms = [], self.slices[:1], {}
+        out.xhat, out.slices, out._forms = [], self.slices[:2], {}
         for op in self.xhat:
             term = total = _leibniz(op.symbol.num, one - step, one, 0)[0]
             while not (term := _leibniz(step, term, one, 0)[0]).is_zero:
                 total = total + term
             out.xhat.append(DiffOperator(total))
-        for k in range(1, self.order + 1):
+        for k in range(2, self.order + 1):
             out.slices.append(out._derive_slice(k))
         return out
 

@@ -108,9 +108,18 @@ class TestTasks:
         assert rec["jacobi_defect"]
 
     def test_oscillator_guard(self):
-        problem = ProblemFile.parse('{"dim": 2, "bivector": []}')
-        rec = run_task(problem, "oscillator")
-        assert rec["status"] == "error"
+        for text, reason in [
+                ('{"dim": 2, "bivector": []}', "oscillator task needs the fuzzy-sphere bivector"),
+                (FUZZY_TEXT.replace('"measure": "1"', '"measure": "2"'),
+                 "oscillator task needs unit density")]:
+            rec = run_task(ProblemFile.parse(text), "oscillator")
+            assert rec == {"status": "error", "reason": reason}
+
+    def test_unsupported_task_is_an_error_record(self):
+        report = cli.run(ProblemFile.parse(FUZZY_TEXT), ["bogus"])
+        assert report["tasks"] == {
+            "bogus": {"status": "error", "reason": "unsupported task 'bogus'"}}
+        assert report["status"] == "error"
 
     def test_free_particle(self):
         problem = ProblemFile.parse(
@@ -263,10 +272,19 @@ class TestExitCodes:
          "entry (1,2): parentheses nested deeper than 64"),
         ({"dim": 2, "bivector": [], "measure": "-" * 983 + "x3"},
          "measure: variable x3 out of range for dimension 2"),
+        ({"dim": 2, "bivector": [], "seed": "7"},
+         "'seed' must be an integer"),
+        ({"dim": 2, "bivector": [{"i": True, "j": 2, "poly": "1"}]},
+         "bivector indices must be integers"),
+        ({"dim": 2, "bivector": [{"i": 1, "j": 2}]},
+         "bivector entries must be objects with keys i, j, poly"),
+        ({"dim": 2, "bivector": [{"i": 1, "j": 2, "poly": "x1"}, {"i": 2, "j": 1, "poly": "1"}]},
+         "duplicate bivector entry (2,1)"),
     ], ids=["poly-int", "measure-int", "dangling-caret", "tasks-string",
             "dim-bool", "bivector-int", "power-coefficient-cap",
             "power-degree-cap", "dim-cap", "order-cap", "nesting-cap",
-            "sign-run"])
+            "sign-run", "seed-string", "index-bool", "entry-without-poly",
+            "duplicate-transposed"])
     def test_malformed_document_is_two(self, doc, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -298,6 +316,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: order 9 exceeds the cap of 8"]
+
+    def test_negative_order_flag_is_two(self, capsys):
+        assert main([str(PROBLEMS / "quadratic2d.json"),
+                     "--task", "gamma", "--order", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: order must be nonnegative"]
+
+    def test_seed_flag_overrides_the_file(self, monkeypatch, tmp_path, capsys):
+        """--seed 11 reports exactly what the file with seed 11 written in
+        does, and the seed changes the sampled pairs."""
+        monkeypatch.setattr(cli, "RANDOM_TRIPLES", 2)
+        reports = {}
+        for seed in (0, 11):
+            path = tmp_path / f"seed{seed}.json"
+            path.write_text(json.dumps({**json.loads(FUZZY_TEXT), "seed": seed}))
+            assert main([str(path), "--task", "trace-check"]) == 0
+            reports[seed] = capsys.readouterr().out
+        assert main([str(tmp_path / "seed0.json"), "--task", "trace-check", "--seed", "11"]) == 0
+        assert capsys.readouterr().out == reports[11]
+        assert json.loads(reports[0])["tasks"] != json.loads(reports[11])["tasks"]
 
     def test_zero_measure_is_two(self, tmp_path, capsys):
         # a zero density makes every trace vanish, so trace-check would

@@ -38,7 +38,6 @@ from ncqm.operators import (
     subalgebra_defect,
 )
 from ncqm.poisson import (
-    JacobiDefect,
     PoissonBivector,
     build_gamma,
     euler_homotopy,
@@ -372,7 +371,7 @@ class TestNoFalseSolve:
         """Without the Jacobi gate the non-Poisson control builds X_1 (a
         constant residual is always closed) and fails at grade 2."""
         problem = ProblemFile.parse((PROBLEMS / "non_poisson.json").read_text())
-        monkeypatch.setattr(ncqm.star, "jacobi_defect", lambda w: JacobiDefect(w.n, {}))
+        monkeypatch.setattr(ncqm.star, "jacobi_defect", lambda w: {})
         with pytest.raises(ClosureError) as err:
             StarProduct(problem.bivector, 3)
         assert str(err.value).startswith("the grade-2 operators do not close on (")

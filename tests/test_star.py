@@ -416,6 +416,16 @@ class TestPrimedProduct:
         assert delta == {(u, u): ThetaPoly.constant(3, Fraction(-1, 12))
                          for u in units}
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_with_gauge_shares_slices_0_and_1(self, fuzzy, order):
+        """B = 1 + th^2 Delta_b has no grade-0 or grade-1 part, so the
+        corrected product keeps the product's rules through grade 1."""
+        sp = StarProduct(fuzzy, order)
+        corrected = sp.with_gauge(gauge_b(ThetaPoly.one(3), sp))
+        assert corrected.slices[0] is sp.slices[0]
+        assert corrected.slices[1] is sp.slices[1]
+        assert corrected.slices[2] != sp.slices[2]
+
     @pytest.mark.parametrize("trunc", [3, 4])
     def test_coordinate_operators_are_conjugated(self, trunc):
         """B xhat' = xhat B, composed, through the truncation.  At trunc 4
