@@ -10,7 +10,6 @@ from .exact_algebra import (
     GaussianFunction,
     GaussianIntegral,
     GaussianRational,
-    RationalFunction,
     ThetaPoly,
     gaussian_integrate,
     parse_polynomial,
@@ -52,7 +51,6 @@ from .star import (
 __all__ = [
     "GaussianRational",
     "ThetaPoly",
-    "RationalFunction",
     "GaussianFunction",
     "GaussianIntegral",
     "gaussian_integrate",

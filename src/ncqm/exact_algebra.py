@@ -1,9 +1,11 @@
 """Exact arithmetic foundation.
 
 Gaussian-rational scalars, deformation-graded multivariate polynomials,
-rational functions, and Gaussian-weighted integrands with closed-form
-moments.  Everything here is immutable after construction and all
-operations are pure, so values can be shared freely.
+exact division by a coordinate polynomial, and Gaussian-weighted
+integrands with closed-form moments.  Everything here is immutable after
+construction and all operations are pure, so values can be shared freely.
+Quotients by a coordinate polynomial are the symbols of
+``operators.DiffOperator``, which keeps numerator and denominator itself.
 
 Scalar layout: a ``GaussianRational`` is one reduced int triple
 ``(a, b, d)`` meaning ``(a + b*i)/d``, with ``d > 0`` and
@@ -863,7 +865,7 @@ def star_sum(n: int, slices, f, g, forms: dict) -> Optional[ThetaPoly]:
 
 
 # ---------------------------------------------------------------------------
-# exact division and rational functions
+# exact division
 # ---------------------------------------------------------------------------
 
 
@@ -911,115 +913,6 @@ def divide_exact(num: ThetaPoly, den: ThetaPoly) -> Optional[ThetaPoly]:
                 else:
                     rem[k] = s
     return ThetaPoly(num.n, out, num.trunc)
-
-
-class RationalFunction:
-    """Quotient of a graded polynomial by a grade-free coordinate polynomial.
-
-    No factorization is attempted; equality is decided by
-    cross-multiplication and the only simplification performed is exact
-    cancellation of the full denominator.  A denominator that stays takes
-    the numerator's truncation, so products never cut the numerator short.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ThetaPoly, den: Optional[ThetaPoly] = None):
-        if den is not None:
-            if den.is_zero:
-                raise ZeroDivisionError("zero denominator")
-            if not (den.is_theta_free and den.is_coordinate_only):
-                raise UsageError("denominator must be grade-free and coordinate-only")
-        if den is None or num.is_zero or den == 1:
-            den = ThetaPoly.one(num.n, num.trunc)
-        elif (q := divide_exact(num, den)) is not None:
-            num, den = q, ThetaPoly.one(num.n, num.trunc)
-        else:
-            den = den.with_trunc(num.trunc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RationalFunction is immutable")
-
-    @staticmethod
-    def of(value: Union["RationalFunction", ThetaPoly]) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        return RationalFunction(value)
-
-    @property
-    def n(self) -> int:
-        return self.num.n
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == ThetaPoly.one(self.n, self.den.trunc)
-
-    def __add__(self, other) -> "RationalFunction":
-        other = RationalFunction.of(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-RationalFunction.of(other))
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RationalFunction(self.num * other, self.den)
-        other = RationalFunction.of(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def diff_x(self, i: int) -> "RationalFunction":
-        # quotient rule; keeps the denominator squared only when needed
-        dnum = self.num.diff_x(i)
-        if self.is_polynomial:
-            return RationalFunction(dnum, self.den)
-        dden = self.den.diff_x(i)
-        return RationalFunction(dnum * self.den - self.num * dden,
-                                self.den * self.den)
-
-    def theta_shift(self, k: int) -> "RationalFunction":
-        return RationalFunction(self.num.theta_shift(k), self.den)
-
-    def theta_coefficient(self, k: int) -> "RationalFunction":
-        return RationalFunction(self.num.theta_coefficient(k), self.den)
-
-    def truncated(self, order: int) -> "RationalFunction":
-        return RationalFunction(self.num.truncated(order), self.den)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational, ThetaPoly)):
-            other = RationalFunction.of(
-                other if isinstance(other, ThetaPoly)
-                else ThetaPoly.constant(self.n, other, self.num.trunc))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    def text(self) -> str:
-        if self.is_polynomial:
-            return self.num.text()
-        return f"({self.num.text()}) / ({self.den.text()})"
-
-    def __str__(self) -> str:
-        return self.text()
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.text()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -1297,13 +1190,13 @@ def _check_caps(what: str, degree: int, bits: int) -> None:
                          f"the cap of {MAX_COEFF_BITS} bits")
 
 
-def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
-                     allow_momenta: bool = False,
-                     allow_theta: bool = False) -> ThetaPoly:
-    """Parse the canonical polynomial grammar into an exact polynomial.
+def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC) -> ThetaPoly:
+    """Parse the canonical polynomial grammar into an exact grade-free
+    coordinate polynomial.
 
-    Grammar: integers and rationals, variables x1..xN (and p1..pN when
-    allowed), the imaginary literal i, +, -, *, ^, parentheses.  A literal,
+    Grammar: integers and rationals, variables x1..xN, the imaginary
+    literal i, +, -, *, ^, parentheses; the grading variable th and the
+    momenta p1..pN are refused with their own messages.  A literal,
     product, quotient or power whose degree would exceed ``MAX_DEGREE`` or
     whose coefficients would exceed ``MAX_COEFF_BITS`` bits raises
     ``ValueError`` before it is computed, and so do parentheses nested
@@ -1400,21 +1293,14 @@ def parse_polynomial(text: str, n: int, trunc: int = DEFAULT_TRUNC,
         if tok == "i":
             return ThetaPoly.constant(n, I, trunc)
         if tok == "th":
-            if not allow_theta:
-                raise ValueError("the grading variable is not allowed here")
-            return ThetaPoly.theta(n, 1, trunc)
+            raise ValueError("the grading variable is not allowed here")
         if tok.startswith("x"):
             i = int(tok[1:]) - 1
             if not 0 <= i < n:
                 raise ValueError(f"variable {tok} out of range for dimension {n}")
             return ThetaPoly.coordinate(n, i, trunc)
         if tok.startswith("p") and len(tok) > 1:
-            if not allow_momenta:
-                raise ValueError("momentum variables are not allowed here")
-            i = int(tok[1:]) - 1
-            if not 0 <= i < n:
-                raise ValueError(f"variable {tok} out of range for dimension {n}")
-            return ThetaPoly.momentum(n, i, trunc)
+            raise ValueError("momentum variables are not allowed here")
         raise ValueError(f"unexpected token {tok!r}")
 
     if not tokens:

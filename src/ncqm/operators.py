@@ -1,11 +1,13 @@
 """Differential operators stored as normal-ordered symbols.
 
-An operator is one ``RationalFunction`` symbol: its numerator is a
+A ``DiffOperator`` holds its symbol as ``num / den``: ``num`` is a
 phase-space ``ThetaPoly`` whose term ``c th^t x^e p^a`` stands for
 ``c th^t x^e d^a``, the coefficient to the left of the derivatives, and
-its denominator is a grade-free coordinate polynomial, 1 unless a
-coefficient is rational.  Sums, scalings and grade slices are the
-symbol's own arithmetic; composition is the normal-ordered product
+``den`` is a grade-free coordinate polynomial, 1 unless a coefficient is
+rational.  A function is the zeroth-order operator that multiplies by it,
+so the coefficients ``terms`` lists and the results of ``apply`` are
+operators too.  Sums, scalings and grade slices act on the numerator over
+the denominator; composition is the normal-ordered product
 sum_gamma (1/gamma!) d_p^gamma a * d_x^gamma b.
 
 ``build_gamma1`` solves the coordinate operators
@@ -25,7 +27,7 @@ x^i + sum_k th^k (-i)^k P^i_k, for the tests to compare against.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact_algebra import (
     DimensionError,
@@ -33,7 +35,7 @@ from .exact_algebra import (
     GaussianFunction,
     GaussianRational,
     I,
-    RationalFunction,
+    Scalarish,
     ThetaPoly,
     UsageError,
     divide_exact,
@@ -42,7 +44,6 @@ from .exact_algebra import (
 from .poisson import GammaTower, PoissonBivector, euler_homotopy, levi_civita
 
 MultiIndex = tuple[int, ...]
-Coefficient = Union[RationalFunction, ThetaPoly, GaussianRational, int, Fraction]
 MINUS_I = GaussianRational(0, -1)
 
 
@@ -80,23 +81,47 @@ def _leibniz(a: ThetaPoly, b: ThetaPoly, d: ThetaPoly, c) -> tuple[ThetaPoly, in
 
 
 class DiffOperator:
-    """A differential operator, held as its normal-ordered symbol."""
+    """A differential operator, held as its normal-ordered symbol num / den.
 
-    __slots__ = ("symbol",)
+    A function is the zeroth-order operator that multiplies by it.  No
+    factorization is attempted: operators with equal denominators compare
+    numerators, others compare by cross-multiplication, and the only
+    simplification is exact cancellation of the whole denominator.  A
+    denominator that stays takes the numerator's truncation, so products
+    never cut the numerator short.
+    """
 
-    def __init__(self, symbol: Union[ThetaPoly, RationalFunction]):
-        object.__setattr__(self, "symbol", RationalFunction.of(symbol))
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ThetaPoly, den: Optional[ThetaPoly] = None):
+        if den is not None:
+            if den.is_zero:
+                raise ZeroDivisionError("zero denominator")
+            if not (den.is_theta_free and den.is_coordinate_only):
+                raise UsageError("denominator must be grade-free and coordinate-only")
+        if den is None or num.is_zero or den == 1:
+            den = ThetaPoly.one(num.n, num.trunc)
+        elif (q := divide_exact(num, den)) is not None:
+            num, den = q, ThetaPoly.one(num.n, num.trunc)
+        else:
+            den = den.with_trunc(num.trunc)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("DiffOperator is immutable")
 
     @property
     def n(self) -> int:
-        return self.symbol.n
+        return self.num.n
 
     @property
     def trunc(self) -> int:
-        return self.symbol.num.trunc
+        return self.num.trunc
+
+    @property
+    def is_polynomial(self) -> bool:
+        return self.den == 1
 
     # -- constructors --------------------------------------------------------
 
@@ -109,71 +134,66 @@ class DiffOperator:
         return DiffOperator(ThetaPoly.one(n))
 
     @staticmethod
-    def multiplication(f: Union[ThetaPoly, RationalFunction],
-                       trunc: Optional[int] = None) -> "DiffOperator":
-        f = RationalFunction.of(f)
-        if trunc is not None:
-            f = RationalFunction(f.num.with_trunc(trunc), f.den)
-        return DiffOperator(f)
-
-    @staticmethod
     def derivative(n: int, i: int, trunc: int = 3) -> "DiffOperator":
         return DiffOperator(ThetaPoly.momentum(n, i, trunc))
 
     @staticmethod
-    def term(coeff: RationalFunction, midx: MultiIndex, theta_power: int = 0,
+    def term(coeff: "DiffOperator", midx: MultiIndex, theta_power: int = 0,
              trunc: int = 3) -> "DiffOperator":
         mono = ThetaPoly.monomial(coeff.n, p=tuple(midx), grade=theta_power, trunc=trunc)
-        return DiffOperator(RationalFunction(coeff.num.with_trunc(trunc) * mono, coeff.den))
+        return DiffOperator(coeff.num.with_trunc(trunc) * mono, coeff.den)
 
     # -- linear structure ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.symbol.is_zero
+        return self.num.is_zero
 
     @property
-    def terms(self) -> dict[tuple[int, MultiIndex], RationalFunction]:
+    def terms(self) -> dict[tuple[int, MultiIndex], "DiffOperator"]:
         """Read-only view of the symbol: (grade, derivative multi-index) ->
         grade-free coefficient."""
         slices = ((t, midx, block.theta_coefficient(t))
-                  for midx, block in self.symbol.num.momentum_blocks().items()
+                  for midx, block in self.num.momentum_blocks().items()
                   for t in range(block.max_theta_power() + 1))
-        return {(t, midx): RationalFunction(c, self.symbol.den)
+        return {(t, midx): DiffOperator(c, self.den)
                 for t, midx, c in slices if not c.is_zero}
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(self.symbol + other.symbol)
+        if self.den == other.den:
+            return DiffOperator(self.num + other.num, self.den)
+        return DiffOperator(self.num * other.den + other.num * self.den,
+                            self.den * other.den)
 
     def __neg__(self) -> "DiffOperator":
-        return DiffOperator(-self.symbol)
+        return DiffOperator(-self.num, self.den)
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(self.symbol - other.symbol)
+        return self + (-other)
 
-    def scale(self, c: Coefficient) -> "DiffOperator":
-        return DiffOperator(self.symbol * c)
+    def scale(self, c: Scalarish) -> "DiffOperator":
+        return DiffOperator(self.num * c, self.den)
 
     def theta_shift(self, k: int) -> "DiffOperator":
-        return DiffOperator(self.symbol.theta_shift(k))
+        return DiffOperator(self.num.theta_shift(k), self.den)
 
     def theta_slice(self, k: int) -> "DiffOperator":
-        return DiffOperator(self.symbol.theta_coefficient(k))
+        return DiffOperator(self.num.theta_coefficient(k), self.den)
 
     def truncated(self, order: int) -> "DiffOperator":
-        return DiffOperator(self.symbol.truncated(order))
+        return DiffOperator(self.num.truncated(order), self.den)
 
     # -- action and composition ----------------------------------------------
 
-    def apply_poly(self, f: ThetaPoly) -> RationalFunction:
+    def apply_poly(self, f: ThetaPoly) -> "DiffOperator":
         if f.n != self.n:
             raise DimensionError("operand dimension mismatch")
         out = ThetaPoly.zero(self.n, min(self.trunc, f.trunc))
-        for midx, block in self.symbol.num.momentum_blocks().items():
+        for midx, block in self.num.momentum_blocks().items():
             d = f.diff_multi(midx)
             if not d.is_zero:
                 out = out + block * d
-        return RationalFunction(out, self.symbol.den)
+        return DiffOperator(out, self.den)
 
     def apply(self, f):
         """Exact application; Gaussian-class operands need polynomial
@@ -181,10 +201,10 @@ class DiffOperator:
         if isinstance(f, ThetaPoly):
             return self.apply_poly(f)
         if isinstance(f, GaussianFunction):
-            if not self.symbol.is_polynomial:
+            if not self.is_polynomial:
                 raise UsageError("rational coefficients cannot act on the Gaussian class")
             out = GaussianFunction(ThetaPoly.zero(self.n, f.prefactor.trunc), f.weight)
-            for midx, block in self.symbol.num.momentum_blocks().items():
+            for midx, block in self.num.momentum_blocks().items():
                 out = out + f.diff_multi(midx) * block
             return out
         raise UsageError(f"cannot apply operator to {type(f).__name__}")
@@ -193,15 +213,14 @@ class DiffOperator:
         """self after other: the normal-ordered product of the symbols."""
         if self.n != other.n:
             raise DimensionError("operator dimension mismatch")
-        a, b = self.symbol, other.symbol
-        num, top = _leibniz(a.num, b.num, b.den, 1)
-        # the product is num / (a.den b.den^(top+1)); cancel the powers of
-        # b.den that divide out
+        num, top = _leibniz(self.num, other.num, other.den, 1)
+        # the product is num / (self.den other.den^(top+1)); cancel the
+        # powers of other.den that divide out
         power = top + 1
-        while power and not b.is_polynomial \
-                and (q := divide_exact(num, b.den)) is not None:
+        while power and not other.is_polynomial \
+                and (q := divide_exact(num, other.den)) is not None:
             num, power = q, power - 1
-        return DiffOperator(RationalFunction(num, a.den * b.den ** power))
+        return DiffOperator(num, self.den * other.den ** power)
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
         return self.compose(other) - other.compose(self)
@@ -212,17 +231,16 @@ class DiffOperator:
         if not isinstance(other, DiffOperator):
             return NotImplemented
         # equal denominators compare numerators term by term, at every grade
-        a, b = self.symbol, other.symbol
-        return self.n == other.n and (a.num == b.num if a.den == b.den else a == b)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], sum(kv[0][1]), kv[0][1]))
+        return self.n == other.n and (
+            self.num == other.num if self.den == other.den
+            else self.num * other.den == other.num * self.den)
 
     def text(self) -> str:
         if self.is_zero:
             return "0"
         bits = []
-        for (t, midx), coeff in self.sorted_terms():
+        for (t, midx), coeff in sorted(self.terms.items(),
+                                       key=lambda kv: (kv[0][0], sum(kv[0][1]), kv[0][1])):
             factors = []
             for i, e in enumerate(midx):
                 if e == 1:
@@ -231,7 +249,9 @@ class DiffOperator:
                     factors.append(f"d{i+1}^{e}")
             d = "".join("*" + f for f in factors)
             th = "" if t == 0 else (f"*th^{t}" if t > 1 else "*th")
-            bits.append(f"({coeff.text()}){th}{d}")
+            c = coeff.num.text() if coeff.is_polynomial \
+                else f"({coeff.num.text()}) / ({coeff.den.text()})"
+            bits.append(f"({c}){th}{d}")
         return " + ".join(bits)
 
     def __str__(self) -> str:
@@ -285,7 +305,7 @@ def build_gamma1(w: PoissonBivector, xhat: Sequence[DiffOperator], rules: dict,
     """
     n = w.n
     one, zero = ThetaPoly.one(n, trunc), ThetaPoly.zero(n, trunc)
-    xs = [[op.symbol.num.theta_coefficient(m) for op in xhat] for m in range(k)]
+    xs = [[op.num.theta_coefficient(m) for op in xhat] for m in range(k)]
 
     def bracket(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
         return _leibniz(a, b, one, 0)[0] - _leibniz(b, a, one, 0)[0]
@@ -334,7 +354,7 @@ def residual_without_correction(defects: dict[tuple[int, int], DiffOperator],
     """
     c = []
     for op in xhat:
-        x3 = op.symbol.num.theta_coefficient(3).with_trunc(3)
+        x3 = op.num.theta_coefficient(3).with_trunc(3)
         c.append(sum((block * ThetaPoly.monomial(x3.n, p=m, grade=3, trunc=3)
                       for m, block in x3.momentum_blocks().items() if sum(m) < 3),
                      ThetaPoly.zero(x3.n, 3)))
@@ -352,9 +372,9 @@ def build_phat(mu: ThetaPoly, trunc: int = 3) -> list[DiffOperator]:
         raise UsageError("measure density must be a grade-free coordinate polynomial")
     n = mu.n
     mu = mu.with_trunc(trunc)
-    return [DiffOperator(RationalFunction(
+    return [DiffOperator(
         (mu * ThetaPoly.momentum(n, i, trunc) + mu.diff_x(i).scale(Fraction(1, 2)))
-        .scale(MINUS_I), mu)) for i in range(n)]
+        .scale(MINUS_I), mu) for i in range(n)]
 
 
 def subalgebra_defect(xhat: Sequence[DiffOperator], star
@@ -373,8 +393,8 @@ def conjugate_by_measure_power(op: DiffOperator, mu: ThetaPoly,
     product of the symbol with mu^(-s), multiplied back by mu^s, which
     leaves a pure power of mu in the denominator."""
     mu = mu.with_trunc(op.trunc)
-    num, top = _leibniz(op.symbol.num, ThetaPoly.one(op.n, op.trunc), mu, s)
-    return DiffOperator(RationalFunction(num, op.symbol.den * mu ** top))
+    num, top = _leibniz(op.num, ThetaPoly.one(op.n, op.trunc), mu, s)
+    return DiffOperator(num, op.den * mu ** top)
 
 
 def plane_wave_symbol(op: DiffOperator) -> ThetaPoly:
@@ -382,10 +402,10 @@ def plane_wave_symbol(op: DiffOperator) -> ThetaPoly:
     waves exp(-i k.x): each derivative contributes -i k, so the term
     c p^a of the symbol becomes c (-i)^|a| k^a."""
     n = op.n
-    if not op.symbol.is_polynomial:
+    if not op.is_polynomial:
         raise UsageError("plane-wave symbol needs polynomial coefficients")
     out = ThetaPoly.zero(n, op.trunc)
-    for a, c in op.symbol.num.momentum_blocks().items():
+    for a, c in op.num.momentum_blocks().items():
         if any(not c.diff_x(i).is_zero for i in range(n)):
             raise UsageError("plane-wave symbol needs constant coefficients")
         out = out + c * ThetaPoly.monomial(n, MINUS_I ** sum(a), p=a, trunc=op.trunc)

@@ -403,10 +403,10 @@ def fuzzy_sphere_bivector(trunc: int = 3) -> PoissonBivector:
     return PoissonBivector(n, upper)
 
 
-def constant_bivector(matrix: Sequence[Sequence[int]], trunc: int = 3) -> PoissonBivector:
+def constant_bivector(matrix: Sequence[Sequence[int]]) -> PoissonBivector:
     n = len(matrix)
     upper = {}
     for i in range(n):
         for j in range(i + 1, n):
-            upper[(i, j)] = ThetaPoly.constant(n, matrix[i][j], trunc)
+            upper[(i, j)] = ThetaPoly.constant(n, matrix[i][j])
     return PoissonBivector(n, upper)

@@ -229,14 +229,13 @@ def rotation_covariance_check() -> RotationReport:
     trunc = TRUNC
     w = fuzzy_sphere_bivector(trunc=trunc)
     L = [angular_momentum(3, i, trunc) for i in range(3)]
-    xmul = [DiffOperator.multiplication(ThetaPoly.coordinate(3, k, trunc), trunc)
-            for k in range(3)]
+    xmul = [DiffOperator(ThetaPoly.coordinate(3, k, trunc)) for k in range(3)]
     xhat = StarProduct(w, 2, trunc=trunc).xhat
 
     r2 = ThetaPoly.zero(3, trunc)
     for i in range(3):
         r2 = r2 + ThetaPoly.coordinate(3, i, trunc) ** 2
-    r2op = DiffOperator.multiplication(r2, trunc)
+    r2op = DiffOperator(r2)
     radius_ok = all(L[i].commutator(r2op).is_zero for i in range(3))
 
     corr = l_squared(trunc)

@@ -118,7 +118,7 @@ class StarProduct:
         for k in range(1, max(top, order) + 1):
             if k <= top:
                 xk = build_gamma1(self.w, self.xhat, self.slices[k - 1], k, trunc)
-                self.xhat = [DiffOperator(op.symbol.num + x.theta_shift(k))
+                self.xhat = [DiffOperator(op.num + x.theta_shift(k))
                              for op, x in zip(self.xhat, xk)]
             if k < top or k <= order:
                 self.slices.append(self._derive_slice(k))
@@ -147,7 +147,7 @@ class StarProduct:
             def tail(idx: MultiIndex) -> MultiIndex:
                 return (0,) * i + idx[i:]
 
-            blocks = self.xhat[i].symbol.num.momentum_blocks()
+            blocks = self.xhat[i].num.momentum_blocks()
             for j, (m, block) in itertools.product(range(1, k + 1), blocks.items()):
                 x = block.theta_coefficient(j)
                 if x.is_zero:
@@ -190,7 +190,7 @@ class StarProduct:
         out = copy.copy(self)
         out.xhat, out.slices, out._forms = [], self.slices[:2], {}
         for op in self.xhat:
-            term = total = _leibniz(op.symbol.num, one - step, one, 0)[0]
+            term = total = _leibniz(op.num, one - step, one, 0)[0]
             while not (term := _leibniz(step, term, one, 0)[0]).is_zero:
                 total = total + term
             out.xhat.append(DiffOperator(total))

@@ -57,7 +57,7 @@ def solved_gamma1(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
     grade-3 symbols X_3 = i (P_3 - Q) as Q = P_3 + i X_3."""
     xhat = StarProduct(w, 2, trunc=trunc).xhat
     tower = build_gamma(w, 3, trunc)
-    return [p + op.symbol.num.theta_coefficient(3).scale(GaussianRational(0, 1))
+    return [p + op.num.theta_coefficient(3).scale(GaussianRational(0, 1))
             for p, op in zip(tower.momenta[3], xhat)]
 
 

@@ -6,14 +6,13 @@ import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ncqm.exact_algebra import (
     ZERO,
     GaussianFunction,
     GaussianIntegral,
     GaussianRational,
-    RationalFunction,
     ThetaPoly,
     gaussian_integrate,
 )
@@ -34,6 +33,18 @@ def integral_of_product(f: GaussianFunction, mu: ThetaPoly) -> GaussianIntegral:
     """The integral of the density times f, through the product ``f * mu``
     that ``gaussian_integrate(f, mu)`` never forms."""
     return gaussian_integrate(f * mu)
+
+
+def closed_form_order2(w: PoissonBivector, i: int, j: int, k: int) -> ThetaPoly:
+    """The second-order expansion tensor in closed form,
+    (1/24)(w^{mk} d_m w^{ij} + w^{mj} d_m w^{ik}), in the orientation the
+    defining bracket identity forces."""
+    n = w.n
+    out = ThetaPoly.zero(n, 3)
+    for m in range(n):
+        out = out + w.entry(m, k) * w.entry(i, j).diff_x(m)
+        out = out + w.entry(m, j) * w.entry(i, k).diff_x(m)
+    return out.scale(Fraction(1, 24))
 
 
 def gamma1_closed_form(w: PoissonBivector, trunc: int = 3) -> list[ThetaPoly]:
@@ -73,7 +84,7 @@ def quantized_tower(w: PoissonBivector, trunc: int = 3, q=None) -> list[DiffOper
         return bare
     q = gamma1_closed_form(w, trunc) if q is None else q
     minus_i = GaussianRational(0, -1)
-    return [DiffOperator(op.symbol.num + qi.scale(minus_i).theta_shift(3))
+    return [DiffOperator(op.num + qi.scale(minus_i).theta_shift(3))
             for op, qi in zip(bare, q)]
 
 
@@ -182,14 +193,48 @@ def phase_space_jacobi_defect(
     return out
 
 
+class Quotient:
+    """num / den, with den a nonzero coordinate polynomial: the functions
+    the composition oracle applies operators to.  It writes out the sum,
+    the product, the quotient rule and equality by cross-multiplication,
+    and cancels nothing, so it shares no code with ``DiffOperator``."""
+
+    def __init__(self, num: ThetaPoly, den: Optional[ThetaPoly] = None):
+        if den is not None and den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        self.num = num
+        self.den = ThetaPoly.one(num.n, num.trunc) if den is None else den
+
+    def __add__(self, other: "Quotient") -> "Quotient":
+        if self.den == other.den:
+            return Quotient(self.num + other.num, self.den)
+        return Quotient(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other: "Quotient") -> "Quotient":
+        return Quotient(self.num * other.num, self.den * other.den)
+
+    def diff_x(self, i: int) -> "Quotient":
+        return Quotient(self.num.diff_x(i) * self.den - self.num * self.den.diff_x(i),
+                        self.den * self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quotient):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+
+def of_function(op: DiffOperator) -> Quotient:
+    """The function a zeroth-order operator multiplies by."""
+    return Quotient(op.num, op.den)
+
+
 def l_squared_eigencheck(l: int, trunc: int = 3) -> bool:
     """Apply the squared rotation generator to the degree-l harmonics and
     confirm the eigenvalue l(l+1) exactly."""
     op = l_squared(trunc)
     expect = l * (l + 1)
     for y in solid_harmonics(l, trunc):
-        got = op.apply(y)
-        if got != RationalFunction.of(y.scale(expect)):
+        if of_function(op.apply(y)) != Quotient(y.scale(expect)):
             return False
     return True
 

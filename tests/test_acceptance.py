@@ -14,13 +14,10 @@ criterion.
 import random
 from fractions import Fraction
 
-import pytest
-
 from ncqm.cli import ProblemFile, run_task
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
-    RationalFunction,
     ThetaPoly,
     parse_polynomial,
 )
@@ -33,8 +30,6 @@ from ncqm.operators import (
 from ncqm.poisson import (
     PoissonBivector,
     build_gamma,
-    constant_bivector,
-    fuzzy_sphere_bivector,
     verify_darboux,
 )
 from ncqm.qm_examples import (
@@ -51,7 +46,7 @@ from ncqm.star import (
 )
 
 from conftest import seeded_poly
-from oracles import constant_term, moyal_product, trace_condition_oracle
+from oracles import closed_form_order2, constant_term, moyal_product, trace_condition_oracle
 
 I = GaussianRational(0, 1)
 SEED = 1081
@@ -60,31 +55,6 @@ N_SAMPLES = 20
 
 def _report(num, text):
     print(f"ACCEPTANCE {num}: PASS - {text}")
-
-
-@pytest.fixture(scope="module")
-def fuzzy():
-    return fuzzy_sphere_bivector()
-
-
-@pytest.fixture(scope="module")
-def quad2d():
-    return PoissonBivector(2, {(0, 1): parse_polynomial("x1*x2", 2)})
-
-
-@pytest.fixture(scope="module")
-def const3d():
-    return constant_bivector([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
-
-
-def order2_closed_form(w, i, j, k):
-    """(1/24)(w^{mk} d_m w^{ij} + w^{mj} d_m w^{ik}); orientation forced by
-    the defining bracket identity (criterion 2)."""
-    out = ThetaPoly.zero(w.n, 3)
-    for m in range(w.n):
-        out = out + w.entry(m, k) * w.entry(i, j).diff_x(m)
-        out = out + w.entry(m, j) * w.entry(i, k).diff_x(m)
-    return out.scale(Fraction(1, 24))
 
 
 def test_criterion_1_gamma_recursion(fuzzy, quad2d, const3d):
@@ -96,7 +66,7 @@ def test_criterion_1_gamma_recursion(fuzzy, quad2d, const3d):
                     w.entry(i, j).scale(Fraction(-1, 2))
                 for k in range(w.n):
                     assert tower.component(2, i, (j, k)) == \
-                        order2_closed_form(w, i, j, k)
+                        closed_form_order2(w, i, j, k)
     _report(1, "first- and second-order expansion tensors match the "
                "closed forms symbolically on constant, fuzzy-sphere, and "
                "2D quadratic bivectors")
@@ -162,7 +132,7 @@ def test_criterion_5_subalgebra_closure(fuzzy, quad2d, const3d):
                         * quad2d.entry(0, 1).diff_x(nn).diff_x(m)
         if not A.is_zero:
             expect = expect + DiffOperator.term(
-                RationalFunction(A.scale(I * Fraction(1, 8))),
+                DiffOperator(A.scale(I * Fraction(1, 8))),
                 tuple(1 if a == l else 0 for a in range(2)),
                 theta_power=3, trunc=3)
     assert residual == expect

@@ -1,4 +1,4 @@
-"""Foundation tests: scalars, graded polynomials, rational functions,
+"""Foundation tests: scalars, graded polynomials, exact division,
 Gaussian-class integrands."""
 
 from fractions import Fraction
@@ -13,7 +13,6 @@ from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
     MAX_NESTING,
-    RationalFunction,
     ThetaPoly,
     DimensionError,
     divide_exact,
@@ -270,7 +269,8 @@ class TestThetaPoly:
         assert f.diff_p(0) == ThetaPoly.zero(2)
 
     def test_text_and_json_deterministic(self):
-        f = parse_polynomial("x2 + x1 + x1*x2 + 3/2 + 2*p1*x2", 2, allow_momenta=True)
+        f = parse_polynomial("x2 + x1 + x1*x2 + 3/2", 2) \
+            + parse_polynomial("2*x2", 2) * ThetaPoly.momentum(2, 0)
         assert f.text() == "3/2 + 1/1*x2 + 1/1*x1 + 2/1*x2*p1 + 1/1*x1*x2"
         assert f.to_json() == [
             [0, [0, 0], [0, 0], "3/2"],
@@ -283,10 +283,10 @@ class TestThetaPoly:
     def test_monomial_and_momentum_blocks(self):
         n = 2
         th = ThetaPoly.theta(n)
-        f = parse_polynomial("3*x1^2*p2 - x2*p2 + th*x1*p1^2 + 5", n,
-                             allow_momenta=True, allow_theta=True)
+        p1, p2 = ThetaPoly.momentum(n, 0), ThetaPoly.momentum(n, 1)
+        f = parse_polynomial("3*x1^2 - x2", n) * p2 + th * parse_polynomial("x1", n) * p1 ** 2 + 5
         assert ThetaPoly.monomial(n, 3, x=(2, 0), p=(0, 1)) == \
-            parse_polynomial("3*x1^2*p2", n, allow_momenta=True)
+            parse_polynomial("3*x1^2", n) * p2
         assert ThetaPoly.monomial(n, -1, x=(0, 1), grade=2) == \
             -(th * th * ThetaPoly.coordinate(n, 1))
         assert ThetaPoly.monomial(n, p=(1, 0)) == ThetaPoly.momentum(n, 0)
@@ -318,8 +318,10 @@ class TestParser:
             parse_polynomial("x1 +", 2)
         with pytest.raises(ValueError):
             parse_polynomial("(x1", 2)
-        with pytest.raises(ValueError):
-            parse_polynomial("p1", 2)  # momenta disallowed by default
+        with pytest.raises(ValueError, match="^momentum variables are not allowed here$"):
+            parse_polynomial("p1", 2)
+        with pytest.raises(ValueError, match="^the grading variable is not allowed here$"):
+            parse_polynomial("x1 + th", 2)
 
     def test_caps_checked_before_computing(self):
         assert parse_polynomial("(1+x1+x2)^8", 2) == parse_polynomial("(1+x1+x2)^4", 2) ** 2
@@ -354,25 +356,6 @@ class TestDivision:
     def test_product_always_divides(self, f):
         den = parse_polynomial("1 + x1*x2", 2)
         assert divide_exact(f * den, den) == f
-
-
-class TestRationalFunction:
-    def test_cross_multiplication_equality(self):
-        x1 = parse_polynomial("x1", 2)
-        one_plus = parse_polynomial("1 + x1", 2)
-        a = RationalFunction(x1 * one_plus, one_plus)
-        assert a == RationalFunction(x1)
-
-    def test_quotient_rule(self):
-        mu = parse_polynomial("1 + x1^2", 1)
-        rf = RationalFunction(parse_polynomial("x1", 1), mu)
-        d = rf.diff_x(0)
-        expect = RationalFunction(parse_polynomial("1 - x1^2", 1), mu * mu)
-        assert d == expect
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(parse_polynomial("x1", 1), ThetaPoly.zero(1))
 
 
 class TestGaussianClass:
@@ -443,6 +426,12 @@ def integrands(draw):
     return pre, mu
 
 
+def graded(n: int, trunc: int, *parts: str) -> ThetaPoly:
+    """sum_k th^k times the k-th part, each parsed as a coordinate polynomial."""
+    return sum((parse_polynomial(text, n, trunc).theta_shift(k) for k, text in enumerate(parts)),
+               ThetaPoly.zero(n, trunc))
+
+
 def _outcome(integral, f, mu):
     try:
         return integral(f, mu)
@@ -466,9 +455,8 @@ class TestMomentFunctional:
     def test_graded_complex_density_with_its_own_truncation(self):
         # th x1^2 x2 meets th^2 (1 + i) x1 x2: both grades shift, and the
         # density's truncation of 2 drops th * th^2
-        pre = parse_polynomial("x1^2 + 3*x2^2 + th*x1*x2 + th^2*x2^2", 2, allow_theta=True)
-        mu = parse_polynomial("2 + th*x1^2 + th^2*(1 + i)*x1*x2", 2, trunc=2,
-                              allow_theta=True)
+        pre = graded(2, 3, "x1^2 + 3*x2^2", "x1*x2", "x2^2")
+        mu = graded(2, 2, "2", "x1^2", "(1 + i)*x1*x2")
         for weight in (1, 2, 3):
             f = GaussianFunction(pre, weight)
             got = gaussian_integrate(f, mu)
@@ -476,14 +464,16 @@ class TestMomentFunctional:
             assert not got.theta_slice(1).is_zero and not got.theta_slice(2).is_zero
             assert got.theta_slice(3).is_zero
 
-    @pytest.mark.parametrize("mu_text, raises", [
-        ("1 + x1", False),         # x1^254 * x1 reaches the cap, 255
-        ("1 + x1^2", True),        # x1^254 * x1^2 passes it
-        ("1 + th^2*x1^2", False),  # th * th^2 lies above the truncation
+    @pytest.mark.parametrize("mu, raises", [
+        # x1^254 * x1 reaches the cap, 255
+        pytest.param(graded(2, 2, "1 + x1"), False, id="1 + x1-False"),
+        # x1^254 * x1^2 passes it
+        pytest.param(graded(2, 2, "1 + x1^2"), True, id="1 + x1^2-True"),
+        # th * th^2 lies above the truncation
+        pytest.param(graded(2, 2, "1", "0", "x1^2"), False, id="1 + th^2*x1^2-False"),
     ])
-    def test_overflow_parity_at_the_exponent_cap(self, mu_text, raises):
+    def test_overflow_parity_at_the_exponent_cap(self, mu, raises):
         pre = ThetaPoly.monomial(2, 1, x=(254, 0), grade=1, trunc=2) + ThetaPoly.one(2, 2)
-        mu = parse_polynomial(mu_text, 2, trunc=2, allow_theta=True)
         f = GaussianFunction(pre, 2)
         got = _outcome(gaussian_integrate, f, mu)
         assert got == _outcome(integral_of_product, f, mu)

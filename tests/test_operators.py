@@ -11,13 +11,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import ncqm.operators
+import ncqm.poisson
 import ncqm.star
-from ncqm import exact_algebra
 from ncqm.cli import ProblemFile, run_task
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
-    RationalFunction,
     ThetaPoly,
     UsageError,
     multi_index,
@@ -46,7 +45,7 @@ from ncqm.poisson import (
 from ncqm.star import StarProduct
 
 from conftest import GRADE3_FAMILIES, poly_strategy, scalars, seeded_poly, solved_gamma1
-from oracles import gamma1_closed_form, quantized_tower
+from oracles import Quotient, gamma1_closed_form, of_function, quantized_tower
 
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
@@ -57,7 +56,7 @@ def random_operator(rng, n=2, trunc=3):
     for _ in range(3):
         midx = tuple(rng.randint(0, 1) for _ in range(n))
         t = rng.randint(0, 1)
-        coeff = RationalFunction(seeded_poly(rng, n, degree=2, terms=2, trunc=trunc))
+        coeff = DiffOperator(seeded_poly(rng, n, degree=2, terms=2, trunc=trunc))
         op = op + DiffOperator.term(coeff, midx, theta_power=t, trunc=trunc)
     return op
 
@@ -79,29 +78,29 @@ def operator_strategy(n=2, order=2):
     def build(parts):
         op = DiffOperator.zero(n)
         for c, midx, t, k in parts:
-            op = op + DiffOperator.term(RationalFunction(c, MU ** k), midx, t)
+            op = op + DiffOperator.term(DiffOperator(c, MU ** k), midx, t)
         return op
 
     return st.lists(term, min_size=1, max_size=3).map(build)
 
 
-def apply_by_terms(op, f: RationalFunction) -> RationalFunction:
+def apply_by_terms(op, f: Quotient) -> Quotient:
     """op applied to a rational function through its term view and the
     quotient rule, independently of ``compose``."""
-    out = RationalFunction(ThetaPoly.zero(op.n, op.trunc))
+    out = Quotient(ThetaPoly.zero(op.n, op.trunc))
     for (t, midx), coeff in op.terms.items():
         d = f
         for axis, k in enumerate(midx):
             for _ in range(k):
                 d = d.diff_x(axis)
-        out = out + coeff * d * ThetaPoly.theta(op.n, t, op.trunc)
+        out = out + of_function(coeff) * d * Quotient(ThetaPoly.theta(op.n, t, op.trunc))
     return out
 
 
 class TestAlgebra:
     def test_canonical_commutator(self):
         d1 = DiffOperator.derivative(2, 0)
-        x1 = DiffOperator.multiplication(ThetaPoly.coordinate(2, 0))
+        x1 = DiffOperator(ThetaPoly.coordinate(2, 0))
         assert d1.commutator(x1) == DiffOperator.identity(2)
 
     def test_derivatives_commute(self):
@@ -112,9 +111,8 @@ class TestAlgebra:
     def test_apply_examples(self):
         op = DiffOperator.derivative(1, 0).scale(MINUS_I)
         f = ThetaPoly.coordinate(1, 0) ** 2
-        assert op.apply(f) == RationalFunction.of(
-            parse_polynomial("-2*i*x1", 1))
-        assert DiffOperator.identity(1).apply(f) == RationalFunction.of(f)
+        assert op.apply(f) == DiffOperator(parse_polynomial("-2*i*x1", 1))
+        assert DiffOperator.identity(1).apply(f) == DiffOperator(f)
 
     def test_composition_associative(self, rng):
         for _ in range(4):
@@ -134,14 +132,14 @@ class TestAlgebra:
             a, b = random_operator(rng), random_operator(rng)
             f = seeded_poly(rng, 2, degree=2, terms=3)
             inner = b.apply_poly(f)
-            assert isinstance(inner, RationalFunction) and inner.den == 1
+            assert isinstance(inner, DiffOperator) and inner.is_polynomial
             assert a.compose(b).apply(f) == a.apply_poly(inner.num)
 
     @settings(max_examples=30, deadline=None)
     @given(operator_strategy(), operator_strategy(), poly_strategy(2))
     def test_composition_is_application_in_turn(self, a, b, f):
-        assert b.apply(f) == apply_by_terms(b, RationalFunction(f))
-        f = RationalFunction(f)
+        assert of_function(b.apply(f)) == apply_by_terms(b, Quotient(f))
+        f = Quotient(f)
         assert apply_by_terms(a.compose(b), f) == \
             apply_by_terms(a, apply_by_terms(b, f))
 
@@ -158,11 +156,36 @@ class TestAlgebra:
         d = DiffOperator.derivative(1, 0)
         g = GaussianFunction(ThetaPoly.one(1))
         assert d.apply(g).prefactor == parse_polynomial("-2*x1", 1)
-        rational = DiffOperator.multiplication(
-            RationalFunction(parse_polynomial("1", 1),
-                             parse_polynomial("1+x1^2", 1)))
+        rational = DiffOperator(parse_polynomial("1", 1), parse_polynomial("1+x1^2", 1))
         with pytest.raises(UsageError):
             rational.apply(g)
+
+
+class TestRationalCoefficients:
+    """The quotient an operator holds: whole-denominator cancellation,
+    cross-multiplied equality, and no zero denominator."""
+
+    def test_cross_multiplication_equality(self):
+        x1, x2 = parse_polynomial("x1", 2), parse_polynomial("x2", 2)
+        one_plus = parse_polynomial("1 + x1", 2)
+        assert DiffOperator(x1 * one_plus, one_plus) == DiffOperator(x1)
+        # neither denominator divides its numerator, and they differ
+        a, b = DiffOperator(x1, one_plus), DiffOperator(x1 * x2, one_plus * x2)
+        assert a.den != b.den and a == b
+        assert a != DiffOperator(x2, one_plus)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            DiffOperator(parse_polynomial("x1", 1), ThetaPoly.zero(1))
+
+
+class TestQuotientOracle:
+    """The functions ``apply_by_terms`` applies operators to."""
+
+    def test_quotient_rule(self):
+        mu = parse_polynomial("1 + x1^2", 1)
+        d = Quotient(parse_polynomial("x1", 1), mu).diff_x(0)
+        assert d == Quotient(parse_polynomial("1 - x1^2", 1), mu * mu)
 
 
 class TestCoordinateOperators:
@@ -170,13 +193,12 @@ class TestCoordinateOperators:
         xhat = StarProduct(fuzzy, 2, trunc=3).xhat
         for i in range(3):
             # grade 0 is multiplication by the coordinate
-            assert xhat[i].theta_slice(0) == DiffOperator.multiplication(
-                ThetaPoly.coordinate(3, i))
+            assert xhat[i].theta_slice(0) == DiffOperator(ThetaPoly.coordinate(3, i))
             # grade 1 is (i/2) w^{il} d_l
             expect = DiffOperator.zero(3)
             for l in range(3):
                 expect = expect + DiffOperator.term(
-                    RationalFunction(fuzzy.entry(i, l).scale(I * Fraction(1, 2))),
+                    DiffOperator(fuzzy.entry(i, l).scale(I * Fraction(1, 2))),
                     tuple(1 if a == l else 0 for a in range(3)))
             assert xhat[i].theta_slice(1) == expect
 
@@ -194,15 +216,14 @@ class TestCoordinateOperators:
                     midx[m] += 1
                     mult = 2 if l != m else 1
                     expect = expect + DiffOperator.term(
-                        RationalFunction(coeff.scale(-mult)), tuple(midx))
+                        DiffOperator(coeff.scale(-mult)), tuple(midx))
             assert xhat[i].theta_slice(2) == expect
 
     def test_applied_to_one_returns_coordinate(self, fuzzy):
         xhat = StarProduct(fuzzy, 2, trunc=3).xhat
         one = ThetaPoly.one(3)
         for i in range(3):
-            assert xhat[i].apply(one) == RationalFunction.of(
-                ThetaPoly.coordinate(3, i))
+            assert xhat[i].apply(one) == DiffOperator(ThetaPoly.coordinate(3, i))
 
     def test_constant_bivector_commutator(self, const3d):
         xhat = StarProduct(const3d, 2, trunc=3).xhat
@@ -210,8 +231,7 @@ class TestCoordinateOperators:
         for i in range(3):
             for j in range(3):
                 got = xhat[i].commutator(xhat[j])
-                expect = DiffOperator.multiplication(
-                    (th * const3d.entry(i, j)).scale(I), trunc=3)
+                expect = DiffOperator((th * const3d.entry(i, j)).scale(I))
                 assert got == expect
 
     def test_requires_enough_orders(self, fuzzy):
@@ -222,19 +242,19 @@ class TestCoordinateOperators:
         """A unit denominator is kept as it is: building operators with
         polynomial coefficients runs no exact division."""
         calls = []
-        divide = exact_algebra.divide_exact
+        divide = ncqm.operators.divide_exact
 
         def counting(num, den):
             calls.append(den)
             return divide(num, den)
 
         tower = build_gamma(quad2d, 3)
-        monkeypatch.setattr(exact_algebra, "divide_exact", counting)
+        monkeypatch.setattr(ncqm.operators, "divide_exact", counting)
         build_xhat(tower)
         x1 = parse_polynomial("x1", 2)
         StarProduct(quad2d, 2, trunc=3).left_multiplication_operator(x1 * x1)
         assert calls == []
-        assert RationalFunction(x1 * x1, x1) == RationalFunction(x1)
+        assert DiffOperator(x1 * x1, x1) == DiffOperator(x1)
         assert calls
 
 
@@ -277,7 +297,7 @@ def _mutated_gamma1(w, monkeypatch):
         x3, raised = _unchecked_gamma1(monkeypatch, product.w, *args, 3, 3)
         return [p + x.scale(I) for p, x in zip(p3, x3)], raised
 
-    no_grade2 = [DiffOperator(op.symbol.num.truncated(1)) for op in product.xhat]
+    no_grade2 = [op.truncated(1) for op in product.xhat]
     return product, {
         "weight": ([reweighted(q) for q in solved_gamma1(w)], None),
         "no-lw": unchecked(product.xhat, {}),
@@ -354,13 +374,25 @@ class TestGamma1:
             if A.is_zero:
                 continue
             expect = expect + DiffOperator.term(
-                RationalFunction(A.scale(I * Fraction(1, 8))),
+                DiffOperator(A.scale(I * Fraction(1, 8))),
                 tuple(1 if a == l else 0 for a in range(2)),
                 theta_power=3, trunc=3)
         assert residual == expect
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def heavier_homotopy(n, r, trunc):
+    """``euler_homotopy`` with the weight 1/(d+1) in place of 1/(d+2)."""
+    zero = ThetaPoly.zero(n, trunc)
+    out = [zero] * n
+    for (i, j), rij in r.items():
+        h = sum((block * ThetaPoly.monomial(n, Fraction(1, sum(e) + 1), p=e, trunc=trunc)
+                 for e, block in rij.momentum_blocks().items()), zero)
+        out[j] = out[j] + ThetaPoly.momentum(n, i, trunc) * h
+        out[i] = out[i] - ThetaPoly.momentum(n, j, trunc) * h
+    return out
 
 
 class TestNoFalseSolve:
@@ -377,27 +409,16 @@ class TestNoFalseSolve:
         assert str(err.value).startswith("the grade-2 operators do not close on (")
 
     def test_wrong_homotopy_weight_raises_at_grade_1(self, monkeypatch, fuzzy):
-        def heavier(n, r, trunc):
-            zero = ThetaPoly.zero(n, trunc)
-            out = [zero] * n
-            for (i, j), rij in r.items():
-                h = sum((block * ThetaPoly.monomial(n, Fraction(1, sum(e) + 1), p=e,
-                                                    trunc=trunc)
-                         for e, block in rij.momentum_blocks().items()), zero)
-                out[j] = out[j] + ThetaPoly.momentum(n, i, trunc) * h
-                out[i] = out[i] - ThetaPoly.momentum(n, j, trunc) * h
-            return out
-
-        monkeypatch.setattr(ncqm.operators, "euler_homotopy", heavier)
+        monkeypatch.setattr(ncqm.operators, "euler_homotopy", heavier_homotopy)
         with pytest.raises(ClosureError) as err:
             StarProduct(fuzzy, 3)
         assert str(err.value) == "the grade-1 operators do not close on (1,2)"
 
 
-def _subalgebra_report(w: PoissonBivector) -> dict:
+def _report(w: PoissonBivector, task: str) -> dict:
     doc = {"dim": w.n, "bivector": [{"i": i + 1, "j": j + 1, "poly": p.text()}
                                     for (i, j), p in sorted(w.upper.items())]}
-    return run_task(ProblemFile.parse(json.dumps(doc)), "subalgebra")
+    return run_task(ProblemFile.parse(json.dumps(doc)), task)
 
 
 def momentum_degrees(p: ThetaPoly) -> dict[int, ThetaPoly]:
@@ -406,6 +427,22 @@ def momentum_degrees(p: ThetaPoly) -> dict[int, ThetaPoly]:
     for m, block in p.momentum_blocks().items():
         piece = block * ThetaPoly.monomial(p.n, p=m, trunc=p.trunc)
         out[sum(m)] = out[sum(m)] + piece if sum(m) in out else piece
+    return out
+
+
+def principal_part_defects(w: PoissonBivector, trunc: int) -> list[tuple[int, int]]:
+    """The (coordinate i, grade k) at which the solved symbol X_k^i is not
+    the bare term (-i)^k P^i_k of ``build_gamma``'s tower in its degree-k
+    part, or holds more than the degree-2 correction besides it."""
+    xhat = StarProduct(w, 2, trunc=trunc).xhat
+    bare = build_xhat(build_gamma(w, 3, trunc), trunc)
+    out = []
+    for i, (op, tower) in enumerate(zip(xhat, bare)):
+        for k in range(1, 4):
+            parts = momentum_degrees(op.num.theta_coefficient(k))
+            if parts.pop(k, 0) != tower.num.theta_coefficient(k) \
+                    or not set(parts) <= ({2} if k == 3 else set()):
+                out.append((i, k))
     return out
 
 
@@ -420,20 +457,24 @@ class TestResidualWithoutCorrection:
         bare term (-i)^k P^i_k; past it X_1 and X_2 hold nothing, and X_3
         only the correction, of momentum degree 2."""
         w = GRADE3_FAMILIES.get(family) or request.getfixturevalue(family)
-        xhat = StarProduct(w, 2, trunc=trunc).xhat
-        bare = build_xhat(build_gamma(w, 3, trunc), trunc)
-        for op, tower in zip(xhat, bare):
-            for k in range(1, 4):
-                parts = momentum_degrees(op.symbol.num.theta_coefficient(k))
-                assert parts.pop(k, 0) == tower.symbol.num.theta_coefficient(k)
-                assert set(parts) <= ({2} if k == 3 else set())
+        assert principal_part_defects(w, trunc) == []
+
+    def test_a_wrong_tower_weight_is_caught(self, fuzzy, monkeypatch):
+        """``build_gamma``'s solver with the weight 1/(d+1), the solved
+        operators left as they are: the tower's grade-1 and grade-2 terms
+        no longer match xhat, and darboux-check fails."""
+        monkeypatch.setattr(ncqm.poisson, "euler_homotopy", heavier_homotopy)
+        assert {k for _, k in principal_part_defects(fuzzy, 3)} == {1, 2}
+        report = _report(fuzzy, "darboux-check")
+        assert report["status"] == "fail"
+        assert not report["xx_zero"] and not report["delta_matches_reference"]
 
     @pytest.mark.parametrize("family", [*ORACLE_FAMILIES, "fuzzy", "const3d"])
     def test_report_equals_the_composed_bare_family(self, family, request):
         w = ORACLE_FAMILIES.get(family) or request.getfixturevalue(family)
         product = StarProduct(w, 2, trunc=3)
         bare = subalgebra_defect(build_xhat(build_gamma(w, 3)), product)
-        assert _subalgebra_report(w)["residual_without_correction"] == \
+        assert _report(w, "subalgebra")["residual_without_correction"] == \
             {f"({i+1},{j+1})": op.text() for (i, j), op in sorted(bare.items())}
 
     @pytest.mark.parametrize("family", ["nambu-cubic", "nambu-construct", "quadratic"])
@@ -458,7 +499,7 @@ class TestResidualWithoutCorrection:
             return compose(a, b)
 
         monkeypatch.setattr(DiffOperator, "compose", counting)
-        _subalgebra_report(ORACLE_FAMILIES["nambu-cubic"])
+        _report(ORACLE_FAMILIES["nambu-cubic"], "subalgebra")
         assert len(calls) == 3 * 2
 
     def test_truncated_at_grade_3(self, quad2d):
@@ -503,8 +544,7 @@ class TestMomentumOperators:
                     coeff = fuzzy.entry(i, l).diff_x(j).scale(I * Fraction(-1, 2))
                     if coeff.is_zero:
                         continue
-                    expect = expect + DiffOperator.multiplication(
-                        RationalFunction(coeff), 3).theta_shift(1).compose(phat[l])
+                    expect = expect + DiffOperator(coeff).theta_shift(1).compose(phat[l])
                 assert got == expect.truncated(1)
 
 
@@ -531,7 +571,7 @@ class TestConjugation:
         assert sym == expect
 
     def test_symbol_needs_constant_coefficients(self):
-        op = DiffOperator.multiplication(ThetaPoly.coordinate(2, 0))
+        op = DiffOperator(ThetaPoly.coordinate(2, 0))
         with pytest.raises(UsageError):
             plane_wave_symbol(op)
 

@@ -28,7 +28,7 @@ from ncqm.poisson import (
 )
 
 from conftest import poly_strategy
-from oracles import phase_space_jacobi_defect
+from oracles import closed_form_order2, phase_space_jacobi_defect
 
 
 class TestJacobi:
@@ -94,17 +94,6 @@ class TestCanonicalBracket:
     @settings(max_examples=25, deadline=None)
     def test_antisymmetry(self, f, g):
         assert canonical_bracket(f, g) == -canonical_bracket(g, f)
-
-
-def closed_form_order2(w: PoissonBivector, i: int, j: int, k: int) -> ThetaPoly:
-    """(1/24)(w^{mk} d_m w^{ij} + w^{mj} d_m w^{ik}) - the bracket-consistent
-    orientation of the second-order tensor."""
-    n = w.n
-    out = ThetaPoly.zero(n, 3)
-    for m in range(n):
-        out = out + w.entry(m, k) * w.entry(i, j).diff_x(m)
-        out = out + w.entry(m, j) * w.entry(i, k).diff_x(m)
-    return out.scale(Fraction(1, 24))
 
 
 class TestGammaTower:
@@ -232,9 +221,10 @@ class TestDarboux:
             xs = assemble_darboux(build_gamma(fuzzy, order))
             th = ThetaPoly.theta(3, 1, order)
             canonical = [ThetaPoly.momentum(3, i, order) for i in range(3)]
-            j = [parse_polynomial("p1*x2 + x3^2", 3, order, allow_momenta=True),
+            p1, p2, p3 = canonical
+            j = [p1 * parse_polynomial("x2", 3, order) + parse_polynomial("x3^2", 3, order),
                  ThetaPoly.zero(3, order),
-                 parse_polynomial("p2*p3 - x1*p1^2", 3, order, allow_momenta=True)]
+                 p2 * p3 - parse_polynomial("x1", 3, order) * p1 ** 2]
             shifted = [p - th * ji for p, ji in zip(canonical, j)]
             for ps in (canonical, shifted):
                 back = invert_phase_map(xs, ps, order)

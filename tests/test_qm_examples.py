@@ -59,7 +59,7 @@ class TestOscillator:
         from ncqm.operators import DiffOperator
         report = build_fuzzy_oscillator()
         r2 = parse_polynomial("x1^2+x2^2+x3^2", 3)
-        assert report.potential_slices[0] == DiffOperator.multiplication(r2, 3)
+        assert report.potential_slices[0] == DiffOperator(r2)
 
     def test_energy_corrections(self):
         assert energy_correction(2, 0).coefficient == 0

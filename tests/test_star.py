@@ -11,7 +11,6 @@ import ncqm.star
 from ncqm.exact_algebra import (
     GaussianFunction,
     GaussianRational,
-    RationalFunction,
     ThetaPoly,
     UsageError,
     gaussian_integrate,
@@ -24,7 +23,7 @@ from ncqm.poisson import (
     build_gamma,
     constant_bivector,
 )
-from ncqm.operators import _leibniz, build_gamma1, build_phat
+from ncqm.operators import DiffOperator, _leibniz, build_gamma1, build_phat
 from ncqm.star import (
     GaugeError,
     MeasureError,
@@ -116,7 +115,7 @@ class TestMoyalOracle:
         """A product built with trunc 4 keeps its grade-4 terms: every rule
         carries the truncation of the entries, not that of a zero entry."""
         matrix = [[0, 2, 0, 1], [-2, 0, 0, 0], [0, 0, 0, -3], [-1, 0, 3, 0]]
-        sp = StarProduct(constant_bivector(matrix, trunc=4), 3, trunc=4)
+        sp = StarProduct(constant_bivector(matrix).with_trunc(4), 3, trunc=4)
         f = parse_polynomial("(1+x1+x2+x3+x4)^3", 4, 4) * ThetaPoly.theta(4, 2, 4)
         g = parse_polynomial("(1+x1-x2+2*x3+x4)^3", 4, 4)
         got = sp.star(f, g)
@@ -216,8 +215,8 @@ class TestMeasure:
         # the multiplication term of build_phat is -(i/2) d_i(log mu)
         mu = parse_polynomial("x1^2+x2^2+x3^2", 3)
         term = build_phat(mu)[0].terms[(0, (0, 0, 0))]
-        assert term == RationalFunction(parse_polynomial("2*x1", 3), mu) \
-            * GaussianRational(0, Fraction(-1, 2))
+        assert term == DiffOperator(parse_polynomial("2*x1", 3), mu) \
+            .scale(GaussianRational(0, Fraction(-1, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -441,8 +440,8 @@ class TestPrimedProduct:
         corrected = sp.with_gauge(gauge)
         for x, xc in zip(sp.xhat, corrected.xhat):
             assert xc.trunc == trunc
-            assert _leibniz(b_op, xc.symbol.num, one, 0)[0] == \
-                _leibniz(x.symbol.num, b_op, one, 0)[0]
+            assert _leibniz(b_op, xc.num, one, 0)[0] == \
+                _leibniz(x.num, b_op, one, 0)[0]
 
 
 class TestTrace:

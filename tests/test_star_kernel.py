@@ -177,7 +177,7 @@ class TestAgainstTheSum:
 
 def _single_rule(n, a, b, c, trunc=3):
     """A product whose only rule is (a, b) -> c at grade 0."""
-    sp = copy.copy(StarProduct(constant_bivector([[0] * n] * n, trunc=trunc), 0, trunc))
+    sp = copy.copy(StarProduct(constant_bivector([[0] * n] * n).with_trunc(trunc), 0, trunc))
     sp.slices = [{(a, b): c}]
     return sp
 

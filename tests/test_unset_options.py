@@ -1,6 +1,10 @@
 """Every defaulted parameter of a function in src/ncqm is passed by some
-call in src/, scripts/ or tests/: a default that no call overrides is a
-constant, not an option.
+call: a default that no call overrides is a constant, not an option.
+
+A function that the program calls (src/, scripts/ and the benchmark in
+perfbench/, which is only read) must have each option passed by one of
+those calls, so an option that only tests set fails too.  A function that
+only tests call must have each option passed by some test.
 
 Calls are matched to functions by name, so a name that several functions
 share counts for each of them, and ``Class(...)`` matches
@@ -13,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ncqm"
-FILES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+PROGRAM = ("src", "scripts", "perfbench")
 
 
 def _options(path: Path):
@@ -45,10 +49,11 @@ def _options(path: Path):
                 yield names, f"{path.stem}.{label}", None, arg.arg
 
 
-def _calls():
-    """name -> [(positional count, keywords, spreads)] over every call."""
+def _calls(*dirs: str):
+    """name -> [(positional count, keywords, spreads)] over every call in
+    the Python files under ``dirs``."""
     out: dict[str, list] = {}
-    for path in FILES:
+    for path in sorted(p for d in dirs for p in (ROOT / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
@@ -64,10 +69,11 @@ def _calls():
 
 
 def unset_options() -> list[str]:
-    calls = _calls()
+    program, tests = _calls(*PROGRAM), _calls("tests")
     unset = []
     for path in sorted(PACKAGE.glob("*.py")):
         for names, label, position, param in _options(path):
+            calls = program if any(name in program for name in names) else tests
             if not any(spreads or param in keywords
                        or (position is not None and count > position)
                        for name in names for count, keywords, spreads in calls.get(name, ())):
